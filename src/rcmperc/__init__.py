@@ -11,11 +11,13 @@ Entry points: `explore_cluster` grows one cluster; `percolation_verdict`
 repeats that at a fixed intensity; `estimate_critical` brackets the
 threshold; `branching_bound` / `constant_g_certificate` give the
 analytic side; `estimate_pair_connectedness` measures the two-point
-function. The `rcmperc` command exposes all of it on the command line.
+function; `reproduce_preset` re-runs a reference table. The `rcmperc`
+command exposes all of it on the command line.
 """
 
 from .bounds import BranchingReport, branching_bound, constant_g_certificate
 from .connection import (
+    MODEL_KINDS,
     ConnectionModel,
     Gilbert,
     PenetrableSphere,
@@ -35,7 +37,9 @@ from .exploration import (
 )
 from .geometry import Point, SpatialIndex, ball_volume, make_point, neighbors_within, sphere_surface
 from .records import TrialRecord
-from .reference import DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, ReferenceRow, ReferenceTable
+from .reference import (
+    DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, ReferenceRow, ReferenceTable, reproduce_preset,
+)
 from .sampling import (
     DEFAULT_SEED,
     RngStream,
@@ -54,6 +58,7 @@ __all__ = [
     "BranchingReport",
     "branching_bound",
     "constant_g_certificate",
+    "MODEL_KINDS",
     "ConnectionModel",
     "Gilbert",
     "PenetrableSphere",
@@ -80,6 +85,7 @@ __all__ = [
     "ReferenceTable",
     "DESK_RUNS",
     "DESK_SYSTEM_SIZE",
+    "reproduce_preset",
     "DEFAULT_SEED",
     "RngStream",
     "derive_seed",

@@ -26,6 +26,19 @@ flags; explicit flags win over the file, the file over defaults.
 Exit codes: 0 success, 1 invalid configuration, 2 result unreliable
 because some explorations hit a work cap.
 
+Layout
+------
+Each subcommand is one row of `_COMMANDS`: its name, help text, handler,
+whether the model flags apply, and its extra arguments; the parser is
+built from that table. `run_cli` resolves the worker count once, then
+calls the handler. Handlers write nothing: each returns an `_Output`
+holding its JSON document, its CSV rows and header, its stderr notes and
+its exit code. `_emit` is the only code that writes a result, chooses
+between JSON and CSV, or opens --output-file; CSV cells are formatted by
+`records.csv_cell`, as in `TrialRecord.to_csv_row`. Invalid input raises
+ValueError, failed numerics raise RuntimeError, and `run_cli` reports
+either, or an OSError, as one `error:` line with exit code 1.
+
 Examples
 --------
   rcmperc explore --model gilbert --dim 2 --range 2 --gamma 0 \
@@ -42,33 +55,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 import time
-from typing import Any, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .bounds import branching_bound, constant_g_certificate
-from .connection import (
-    ConnectionModel,
-    Gilbert,
-    PenetrableSphere,
-    QuadratureError,
-    SoftSphere,
-    TabulatedRadial,
-    effective_connectivity_mass,
-)
+from .connection import MODEL_KINDS, ConnectionModel, TabulatedRadial, effective_connectivity_mass
 from .exploration import SimParams, estimate_pair_connectedness, explore_cluster
-from .records import CSV_FIELDS, TrialRecord
-from .reference import DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, SCALES
-from .sampling import DEFAULT_SEED, derive_seed, trial_stream
+from .records import CSV_FIELDS, TrialRecord, csv_cell
+from .reference import DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, SCALES, reproduce_preset
+from .sampling import DEFAULT_SEED, trial_stream
 from .threshold import estimate_critical, percolation_verdict
 
-__all__ = ["run_cli", "main", "reproduce_preset"]
+__all__ = ["run_cli", "main"]
 
 
-class _UsageError(Exception):
-    """Invalid flags or config; maps to exit code 1."""
+class _UsageError(ValueError):
+    """Invalid flags, raised by the argparse error hook; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,24 +83,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("RCM_PERC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"RCM_PERC_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"RCM_PERC_THREADS must be positive, got {value}")
-    return value
-
-
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("model")
     g.add_argument(
         "--model",
-        choices=("gilbert", "penetrable", "soft-sphere", "tabulated"),
+        choices=tuple(MODEL_KINDS),
         default="gilbert",
         help="connection model (default gilbert)",
     )
@@ -145,81 +139,18 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rcmperc", description="critical intensities of random connection models")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("explore", help="independent cluster explorations, one record per trial")
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--gamma", type=float, required=True, help="point process intensity")
-    p.add_argument("--runs", type=int, default=1, help="number of trials (default 1)")
-    p.set_defaults(func=_cmd_explore)
-
-    p = sub.add_parser("percolate", help="percolation verdict at one intensity")
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--gamma", type=float, required=True, help="point process intensity")
-    p.add_argument("--runs", type=int, default=DESK_RUNS, help=f"trials (default {DESK_RUNS})")
-    p.add_argument(
-        "--full-runs", action="store_true",
-        help="run every trial instead of stopping at the first escape",
-    )
-    p.set_defaults(func=_cmd_percolate)
-
-    p = sub.add_parser("critical", help="bracket the critical intensity")
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--runs", type=int, default=DESK_RUNS, help=f"trials per verdict (default {DESK_RUNS})")
-    p.add_argument("--ramp", type=float, default=1.1, help="geometric ramp factor (default 1.1)")
-    p.add_argument("--refine", type=int, default=2, help="midpoint refinements (default 2)")
-    p.add_argument(
-        "--full-runs", action="store_true",
-        help="run every trial instead of stopping at the first escape",
-    )
-    p.set_defaults(func=_cmd_critical)
-
-    p = sub.add_parser("bound", help="branching bound, certificate, or reference columns")
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--gamma", type=float, default=None, help="also emit the certificate at this intensity")
-    p.add_argument(
-        "--table", type=int, nargs="?", const=0, default=None, metavar="N",
-        help="print reference branching columns (table N, or all tables with no value)",
-    )
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("tau", help="two-point connection probability at distance r")
-    _add_model_flags(p)
-    _add_sim_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--gamma", type=float, required=True, help="point process intensity")
-    p.add_argument("--r", type=float, required=True, help="probe distance from the origin")
-    p.add_argument("--trials", type=int, default=10_000, help="trials (default 10000)")
-    p.set_defaults(func=_cmd_tau)
-
-    p = sub.add_parser("reproduce", help="re-run a reference table")
-    _add_sim_flags(p)
-    _add_output_flags(p)
-    p.add_argument("--table", type=int, required=True, choices=sorted(REFERENCE_TABLES),
-                   help="reference table number")
-    p.add_argument("--scale", choices=SCALES, required=True,
-                   help="desk (small windows, 500 runs) or paper (full scale)")
-    p.add_argument("--dims", default=None,
-                   help="comma-separated dimensions to run (default: all rows)")
-    p.add_argument("--runs", type=int, default=None,
-                   help="override trials per verdict")
-    p.add_argument("--ramp", type=float, default=1.1, help="geometric ramp factor (default 1.1)")
-    p.add_argument("--refine", type=int, default=2, help="midpoint refinements (default 2)")
-    p.set_defaults(func=_cmd_reproduce)
-
+    for cmd in _COMMANDS.values():
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        if cmd.model_flags:
+            _add_model_flags(p)
+        _add_sim_flags(p)
+        _add_output_flags(p)
+        for flags, kwargs in cmd.args:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 # --- config file -----------------------------------------------------------
-
-_SUBCOMMANDS = ("explore", "percolate", "critical", "bound", "tau", "reproduce")
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -229,7 +160,7 @@ def _config_tokens(path: str) -> list[str]:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -242,7 +173,7 @@ def _config_tokens(path: str) -> list[str]:
         key = key.strip()
         value = value.strip()
         if not key:
-            raise _UsageError(f"{path}:{lineno}: missing key")
+            raise ValueError(f"{path}:{lineno}: missing key")
         flag = "--" + key
         if value.lower() in ("true", "yes", "on"):
             tokens.append(flag)
@@ -262,7 +193,7 @@ def _apply_config(argv: list[str]) -> list[str]:
         tok = argv[i]
         if tok == "--config":
             if i + 1 >= len(argv):
-                raise _UsageError("--config expects a path")
+                raise ValueError("--config expects a path")
             path = argv[i + 1]
             i += 2
             continue
@@ -274,30 +205,40 @@ def _apply_config(argv: list[str]) -> list[str]:
         i += 1
     if path is None:
         return cleaned
-    if not cleaned or cleaned[0] not in _SUBCOMMANDS:
-        raise _UsageError("--config requires a subcommand")
+    if not cleaned or cleaned[0] not in _COMMANDS:
+        raise ValueError("--config requires a subcommand")
     return [cleaned[0], *_config_tokens(path), *cleaned[1:]]
 
 
 # --- shared builders --------------------------------------------------------
 
 
-def _build_model(args) -> ConnectionModel:
-    radius = getattr(args, "range")
+def _threads(args) -> int:
+    """Worker count: --threads, else RCM_PERC_THREADS, else 1."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be positive, got {args.threads}")
+        return args.threads
+    raw = os.environ.get("RCM_PERC_THREADS", "").strip()
+    if not raw:
+        return 1
     try:
-        if args.model == "gilbert":
-            return Gilbert(radius=radius)
-        if args.model == "penetrable":
-            return PenetrableSphere(radius=radius, prob=args.p)
-        if args.model == "soft-sphere":
-            return SoftSphere(radius=radius, hardness=args.hardness, energy=args.beta)
-        if args.model == "tabulated":
-            if not args.phi_csv:
-                raise _UsageError("--model tabulated requires --phi-csv")
-            return TabulatedRadial.from_csv(args.phi_csv)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    raise _UsageError(f"unknown model {args.model!r}")
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"RCM_PERC_THREADS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"RCM_PERC_THREADS must be positive, got {value}")
+    return value
+
+
+def _build_model(args) -> ConnectionModel:
+    cls = MODEL_KINDS[args.model]
+    if cls is TabulatedRadial:
+        if not args.phi_csv:
+            raise ValueError("--model tabulated requires --phi-csv")
+        return TabulatedRadial.from_csv(args.phi_csv)
+    flag_values = {"radius": args.range, "prob": args.p, "hardness": args.hardness, "energy": args.beta}
+    return cls(**{f.name: flag_values[f.name] for f in fields(cls)})
 
 
 def _system_size(args) -> float:
@@ -305,7 +246,7 @@ def _system_size(args) -> float:
         return args.system_size
     size = DESK_SYSTEM_SIZE.get(args.dim)
     if size is None:
-        raise _UsageError(
+        raise ValueError(
             f"--system-size is required for dimension {args.dim} "
             f"(desk defaults exist only for dimensions {sorted(DESK_SYSTEM_SIZE)})"
         )
@@ -313,36 +254,25 @@ def _system_size(args) -> float:
 
 
 def _build_params(args, gamma: float) -> SimParams:
-    try:
-        return SimParams(
-            dim=args.dim,
-            gamma=gamma,
-            system_size=_system_size(args),
-            max_generated_points=args.max_points,
-            max_steps=args.max_steps,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return SimParams(
+        dim=args.dim,
+        gamma=gamma,
+        system_size=_system_size(args),
+        max_generated_points=args.max_points,
+        max_steps=args.max_steps,
+    )
 
 
-def _threads(args) -> int:
-    if args.threads is None:
-        return _env_threads()
-    if args.threads < 1:
-        raise _UsageError(f"--threads must be positive, got {args.threads}")
-    return args.threads
+def _document(
+    args, model: ConnectionModel, params: SimParams | None, result: dict[str, Any], **config: Any
+) -> dict[str, Any]:
+    """A command's JSON document: its name, the configuration it ran, its result.
 
-
-def _config_echo(args, model: ConnectionModel | None, params: SimParams | None) -> dict[str, Any]:
-    """Simulation-relevant configuration, echoed into output documents.
-
-    Execution details (worker count, output destination) are left out on
-    purpose: they cannot affect results, and documents stay byte-identical
-    across them.
+    The configuration echoes what can affect results. Execution details
+    (worker count, output destination) are left out on purpose: they
+    cannot affect results, and documents stay byte-identical across them.
     """
-    echo: dict[str, Any] = {"seed": args.seed}
-    if model is not None:
-        echo["model"] = model.to_config()
+    echo: dict[str, Any] = {"seed": args.seed, "model": model.to_config()}
     if params is not None:
         echo.update(
             dim=params.dim,
@@ -350,128 +280,117 @@ def _config_echo(args, model: ConnectionModel | None, params: SimParams | None) 
             max_points=params.max_generated_points,
             max_steps=params.max_steps,
         )
-    return echo
+    return {"command": args.command, "config": {**echo, **config}, "result": result}
 
 
-def _emit_text(args, text: str) -> None:
+# --- output -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Output:
+    """What a command produced, for `_emit` to write.
+
+    doc is the JSON document, written as JSON lines if it is a list. rows
+    are the CSV rows as dicts; header names their columns (default: the
+    first row's keys). notes go to stderr first, csv_notes after a CSV
+    table, for what the table leaves out.
+    """
+
+    doc: Any
+    rows: Sequence[dict[str, Any]]
+    header: Sequence[str] | None = None
+    code: int = 0
+    notes: Sequence[str] = ()
+    csv_notes: Sequence[str] = ()
+
+
+def _emit(args, out: _Output) -> int:
+    """Write a command's output to stdout or --output-file; return its exit code."""
+    for line in out.notes:
+        print(line, file=sys.stderr)
+    if args.output == "json":
+        if isinstance(out.doc, list):
+            text = "".join(json.dumps(d) + "\n" for d in out.doc)
+        else:
+            text = json.dumps(out.doc, indent=2) + "\n"
+    else:
+        header = out.header or list(out.rows[0])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([csv_cell(row[k]) for k in header] for row in out.rows)
+        text = buf.getvalue()
     if args.output_file:
-        with open(args.output_file, "w") as fh:
+        with open(args.output_file, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_doc(args, doc: dict[str, Any]) -> None:
-    _emit_text(args, json.dumps(doc, indent=2) + "\n")
-
-
-def _emit_csv(args, header: Sequence[str], rows: list[Sequence[Any]]) -> None:
-    def write(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-    if args.output_file:
-        with open(args.output_file, "w", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
-
-
-def _csv_cell(v: Any) -> Any:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return v
+    if args.output == "csv":
+        for line in out.csv_notes:
+            print(line, file=sys.stderr)
+    return out.code
 
 
 # --- subcommands ------------------------------------------------------------
 
 
-def _cmd_explore(args) -> int:
+def _cmd_explore(args) -> _Output:
     model = _build_model(args)
     params = _build_params(args, args.gamma)
     if args.runs < 1:
-        raise _UsageError(f"--runs must be positive, got {args.runs}")
-    records: list[TrialRecord] = []
+        raise ValueError(f"--runs must be positive, got {args.runs}")
+    records: list[dict[str, Any]] = []
     for t in range(args.runs):
         t0 = time.perf_counter()
         outcome = explore_cluster(params, model, trial_stream(args.seed, 0, t))
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        records.append(TrialRecord.from_outcome(t, args.seed, args.gamma, outcome, wall_ms))
-    if args.output == "json":
-        _emit_text(args, "".join(r.to_json_line() + "\n" for r in records))
-    else:
-        _emit_csv(args, CSV_FIELDS, [r.to_csv_row() for r in records])
-    return 2 if any(r.capped for r in records) else 0
+        records.append(TrialRecord.from_outcome(t, args.seed, args.gamma, outcome, wall_ms).to_dict())
+    return _Output(records, records, CSV_FIELDS, code=2 if any(r["capped"] for r in records) else 0)
 
 
-def _cmd_percolate(args) -> int:
+def _cmd_percolate(args) -> _Output:
     model = _build_model(args)
     params = _build_params(args, args.gamma)
     verdict = percolation_verdict(
         params, model, args.gamma, args.runs, args.seed,
-        workers=_threads(args), full_runs=args.full_runs,
+        workers=args.threads, full_runs=args.full_runs,
     )
-    doc = {
-        "command": "percolate",
-        "config": {**_config_echo(args, model, params), "gamma": args.gamma,
-                   "runs_requested": args.runs, "full_runs": args.full_runs},
-        "result": verdict.to_dict(),
-    }
-    if args.output == "json":
-        _emit_doc(args, doc)
-    else:
-        d = verdict.to_dict()
-        header = list(d)
-        _emit_csv(args, header, [[_csv_cell(d[k]) for k in header]])
-    return 2 if verdict.capped_runs > 0 else 0
+    result = verdict.to_dict()
+    doc = _document(args, model, params, result, gamma=args.gamma,
+                    runs_requested=args.runs, full_runs=args.full_runs)
+    return _Output(doc, [result], code=2 if verdict.capped_runs > 0 else 0)
 
 
-def _cmd_critical(args) -> int:
+def _cmd_critical(args) -> _Output:
     model = _build_model(args)
     params = _build_params(args, 0.0)
-    try:
-        estimate = estimate_critical(
-            params, model, args.runs, args.seed,
-            ramp_factor=args.ramp, refinements=args.refine,
-            workers=_threads(args), full_runs=args.full_runs,
-            quad_tol=args.quad_tol,
-        )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    doc = {
-        "command": "critical",
-        "config": {**_config_echo(args, model, params), "runs": args.runs,
-                   "ramp_factor": args.ramp, "refinements": args.refine,
-                   "full_runs": args.full_runs},
-        "result": estimate.to_dict(),
-    }
-    for w in estimate.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if args.output == "json":
-        _emit_doc(args, doc)
-    else:
-        header = ("step_kind", "gamma", "runs", "escapes", "capped_runs", "percolates")
-        rows = [[_csv_cell(v.to_dict()[k]) for k in header] for v in estimate.history]
-        _emit_csv(args, header, rows)
-        print(
+    estimate = estimate_critical(
+        params, model, args.runs, args.seed,
+        ramp_factor=args.ramp, refinements=args.refine,
+        workers=args.threads, full_runs=args.full_runs,
+        quad_tol=args.quad_tol,
+    )
+    result = estimate.to_dict()
+    doc = _document(args, model, params, result, runs=args.runs, ramp_factor=args.ramp,
+                    refinements=args.refine, full_runs=args.full_runs)
+    return _Output(
+        doc,
+        result["history"],
+        ("step_kind", "gamma", "runs", "escapes", "capped_runs", "percolates"),
+        code=2 if any(v.capped_runs > 0 for v in estimate.history) else 0,
+        notes=[f"warning: {w}" for w in estimate.warnings],
+        csv_notes=[
             f"bracket: lower={estimate.lower!r} upper={estimate.upper!r} "
-            f"midpoint={estimate.midpoint!r}",
-            file=sys.stderr,
-        )
-    capped = any(v.capped_runs > 0 for v in estimate.history)
-    return 2 if capped else 0
+            f"midpoint={estimate.midpoint!r}"
+        ],
+    )
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> _Output:
     if args.table is not None:
         numbers = sorted(REFERENCE_TABLES) if args.table == 0 else [args.table]
         if any(n not in REFERENCE_TABLES for n in numbers):
-            raise _UsageError(f"no reference table {args.table}")
+            raise ValueError(f"no reference table {args.table}")
         rows = []
         for n in numbers:
             table = REFERENCE_TABLES[n]
@@ -486,208 +405,158 @@ def _cmd_bound(args) -> int:
                         "reference_branching_bound": row.branching_bound,
                     }
                 )
-        if args.output == "json":
-            _emit_doc(args, {"command": "bound", "tables": rows})
-        else:
-            header = ("table", "label", "dim", "branching_bound", "reference_branching_bound")
-            _emit_csv(args, header, [[_csv_cell(r[k]) for k in header] for r in rows])
-        return 0
+        return _Output({"command": "bound", "tables": rows}, rows)
 
     model = _build_model(args)
-    try:
-        if args.gamma is None:
-            mass = effective_connectivity_mass(model, args.dim, args.quad_tol)
-            result: dict[str, Any] = {
-                "model": model.describe(),
-                "dim": args.dim,
-                "connectivity_mass": mass,
-                "branching_bound": 1.0 / mass,
-            }
-        else:
-            result = constant_g_certificate(model, args.dim, args.gamma, args.quad_tol).to_dict()
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    doc = {"command": "bound", "config": _config_echo(args, model, None), "result": result}
-    if args.output == "json":
-        _emit_doc(args, doc)
+    if args.gamma is None:
+        mass = effective_connectivity_mass(model, args.dim, args.quad_tol)
+        result: dict[str, Any] = {
+            "model": model.describe(),
+            "dim": args.dim,
+            "connectivity_mass": mass,
+            "branching_bound": 1.0 / mass,
+        }
     else:
-        header = list(result)
-        _emit_csv(args, header, [[_csv_cell(result[k]) for k in header]])
-    return 0
+        result = constant_g_certificate(model, args.dim, args.gamma, args.quad_tol).to_dict()
+    return _Output(_document(args, model, None, result), [result])
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args) -> _Output:
     model = _build_model(args)
     params = _build_params(args, args.gamma)
-    try:
-        estimate = estimate_pair_connectedness(
-            params, model, args.r, args.trials, args.seed, workers=_threads(args)
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if estimate.exclusion_warning:
-        print(
-            f"warning: {estimate.excluded_escaped + estimate.excluded_capped} of "
-            f"{estimate.trials} trials ended before resolving the probe",
-            file=sys.stderr,
-        )
-    doc = {
-        "command": "tau",
-        "config": {**_config_echo(args, model, params), "gamma": args.gamma,
-                   "r": args.r, "trials": args.trials},
-        "result": estimate.to_dict(),
-    }
-    if args.output == "json":
-        _emit_doc(args, doc)
-    else:
-        d = estimate.to_dict()
-        header = list(d)
-        _emit_csv(args, header, [[_csv_cell(d[k]) for k in header]])
-    return 2 if estimate.excluded_capped > 0 else 0
-
-
-def reproduce_preset(
-    table_number: int,
-    scale: str,
-    master_seed: int = DEFAULT_SEED,
-    workers: int = 1,
-    dims: Sequence[int] | None = None,
-    runs: int | None = None,
-    ramp_factor: float = 1.1,
-    refinements: int = 2,
-    max_points: int = 10_000_000,
-    max_steps: int = 1_000_000,
-) -> dict[str, Any]:
-    """Re-run one reference table and report brackets next to the references.
-
-    Each dimension's search runs under a seed derived from (master_seed,
-    table, dim), so rows are independent and any subset of dimensions
-    reproduces the full run's rows exactly.
-    """
-    if table_number not in REFERENCE_TABLES:
-        raise ValueError(f"no reference table {table_number}")
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-    table = REFERENCE_TABLES[table_number]
-    model = table.build_model()
-    all_dims = [r.dim for r in table.rows]
-    use_dims = list(dims) if dims is not None else all_dims
-    for d in use_dims:
-        if d not in all_dims:
-            raise ValueError(f"table {table_number} has no row for dimension {d}")
-
-    rows: list[dict[str, Any]] = []
-    capped = False
-    for d in use_dims:
-        ref = table.row(d)
-        if scale == "desk":
-            system_size = DESK_SYSTEM_SIZE[d]
-            n_runs = DESK_RUNS if runs is None else runs
-        else:
-            system_size = ref.system_size
-            n_runs = ref.runs if runs is None else runs
-        params = SimParams(
-            dim=d, gamma=0.0, system_size=system_size,
-            max_generated_points=max_points, max_steps=max_steps,
-        )
-        seed_d = derive_seed(master_seed, table_number, d)
-        t0 = time.perf_counter()
-        est = estimate_critical(
-            params, model, n_runs, seed_d,
-            ramp_factor=ramp_factor, refinements=refinements, workers=workers,
-        )
-        wall_s = time.perf_counter() - t0
-        capped = capped or any(v.capped_runs > 0 for v in est.history)
-        rows.append(
-            {
-                "dim": d,
-                "system_size": system_size,
-                "runs": n_runs,
-                "seed": seed_d,
-                "lower": est.lower,
-                "upper": est.upper,
-                "midpoint": est.midpoint,
-                "width": est.width,
-                "evaluations": len(est.history),
-                "warnings": list(est.warnings),
-                "reference": {
-                    "system_size": ref.system_size,
-                    "runs": ref.runs,
-                    "critical_estimate": ref.critical_estimate,
-                    "branching_bound": ref.branching_bound,
-                    "literature_value": ref.literature_value,
-                },
-                "branching_bound": branching_bound(model, d),
-                "wall_seconds": wall_s,
-            }
-        )
-
-    note = (
-        "desk scale shrinks the window and run count for quick turnaround; "
-        "brackets are wider and sit below the full-scale estimates because "
-        "escapes come easier in a small window"
-        if scale == "desk"
-        else "full-scale windows and run counts; expect long runtimes"
+    estimate = estimate_pair_connectedness(
+        params, model, args.r, args.trials, args.seed, workers=args.threads
     )
-    return {
-        "command": "reproduce",
-        "table": table_number,
-        "label": table.label,
-        "model": model.to_config(),
-        "scale": scale,
-        "note": note,
-        "seed": master_seed,
-        "ramp_factor": ramp_factor,
-        "refinements": refinements,
-        "rows": rows,
-        "capped": capped,
-    }
+    notes = []
+    if estimate.exclusion_warning:
+        notes.append(
+            f"warning: {estimate.excluded_escaped + estimate.excluded_capped} of "
+            f"{estimate.trials} trials ended before resolving the probe"
+        )
+    result = estimate.to_dict()
+    doc = _document(args, model, params, result, gamma=args.gamma, r=args.r, trials=args.trials)
+    return _Output(doc, [result], code=2 if estimate.excluded_capped > 0 else 0, notes=notes)
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> _Output:
     dims = None
     if args.dims:
         try:
             dims = [int(s) for s in str(args.dims).split(",") if s.strip()]
         except ValueError:
-            raise _UsageError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
-    try:
-        doc = reproduce_preset(
-            args.table,
-            args.scale,
-            master_seed=args.seed,
-            workers=_threads(args),
-            dims=dims,
-            runs=args.runs,
-            ramp_factor=args.ramp,
-            refinements=args.refine,
-            max_points=args.max_points,
-            max_steps=args.max_steps,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if args.output == "json":
-        _emit_doc(args, doc)
-    else:
-        header = (
-            "dim", "system_size", "runs", "lower", "upper", "midpoint", "width",
-            "reference_estimate", "branching_bound", "literature_value", "wall_seconds",
-        )
-        rows = []
-        for r in doc["rows"]:
-            rows.append([
-                r["dim"], _csv_cell(r["system_size"]), r["runs"],
-                _csv_cell(r["lower"]), _csv_cell(r["upper"]), _csv_cell(r["midpoint"]),
-                _csv_cell(r["width"]), _csv_cell(r["reference"]["critical_estimate"]),
-                _csv_cell(r["reference"]["branching_bound"]),
-                _csv_cell(r["reference"]["literature_value"]) if r["reference"]["literature_value"] is not None else "",
-                _csv_cell(r["wall_seconds"]),
-            ])
-        _emit_csv(args, header, rows)
-    return 2 if doc["capped"] else 0
+            raise ValueError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
+    doc = reproduce_preset(
+        args.table,
+        args.scale,
+        master_seed=args.seed,
+        workers=args.threads,
+        dims=dims,
+        runs=args.runs,
+        ramp_factor=args.ramp,
+        refinements=args.refine,
+        max_points=args.max_points,
+        max_steps=args.max_steps,
+        quad_tol=args.quad_tol,
+    )
+    # The CSV table carries the stored reference columns, not the recomputed bound.
+    rows = [
+        {
+            **r,
+            "reference_estimate": r["reference"]["critical_estimate"],
+            "branching_bound": r["reference"]["branching_bound"],
+            "literature_value": r["reference"]["literature_value"],
+        }
+        for r in doc["rows"]
+    ]
+    header = (
+        "dim", "system_size", "runs", "lower", "upper", "midpoint", "width",
+        "reference_estimate", "branching_bound", "literature_value", "wall_seconds",
+    )
+    return _Output(doc, rows, header, code=2 if doc["capped"] else 0)
+
+
+# --- command table ----------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], _Output]
+    model_flags: bool
+    args: tuple[tuple[tuple[str, ...], dict[str, Any]], ...]
+
+
+def _arg(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, kwargs
+
+
+_GAMMA = _arg("--gamma", type=float, required=True, help="point process intensity")
+_FULL_RUNS = _arg(
+    "--full-runs", action="store_true",
+    help="run every trial instead of stopping at the first escape",
+)
+_RAMP = _arg("--ramp", type=float, default=1.1, help="geometric ramp factor (default 1.1)")
+_REFINE = _arg("--refine", type=int, default=2, help="midpoint refinements (default 2)")
+
+_COMMANDS: dict[str, _Command] = {
+    c.name: c
+    for c in (
+        _Command(
+            "explore", "independent cluster explorations, one record per trial",
+            _cmd_explore, True,
+            (_GAMMA, _arg("--runs", type=int, default=1, help="number of trials (default 1)")),
+        ),
+        _Command(
+            "percolate", "percolation verdict at one intensity", _cmd_percolate, True,
+            (
+                _GAMMA,
+                _arg("--runs", type=int, default=DESK_RUNS, help=f"trials (default {DESK_RUNS})"),
+                _FULL_RUNS,
+            ),
+        ),
+        _Command(
+            "critical", "bracket the critical intensity", _cmd_critical, True,
+            (
+                _arg("--runs", type=int, default=DESK_RUNS,
+                     help=f"trials per verdict (default {DESK_RUNS})"),
+                _RAMP,
+                _REFINE,
+                _FULL_RUNS,
+            ),
+        ),
+        _Command(
+            "bound", "branching bound, certificate, or reference columns", _cmd_bound, True,
+            (
+                _arg("--gamma", type=float, default=None,
+                     help="also emit the certificate at this intensity"),
+                _arg("--table", type=int, nargs="?", const=0, default=None, metavar="N",
+                     help="print reference branching columns (table N, or all tables with no value)"),
+            ),
+        ),
+        _Command(
+            "tau", "two-point connection probability at distance r", _cmd_tau, True,
+            (
+                _GAMMA,
+                _arg("--r", type=float, required=True, help="probe distance from the origin"),
+                _arg("--trials", type=int, default=10_000, help="trials (default 10000)"),
+            ),
+        ),
+        _Command(
+            "reproduce", "re-run a reference table", _cmd_reproduce, False,
+            (
+                _arg("--table", type=int, required=True, choices=sorted(REFERENCE_TABLES),
+                     help="reference table number"),
+                _arg("--scale", choices=SCALES, required=True,
+                     help="desk (small windows, 500 runs) or paper (full scale)"),
+                _arg("--dims", default=None,
+                     help="comma-separated dimensions to run (default: all rows)"),
+                _arg("--runs", type=int, default=None, help="override trials per verdict"),
+                _RAMP,
+                _REFINE,
+            ),
+        ),
+    )
+}
 
 
 # --- entry points -----------------------------------------------------------
@@ -695,27 +564,13 @@ def _cmd_reproduce(args) -> int:
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        argv = _apply_config(argv)
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(_apply_config(argv))
+        args.threads = _threads(args)
+        return _emit(args, _COMMANDS[args.command].handler(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

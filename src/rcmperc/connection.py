@@ -18,6 +18,9 @@ Models:
 The effective connectivity mass of a model in dimension d is the integral
 of phi over R^d. Its reciprocal is the branching lower bound on the
 critical intensity (see `rcmperc.bounds`).
+
+`MODEL_KINDS` maps each model's `kind` name to its class; `to_config`
+emits the kind plus the constructor fields, so configs rebuild models.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar
 
 import numpy as np
 from scipy import integrate
@@ -40,6 +43,7 @@ __all__ = [
     "SoftSphere",
     "TabulatedRadial",
     "QuadratureError",
+    "MODEL_KINDS",
     "decide_connection",
     "effective_connectivity_mass",
 ]
@@ -57,6 +61,7 @@ class QuadratureError(RuntimeError):
 class ConnectionModel(ABC):
     """Base class: a finite-range radial connection function."""
 
+    kind: ClassVar[str]
     radius: float
 
     @abstractmethod
@@ -95,9 +100,17 @@ class ConnectionModel(ABC):
     def describe(self) -> str:
         """Short human-readable descriptor, e.g. 'gilbert(radius=2)'."""
 
-    @abstractmethod
     def to_config(self) -> dict[str, Any]:
-        """JSON-friendly model description (kind plus parameters)."""
+        """JSON-friendly model description: the kind plus the constructor fields.
+
+        Tuple fields become lists, as JSON reads them back;
+        `MODEL_KINDS[kind](**fields)` rebuilds the model from it.
+        """
+        config: dict[str, Any] = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            config[f.name] = list(value) if isinstance(value, tuple) else value
+        return config
 
 
 def _check_radius(radius: float) -> None:
@@ -109,6 +122,7 @@ def _check_radius(radius: float) -> None:
 class Gilbert(ConnectionModel):
     """Connect with probability one at distance <= radius."""
 
+    kind = "gilbert"
     radius: float
 
     def __post_init__(self):
@@ -123,14 +137,12 @@ class Gilbert(ConnectionModel):
     def describe(self) -> str:
         return f"gilbert(radius={self.radius:g})"
 
-    def to_config(self) -> dict[str, Any]:
-        return {"kind": "gilbert", "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class PenetrableSphere(ConnectionModel):
     """Connect with constant probability `prob` at distance <= radius."""
 
+    kind = "penetrable"
     radius: float
     prob: float
 
@@ -148,9 +160,6 @@ class PenetrableSphere(ConnectionModel):
     def describe(self) -> str:
         return f"penetrable(radius={self.radius:g}, prob={self.prob:g})"
 
-    def to_config(self) -> dict[str, Any]:
-        return {"kind": "penetrable", "radius": self.radius, "prob": self.prob}
-
 
 @dataclass(frozen=True)
 class SoftSphere(ConnectionModel):
@@ -161,6 +170,7 @@ class SoftSphere(ConnectionModel):
     Gilbert disk; `energy` scales the exponent (default 1).
     """
 
+    kind = "soft-sphere"
     radius: float
     hardness: int
     energy: float = 1.0
@@ -186,14 +196,6 @@ class SoftSphere(ConnectionModel):
     def describe(self) -> str:
         return f"soft-sphere(radius={self.radius:g}, hardness={self.hardness}, energy={self.energy:g})"
 
-    def to_config(self) -> dict[str, Any]:
-        return {
-            "kind": "soft-sphere",
-            "radius": self.radius,
-            "hardness": self.hardness,
-            "energy": self.energy,
-        }
-
 
 @dataclass(frozen=True)
 class TabulatedRadial(ConnectionModel):
@@ -204,6 +206,7 @@ class TabulatedRadial(ConnectionModel):
     output is clamped to [0, 1] against rounding.
     """
 
+    kind = "tabulated"
     radii: tuple[float, ...]
     values: tuple[float, ...]
 
@@ -238,13 +241,6 @@ class TabulatedRadial(ConnectionModel):
     def describe(self) -> str:
         return f"tabulated(radius={self.radius:g}, rows={len(self.radii)})"
 
-    def to_config(self) -> dict[str, Any]:
-        return {
-            "kind": "tabulated",
-            "radii": list(self.radii),
-            "values": list(self.values),
-        }
-
     @classmethod
     def from_csv(cls, path: str) -> "TabulatedRadial":
         """Load a two-column (r, phi) CSV with a header row."""
@@ -273,6 +269,12 @@ class TabulatedRadial(ConnectionModel):
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cls(tuple(radii), tuple(values))
+
+
+# Model classes by the `kind` their `to_config` emits.
+MODEL_KINDS: dict[str, type[ConnectionModel]] = {
+    cls.kind: cls for cls in (Gilbert, PenetrableSphere, SoftSphere, TabulatedRadial)
+}
 
 
 def decide_connection(model: ConnectionModel, x: Point, y: Point, u: float) -> bool:

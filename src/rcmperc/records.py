@@ -1,17 +1,20 @@
 """Per-trial records and their lossless JSON / CSV round trips.
 
 Floats are serialized with shortest-round-trip repr, so parsing a
-serialized record reproduces the original bit for bit.
+serialized record reproduces the original bit for bit. `csv_cell` is
+the one CSV cell format: records use it here, and the command line uses
+it for every table it writes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from typing import Any
 
 from .exploration import ClusterOutcome
 
-__all__ = ["TrialRecord", "CSV_FIELDS"]
+__all__ = ["TrialRecord", "CSV_FIELDS", "csv_cell"]
 
 CSV_FIELDS = (
     "trial",
@@ -25,6 +28,17 @@ CSV_FIELDS = (
     "capped",
     "wall_ms",
 )
+
+
+def csv_cell(v: Any) -> str:
+    """One CSV cell: booleans as true/false, floats by repr, None empty."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
 
 
 @dataclass(frozen=True)
@@ -74,16 +88,7 @@ class TrialRecord:
         return cls(**json.loads(line))
 
     def to_csv_row(self) -> list[str]:
-        out = []
-        for name in CSV_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, bool):
-                out.append("true" if v else "false")
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        return out
+        return [csv_cell(getattr(self, name)) for name in CSV_FIELDS]
 
     @classmethod
     def from_csv_row(cls, row: list[str]) -> "TrialRecord":

@@ -13,13 +13,20 @@ Scales: 'paper' uses the full-scale window and 5000 runs per verdict;
 'desk' shrinks the window and uses 500 runs so a laptop-class machine
 finishes in minutes. Desk brackets are wider and sit slightly below the
 full-scale values because escapes come easier in a small window.
+`reproduce_preset` re-runs a table at either scale.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import Any, Sequence
 
-from .connection import ConnectionModel, Gilbert, PenetrableSphere, SoftSphere
+from .bounds import branching_bound
+from .connection import MODEL_KINDS, ConnectionModel
+from .exploration import SimParams
+from .sampling import DEFAULT_SEED, derive_seed
+from .threshold import estimate_critical
 
 __all__ = [
     "ReferenceRow",
@@ -28,6 +35,7 @@ __all__ = [
     "DESK_SYSTEM_SIZE",
     "DESK_RUNS",
     "SCALES",
+    "reproduce_preset",
 ]
 
 SCALES = ("desk", "paper")
@@ -59,13 +67,7 @@ class ReferenceTable:
     rows: tuple[ReferenceRow, ...]
 
     def build_model(self) -> ConnectionModel:
-        if self.model_kind == "gilbert":
-            return Gilbert(**self.model_params)
-        if self.model_kind == "penetrable":
-            return PenetrableSphere(**self.model_params)
-        if self.model_kind == "soft-sphere":
-            return SoftSphere(**self.model_params)
-        raise ValueError(f"unknown model kind {self.model_kind!r}")
+        return MODEL_KINDS[self.model_kind](**self.model_params)
 
     def row(self, dim: int) -> ReferenceRow:
         for r in self.rows:
@@ -136,3 +138,105 @@ REFERENCE_TABLES: dict[int, ReferenceTable] = {
         ),
     ),
 }
+
+
+def reproduce_preset(
+    table_number: int,
+    scale: str,
+    master_seed: int = DEFAULT_SEED,
+    workers: int = 1,
+    dims: Sequence[int] | None = None,
+    runs: int | None = None,
+    ramp_factor: float = 1.1,
+    refinements: int = 2,
+    max_points: int = 10_000_000,
+    max_steps: int = 1_000_000,
+    quad_tol: float = 1e-10,
+) -> dict[str, Any]:
+    """Re-run one reference table and report brackets next to the references.
+
+    Each dimension's search runs under a seed derived from (master_seed,
+    table, dim), so rows are independent and any subset of dimensions
+    reproduces the full run's rows exactly.
+    """
+    if table_number not in REFERENCE_TABLES:
+        raise ValueError(f"no reference table {table_number}")
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
+    table = REFERENCE_TABLES[table_number]
+    model = table.build_model()
+    all_dims = [r.dim for r in table.rows]
+    use_dims = list(dims) if dims is not None else all_dims
+    for d in use_dims:
+        if d not in all_dims:
+            raise ValueError(f"table {table_number} has no row for dimension {d}")
+    if len(set(use_dims)) != len(use_dims):
+        raise ValueError(f"dimensions must not repeat, got {use_dims}")
+
+    rows: list[dict[str, Any]] = []
+    capped = False
+    for d in use_dims:
+        ref = table.row(d)
+        if scale == "desk":
+            system_size = DESK_SYSTEM_SIZE[d]
+            n_runs = DESK_RUNS if runs is None else runs
+        else:
+            system_size = ref.system_size
+            n_runs = ref.runs if runs is None else runs
+        params = SimParams(
+            dim=d, gamma=0.0, system_size=system_size,
+            max_generated_points=max_points, max_steps=max_steps,
+        )
+        seed_d = derive_seed(master_seed, table_number, d)
+        t0 = time.perf_counter()
+        est = estimate_critical(
+            params, model, n_runs, seed_d,
+            ramp_factor=ramp_factor, refinements=refinements, workers=workers,
+            quad_tol=quad_tol,
+        )
+        wall_s = time.perf_counter() - t0
+        capped = capped or any(v.capped_runs > 0 for v in est.history)
+        rows.append(
+            {
+                "dim": d,
+                "system_size": system_size,
+                "runs": n_runs,
+                "seed": seed_d,
+                "lower": est.lower,
+                "upper": est.upper,
+                "midpoint": est.midpoint,
+                "width": est.width,
+                "evaluations": len(est.history),
+                "warnings": list(est.warnings),
+                "reference": {
+                    "system_size": ref.system_size,
+                    "runs": ref.runs,
+                    "critical_estimate": ref.critical_estimate,
+                    "branching_bound": ref.branching_bound,
+                    "literature_value": ref.literature_value,
+                },
+                "branching_bound": branching_bound(model, d, quad_tol),
+                "wall_seconds": wall_s,
+            }
+        )
+
+    note = (
+        "desk scale shrinks the window and run count for quick turnaround; "
+        "brackets are wider and sit below the full-scale estimates because "
+        "escapes come easier in a small window"
+        if scale == "desk"
+        else "full-scale windows and run counts; expect long runtimes"
+    )
+    return {
+        "command": "reproduce",
+        "table": table_number,
+        "label": table.label,
+        "model": model.to_config(),
+        "scale": scale,
+        "note": note,
+        "seed": master_seed,
+        "ramp_factor": ramp_factor,
+        "refinements": refinements,
+        "rows": rows,
+        "capped": capped,
+    }

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +50,13 @@ class TestUsageErrors:
             ["reproduce", "--table", "9", "--scale", "desk"],
             ["reproduce", "--table", "1", "--scale", "nope"],
             ["explore", "--gamma", "0.1", "--config", "/no/such/file.conf"],
+            ["explore", "--gamma", "0.1", "--threads", "0"],
+            ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2,2", "--runs", "3"],
+            ["reproduce", "--table", "4", "--scale", "desk", "--dims", "2", "--runs", "3",
+             "--quad-tol", "1e-30"],
+            # escape is impossible: max-steps * range is below the window
+            ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "2",
+             "--max-steps", "3", "--max-points", "500"],
         ],
     )
     def test_exit_one(self, capsys, argv):
@@ -62,10 +72,11 @@ class TestUsageErrors:
         assert "--ramp" in capsys.readouterr().out
 
     def test_bad_env_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("RCM_PERC_THREADS", "abc")
-        assert run_cli(["percolate", "--gamma", "0.0", "--runs", "5"]) == 1
-        monkeypatch.setenv("RCM_PERC_THREADS", "0")
-        assert run_cli(["percolate", "--gamma", "0.0", "--runs", "5"]) == 1
+        for command in ("percolate", "explore"):
+            monkeypatch.setenv("RCM_PERC_THREADS", "abc")
+            assert run_cli([command, "--gamma", "0.0", "--runs", "5"]) == 1
+            monkeypatch.setenv("RCM_PERC_THREADS", "0")
+            assert run_cli([command, "--gamma", "0.0", "--runs", "5"]) == 1
         capsys.readouterr()
 
     def test_env_threads_used(self, capsys, monkeypatch):
@@ -408,6 +419,19 @@ class TestReproduce:
 
 
 class TestConsoleScript:
+    def test_project_script_in_process(self, capsys, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["rcmperc"]
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        monkeypatch.setattr(sys, "argv", ["rcmperc", "bound", "--dim", "2"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert round_sig(json.loads(out)["result"]["branching_bound"]) == 0.079577
+
     def test_installed_entry_point(self):
         exe = shutil.which("rcmperc")
         assert exe, "console script not installed"

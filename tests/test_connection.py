@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcmperc import (
+    MODEL_KINDS,
     Gilbert,
     PenetrableSphere,
     QuadratureError,
@@ -88,6 +89,13 @@ class TestPhi:
     @settings(max_examples=500)
     def test_phi_in_unit_interval(self, model, r):
         assert 0.0 <= model.phi_at(r) <= 1.0
+
+
+class TestConfig:
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+    def test_model_kinds_rebuild_from_config(self, model):
+        config = model.to_config()
+        assert MODEL_KINDS[config.pop("kind")](**config) == model
 
 
 class TestValidation:
