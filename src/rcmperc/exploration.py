@@ -3,7 +3,8 @@
 The cluster of the origin is grown breadth-outward without ever realizing
 the full point process. Three disjoint pools are maintained:
 
-  * saturated: cluster points whose neighborhood is fully resolved;
+  * saturated: cluster points whose neighborhood is fully resolved,
+    one per processing step, so only their number is kept;
   * frontier: cluster points awaiting processing, popped farthest-from-
     origin first (ties by smaller id) so escaping clusters reach the
     boundary quickly;
@@ -30,16 +31,24 @@ Escape: a point with norm greater than the system size enters the
 frontier, checked at insertion, ending the run immediately. Capped: a
 work cap (generated points or processing steps) is hit first; capped
 runs are flagged and must not be read as containment.
+
+Batches of trials go through `run_trials`. Results never depend on the
+worker count: trial t draws from the keyed stream (seed, key, t), trials
+go to workers as contiguous index ranges that stop at their own first
+escape when asked to, and ranges are read back in trial order, so an
+early-exit batch ends at the first escaping trial as a serial run does.
+Trials past it that finished in flight are discarded, so counters
+derived from the result match a serial run exactly.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import count as _counter
 
-from ._parallel import run_trials
 from .connection import ConnectionModel, decide_connection
 from .geometry import Point, SpatialIndex, ball_volume, make_point
 from .sampling import RngStream, place_candidates, poisson_count, trial_stream
@@ -156,7 +165,6 @@ def explore_cluster(
     covered = SpatialIndex(2.0 * radius, dim)
 
     frontier: list[tuple[float, int, Point]] = [(-0.0, origin.id, origin)]
-    saturated: list[Point] = []
     pair_seen: set[tuple[int, int]] | None = set() if params.track_pairs else None
 
     escaped = False
@@ -184,7 +192,6 @@ def explore_cluster(
             capped = True
             break
         _, _, x = heappop(frontier)
-        saturated.append(x)
         steps += 1
 
         for cand in unattached.query(x.coords):
@@ -237,7 +244,7 @@ def explore_cluster(
 
     return ClusterOutcome(
         escaped=escaped,
-        cluster_size=len(saturated) + len(frontier),
+        cluster_size=steps + len(frontier),
         generated_points=generated,
         steps=steps,
         max_norm=max_norm,
@@ -246,10 +253,57 @@ def explore_cluster(
     )
 
 
-def _trial_task(task) -> ClusterOutcome:
-    """Process-pool worker: one exploration trial from a picklable task."""
-    params, model, master_seed, eval_key, trial_index = task
-    return explore_cluster(params, model, trial_stream(master_seed, eval_key, trial_index))
+def run_trials(
+    params: SimParams,
+    model: ConnectionModel,
+    master_seed: int,
+    eval_key: int,
+    n: int,
+    workers: int = 1,
+    stop_at_escape: bool = False,
+) -> list[ClusterOutcome]:
+    """Outcomes of trials 0..n-1, in trial order; trial t draws from (seed, key, t).
+
+    With stop_at_escape the list ends at the first escaping trial. With
+    workers > 1, waves of max(4 * workers, 16) trials are split into
+    contiguous ranges of wave // workers trials, one pool task each.
+    """
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    if workers == 1 or n <= 1:
+        return _run_range((params, model, master_seed, eval_key, 0, n, stop_at_escape))
+
+    outcomes: list[ClusterOutcome] = []
+    wave = max(4 * workers, 16)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, n, wave):
+            end = min(n, start + wave)
+            size = max(1, (end - start) // workers)
+            ranges = [
+                (params, model, master_seed, eval_key, a, min(a + size, end), stop_at_escape)
+                for a in range(start, end, size)
+            ]
+            for part in pool.map(_run_range, ranges):
+                outcomes.extend(part)
+                if stop_at_escape and part[-1].escaped:
+                    return outcomes
+    return outcomes
+
+
+def _run_range(task) -> list[ClusterOutcome]:
+    """Trials start..end-1 of one batch, stopping at the first escape if asked.
+
+    The pool's task function: module level so it pickles by name, and it
+    looks up explore_cluster and trial_stream as globals when called.
+    """
+    params, model, master_seed, eval_key, start, end, stop_at_escape = task
+    outcomes = []
+    for t in range(start, end):
+        outcome = explore_cluster(params, model, trial_stream(master_seed, eval_key, t))
+        outcomes.append(outcome)
+        if stop_at_escape and outcome.escaped:
+            break
+    return outcomes
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -326,9 +380,9 @@ def estimate_pair_connectedness(
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     probe = (r,) + (0.0,) * (params.dim - 1)
-    run_params = replace(params, extra_points=(probe,))
-    tasks = [(run_params, model, master_seed, eval_key, t) for t in range(trials)]
-    outcomes = run_trials(_trial_task, tasks, workers=workers)
+    outcomes = run_trials(
+        replace(params, extra_points=(probe,)), model, master_seed, eval_key, trials, workers
+    )
 
     positives = 0
     excluded_escaped = 0

@@ -7,9 +7,9 @@ bound (guaranteed subcritical in the infinite system), ramps the
 intensity geometrically until a verdict percolates, then refines the
 resulting bracket by repeated midpoint verdicts.
 
-Determinism: trial t of evaluation e draws from the keyed stream
-(seed, e, t), and early exit truncates results at the first escaping
-trial in trial order, so verdicts are identical for any worker count.
+Determinism: evaluation e of a search is the batch with key e, run by
+`exploration.run_trials` (see the determinism paragraph there), so
+verdicts are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ._parallel import run_trials
 from .bounds import branching_bound
 from .connection import ConnectionModel
-from .exploration import ClusterOutcome, SimParams, _trial_task
+from .exploration import SimParams, run_trials
 
 __all__ = ["PercolationVerdict", "CriticalEstimate", "percolation_verdict", "estimate_critical"]
 
@@ -89,10 +88,10 @@ def percolation_verdict(
         raise ValueError(f"run count must be positive, got {runs}")
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"intensity must be finite and non-negative, got {gamma!r}")
-    trial_params = replace(params, gamma=gamma)
-    tasks = [(trial_params, model, master_seed, eval_key, t) for t in range(runs)]
-    stop = None if full_runs else _escaped
-    outcomes = run_trials(_trial_task, tasks, workers=workers, stop_condition=stop)
+    outcomes = run_trials(
+        replace(params, gamma=gamma), model, master_seed, eval_key, runs, workers,
+        stop_at_escape=not full_runs,
+    )
     escapes = sum(1 for o in outcomes if o.escaped)
     capped = sum(1 for o in outcomes if o.capped)
     return PercolationVerdict(
@@ -102,10 +101,6 @@ def percolation_verdict(
         capped_runs=capped,
         percolates=escapes >= 1,
     )
-
-
-def _escaped(outcome: ClusterOutcome) -> bool:
-    return outcome.escaped
 
 
 @dataclass(frozen=True)
@@ -170,36 +165,41 @@ def estimate_critical(
     verdict percolates, then runs `refinements` midpoint verdicts. If
     the very first verdict percolates the lower endpoint is set to
     gamma0 / ramp_factor without having been tested, and a warning is
-    recorded.
+    recorded. A window that no trial can leave within the step cap
+    raises RuntimeError before any verdict runs.
     """
     if ramp_factor <= 1.0:
         raise ValueError(f"ramp factor must exceed 1, got {ramp_factor!r}")
     if refinements < 0:
         raise ValueError(f"refinement count must be non-negative, got {refinements}")
+    # after k processing steps no cluster point lies beyond k * range
+    if params.max_steps * model.radius < params.system_size:
+        raise RuntimeError(
+            f"no percolation after {params.max_steps} steps is possible: steps of range "
+            f"{model.radius!r} reach at most {params.max_steps * model.radius!r}, inside "
+            f"the system size {params.system_size!r}; raise the step cap or shrink the window"
+        )
     gamma0 = branching_bound(model, params.dim, quad_tol)
     history: list[PercolationVerdict] = []
     warnings: list[str] = []
-    capped_seen = False
 
-    eval_index = 0
+    def percolates_at(gamma: float, step_kind: str) -> bool:
+        """Run the next verdict of the search, record it, return whether it percolates."""
+        verdict = percolation_verdict(
+            params, model, gamma, runs, master_seed,
+            eval_key=len(history), workers=workers, full_runs=full_runs,
+        )
+        history.append(replace(verdict, step_kind=step_kind))
+        return verdict.percolates
+
     gamma = gamma0
     previous: float | None = None
-    while True:
-        if eval_index >= _MAX_RAMP_STEPS:
+    while not percolates_at(gamma, "ramp"):
+        if len(history) >= _MAX_RAMP_STEPS:
             raise RuntimeError(
                 f"no percolation after {_MAX_RAMP_STEPS} ramp steps from {gamma0!r}; "
                 "check the window size and work caps"
             )
-        verdict = percolation_verdict(
-            params, model, gamma, runs, master_seed,
-            eval_key=eval_index, workers=workers, full_runs=full_runs,
-        )
-        verdict = replace(verdict, step_kind="ramp")
-        history.append(verdict)
-        capped_seen = capped_seen or verdict.capped_runs > 0
-        eval_index += 1
-        if verdict.percolates:
-            break
         previous = gamma
         gamma = gamma * ramp_factor
 
@@ -216,21 +216,13 @@ def estimate_critical(
 
     for _ in range(refinements):
         mid = (lower + upper) / 2.0
-        verdict = percolation_verdict(
-            params, model, mid, runs, master_seed,
-            eval_key=eval_index, workers=workers, full_runs=full_runs,
-        )
-        verdict = replace(verdict, step_kind="refine")
-        history.append(verdict)
-        capped_seen = capped_seen or verdict.capped_runs > 0
-        eval_index += 1
-        if verdict.percolates:
+        if percolates_at(mid, "refine"):
             upper = mid
         else:
             lower = mid
         width = width / 2.0
 
-    if capped_seen:
+    if any(v.capped_runs > 0 for v in history):
         warnings.append(
             "some explorations hit a work cap; affected verdicts are unreliable"
         )

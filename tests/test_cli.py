@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rcmperc import branching_bound
+from rcmperc import Gilbert, branching_bound
 from rcmperc.cli import run_cli
 from rcmperc.records import CSV_FIELDS, TrialRecord
 
@@ -410,6 +410,10 @@ class TestReproduce:
         lines = out.out.strip().splitlines()
         assert lines[0].startswith("dim,system_size,runs,lower,upper,midpoint")
         assert len(lines) == 2
+        # each column means what its JSON key means: stored beside recomputed
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["reference_branching_bound"] == "0.079577"
+        assert float(row["branching_bound"]) == branching_bound(Gilbert(radius=2.0), 2)
 
     def test_bad_dims_string(self, capsys):
         assert run_cli([

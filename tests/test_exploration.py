@@ -19,6 +19,8 @@ from rcmperc import (
     wilson_interval,
 )
 
+from rcmperc.exploration import run_trials
+
 from brute_force import brute_force_trial
 from support import majority_rule, two_sample_pvalue
 
@@ -149,6 +151,22 @@ class TestExploreCluster:
         out = explore_cluster(params, GILBERT, RngStream(1))
         assert out.extras_in_cluster == (True, False)
         assert out.cluster_size == 2
+
+
+class TestRunTrials:
+    # first escapes at trial 0, at trial 10 (inside a range at 2 and 3
+    # workers) and at trial 31 (last trial of the second 16-trial wave)
+    @pytest.mark.parametrize("system_size,seed", [(25.0, 6), (25.0, 11), (40.0, 11)])
+    def test_ranges_match_serial_order(self, system_size, seed):
+        params = SimParams(dim=2, gamma=0.3, system_size=system_size)
+        serial = [
+            explore_cluster(params, GILBERT, trial_stream(seed, 0, t)) for t in range(61)
+        ]
+        first = next(t for t, o in enumerate(serial) if o.escaped)
+        for workers in (1, 2, 3):
+            assert run_trials(params, GILBERT, seed, 0, 61, workers) == serial
+            stopped = run_trials(params, GILBERT, seed, 0, 61, workers, stop_at_escape=True)
+            assert stopped == serial[: first + 1]
 
 
 class TestEscapeMonotone:

@@ -12,6 +12,7 @@ from rcmperc import (
     branching_bound,
     estimate_critical,
     percolation_verdict,
+    threshold,
 )
 
 from support import assert_bracket_invariants
@@ -66,16 +67,18 @@ class TestPercolationVerdict:
             percolation_verdict(params2(), GILBERT, math.inf, runs=10, master_seed=1)
 
     def test_worker_count_invisible(self):
-        for full in (False, True):
-            a = percolation_verdict(
-                params2(25.0), GILBERT, 0.3, runs=60, master_seed=6,
-                workers=1, full_runs=full,
-            )
-            b = percolation_verdict(
-                params2(25.0), GILBERT, 0.3, runs=60, master_seed=6,
-                workers=3, full_runs=full,
-            )
-            assert a == b
+        # 61 runs: the last 16-trial wave is short and splits unevenly
+        for runs in (60, 61):
+            for full in (False, True):
+                verdicts = [
+                    percolation_verdict(
+                        params2(25.0), GILBERT, 0.3, runs=runs, master_seed=6,
+                        workers=workers, full_runs=full,
+                    )
+                    for workers in (1, 2, 3)
+                ]
+                assert verdicts[1] == verdicts[0]
+                assert verdicts[2] == verdicts[0]
 
     def test_to_dict(self):
         v = percolation_verdict(params2(), GILBERT, 0.0, runs=5, master_seed=7)
@@ -167,15 +170,26 @@ class TestEstimateCritical:
         assert any(v.capped_runs > 0 for v in est.history)
         assert any("work cap" in w for w in est.warnings)
 
-    def test_impossible_escape_raises(self):
+    def test_impossible_escape_raises(self, monkeypatch):
         # max norm after k steps is k * range, so escape can never happen
-        # and the ramp must give up with a clear error
+        # and the search must give up with a clear error before any verdict
         params = SimParams(
             dim=2, gamma=0.1, system_size=6.5, max_steps=3,
             max_generated_points=500,
         )
-        with pytest.raises(RuntimeError, match="no percolation after"):
+        calls = []
+        verdict = threshold.percolation_verdict
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return verdict(*args, **kwargs)
+
+        monkeypatch.setattr(threshold, "percolation_verdict", counted)
+        with pytest.raises(RuntimeError, match="no percolation after") as exc:
             estimate_critical(params, GILBERT, runs=2, master_seed=18)
+        assert calls == []
+        for cause in ("after 3 steps", "range 2.0", "system size 6.5"):
+            assert cause in str(exc.value)
 
     def test_worker_count_invisible(self):
         a = estimate_critical(params2(15.0), GILBERT, runs=40, master_seed=19, workers=1)

@@ -1,0 +1,148 @@
+"""Output gate: capture the CLI's output bytes for a fixed matrix, then diff two captures.
+
+    python3 tools/output_gate.py capture SRC OUT.json
+    python3 tools/output_gate.py compare A.json B.json
+
+`capture` imports `rcmperc` from the `src/` directory SRC and runs every
+case of the matrix in this process through `run_cli`: each subcommand
+in json and csv at `--threads` 1, 2 and 3, one `--output-file` case, and
+every argv of `tests/test_cli.py::TestUsageErrors::test_exit_one`. For
+each case it records the exit code, stderr, and stdout or the output
+file's bytes, with the `wall_ms` and `wall_seconds` values blanked,
+since only they depend on the clock. `compare` lists the cases whose
+records differ and exits 1 if there are any.
+
+Capture a refactor's parent and its change into files outside the
+checkout, then compare them: identical records mean identical output.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import csv
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS_CLI = Path(__file__).resolve().parents[1] / "tests" / "test_cli.py"
+
+# name -> argv; each runs as json and csv at --threads 1, 2 and 3
+MATRIX: dict[str, list[str]] = {
+    "explore": ["explore", "--gamma", "0.3", "--system-size", "15", "--runs", "5", "--seed", "7"],
+    "percolate": ["percolate", "--gamma", "0.3", "--system-size", "25", "--runs", "61", "--seed", "6"],
+    "percolate-full": ["percolate", "--gamma", "0.3", "--system-size", "25", "--runs", "61",
+                       "--seed", "6", "--full-runs"],
+    "critical": ["critical", "--system-size", "15", "--runs", "40", "--seed", "13"],
+    "bound": ["bound", "--dim", "3", "--gamma", "0.05"],
+    "bound-table": ["bound", "--table"],
+    "tau": ["tau", "--gamma", "0.1", "--r", "2.5", "--trials", "300", "--system-size", "12"],
+    "reproduce": ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "10",
+                  "--refine", "1"],
+}
+OUTPUT_FILE_CASE = ["critical", "--system-size", "15", "--runs", "40", "--seed", "13",
+                    "--output", "csv", "--threads", "2"]
+
+_WALL_KEYS = ("wall_ms", "wall_seconds")
+_WALL_JSON = re.compile(r'("wall_(?:ms|seconds)": )[^,\n}]+')
+
+
+def exit_one_argvs() -> list[list[str]]:
+    """The argvs `test_exit_one` is parametrized with, read from the test file."""
+    tree = ast.parse(TESTS_CLI.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "test_exit_one":
+            for deco in node.decorator_list:
+                if isinstance(deco, ast.Call) and len(deco.args) == 2:
+                    return ast.literal_eval(deco.args[1])
+    raise SystemExit(f"no parametrized test_exit_one in {TESTS_CLI}")
+
+
+def cases() -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for name, argv in MATRIX.items():
+        for fmt in ("json", "csv"):
+            for threads in (1, 2, 3):
+                out[f"{name}/{fmt}/t{threads}"] = argv + ["--output", fmt, "--threads", str(threads)]
+    out["output-file"] = OUTPUT_FILE_CASE
+    for i, argv in enumerate(exit_one_argvs()):
+        out[f"exit-one/{i}: {' '.join(argv)}"] = argv
+    return out
+
+
+def blank_wall(text: str) -> str:
+    """Blank the wall-clock values of a JSON document or a CSV table."""
+    text = _WALL_JSON.sub(r"\1null", text)
+    rows = list(csv.reader(io.StringIO(text)))
+    cols = [i for i, c in enumerate(rows[0]) if c in _WALL_KEYS] if rows else []
+    if not cols:
+        return text
+    for row in rows[1:]:
+        for i in cols:
+            if i < len(row):
+                row[i] = ""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def run_case(run_cli, argv: list[str], out_file: Path | None) -> dict:
+    """One CLI run's exit code, stderr and output, wall-clock values blanked."""
+    extra = ["--output-file", str(out_file)] if out_file is not None else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv + extra)
+    return {
+        "argv": argv,
+        "code": code,
+        "stderr": blank_wall(err.getvalue()),
+        "stdout": blank_wall(out.getvalue()),
+        "file": blank_wall(out_file.read_text()) if out_file is not None else None,
+    }
+
+
+def capture(src: str, dest: str) -> int:
+    sys.path.insert(0, str(Path(src).resolve()))
+    os.environ.pop("RCM_PERC_THREADS", None)
+    from rcmperc.cli import run_cli
+
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case_id, argv in cases().items():
+            out_file = Path(tmp) / "out.txt" if case_id == "output-file" else None
+            records[case_id] = run_case(run_cli, argv, out_file)
+    Path(dest).write_text(json.dumps(records, indent=1) + "\n")
+    print(f"{len(records)} cases from {src} -> {dest}")
+    return 0
+
+
+def compare(a_path: str, b_path: str) -> int:
+    a = json.loads(Path(a_path).read_text())
+    b = json.loads(Path(b_path).read_text())
+    differ = []
+    for case_id in dict.fromkeys([*a, *b]):
+        if case_id not in a or case_id not in b:
+            differ.append(f"{case_id}: only in {a_path if case_id in a else b_path}")
+        elif a[case_id] != b[case_id]:
+            fields = [k for k in a[case_id] if a[case_id][k] != b[case_id].get(k)]
+            differ.append(f"{case_id}: {', '.join(fields)}")
+    for line in differ:
+        print(line)
+    print(f"{len(differ)} of {len(set(a) | set(b))} cases differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    commands = {"capture": capture, "compare": compare}
+    if len(argv) != 3 or argv[0] not in commands:
+        print("usage: output_gate.py capture SRC OUT.json | compare A.json B.json", file=sys.stderr)
+        return 2
+    return commands[argv[0]](argv[1], argv[2])
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
