@@ -35,7 +35,7 @@ from .exploration import (
     explore_cluster,
     wilson_interval,
 )
-from .geometry import Point, SpatialIndex, ball_volume, make_point, neighbors_within, sphere_surface
+from .geometry import CLUSTER, COVERED, UNATTACHED, SpatialIndex, ball_volume, sphere_surface
 from .records import TrialRecord
 from .reference import (
     DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, ReferenceRow, ReferenceTable, reproduce_preset,
@@ -73,12 +73,12 @@ __all__ = [
     "estimate_pair_connectedness",
     "explore_cluster",
     "wilson_interval",
-    "Point",
+    "UNATTACHED",
+    "CLUSTER",
+    "COVERED",
     "SpatialIndex",
     "ball_volume",
     "sphere_surface",
-    "make_point",
-    "neighbors_within",
     "TrialRecord",
     "REFERENCE_TABLES",
     "ReferenceRow",

@@ -63,14 +63,18 @@ class BranchingReport:
         }
 
 
-def branching_bound(model: ConnectionModel, dim: int, quad_tol: float = 1e-10) -> float:
-    """Reciprocal of the connectivity mass: a lower bound on the critical intensity."""
+def _positive_mass(model: ConnectionModel, dim: int, quad_tol: float) -> float:
     mass = effective_connectivity_mass(model, dim, quad_tol)
     if mass <= 0.0:
         raise ValueError(
             "connection function has zero mass; the branching bound is infinite"
         )
-    return 1.0 / mass
+    return mass
+
+
+def branching_bound(model: ConnectionModel, dim: int, quad_tol: float = 1e-10) -> float:
+    """Reciprocal of the connectivity mass: a lower bound on the critical intensity."""
+    return 1.0 / _positive_mass(model, dim, quad_tol)
 
 
 def constant_g_certificate(
@@ -83,37 +87,22 @@ def constant_g_certificate(
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"intensity must be finite and non-negative, got {gamma!r}")
-    mass = effective_connectivity_mass(model, dim, quad_tol)
-    if mass <= 0.0:
-        raise ValueError(
-            "connection function has zero mass; the branching bound is infinite"
-        )
+    mass = _positive_mass(model, dim, quad_tol)
     q = gamma * mass
+    g = size = slack = None
     if q < 1.0:
         g = q / (1.0 - q)
-        report = BranchingReport(
-            model=model.describe(),
-            dim=dim,
-            connectivity_mass=mass,
-            branching_bound=1.0 / mass,
-            gamma=gamma,
-            expected_degree=q,
-            certificate_valid=True,
-            cluster_excess_bound=g,
-            mean_cluster_size_bound=1.0 + g,
-            certificate_slack=g - q * (1.0 + g),
-        )
-    else:
-        report = BranchingReport(
-            model=model.describe(),
-            dim=dim,
-            connectivity_mass=mass,
-            branching_bound=1.0 / mass,
-            gamma=gamma,
-            expected_degree=q,
-            certificate_valid=False,
-            cluster_excess_bound=None,
-            mean_cluster_size_bound=None,
-            certificate_slack=None,
-        )
-    return report
+        size = 1.0 + g
+        slack = g - q * (1.0 + g)
+    return BranchingReport(
+        model=model.describe(),
+        dim=dim,
+        connectivity_mass=mass,
+        branching_bound=1.0 / mass,
+        gamma=gamma,
+        expected_degree=q,
+        certificate_valid=q < 1.0,
+        cluster_excess_bound=g,
+        mean_cluster_size_bound=size,
+        certificate_slack=slack,
+    )

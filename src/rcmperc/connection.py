@@ -34,7 +34,7 @@ from typing import Any, ClassVar
 import numpy as np
 from scipy import integrate
 
-from .geometry import Point, ball_volume, sphere_surface
+from .geometry import ball_volume, sphere_surface
 
 __all__ = [
     "ConnectionModel",
@@ -277,12 +277,14 @@ MODEL_KINDS: dict[str, type[ConnectionModel]] = {
 }
 
 
-def decide_connection(model: ConnectionModel, x: Point, y: Point, u: float) -> bool:
-    """Whether x and y are joined given the uniform draw u in [0, 1).
+def decide_connection(
+    model: ConnectionModel, x: tuple[float, ...], y: tuple[float, ...], u: float
+) -> bool:
+    """Whether the points at coordinates x and y are joined given the uniform draw u in [0, 1).
 
     Distances beyond the model radius never connect, regardless of u.
     """
-    r = math.dist(x.coords, y.coords)
+    r = math.dist(x, y)
     if r > model.radius:
         return False
     return u <= model.phi_at(r)

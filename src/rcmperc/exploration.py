@@ -1,34 +1,35 @@
 """Lazy exploration of the origin's cluster in a random connection model.
 
 The cluster of the origin is grown breadth-outward without ever realizing
-the full point process. Three disjoint pools are maintained:
+the full point process. Every point a run knows of lives in one grid
+(`SpatialIndex`), by integer id, in one of three states:
 
-  * saturated: cluster points whose neighborhood is fully resolved,
-    one per processing step, so only their number is kept;
-  * frontier: cluster points awaiting processing, popped farthest-from-
-    origin first (ties by smaller id) so escaping clusters reach the
-    boundary quickly;
+  * covered: cluster points whose neighborhood is fully resolved, one
+    per processing step; their balls hold no further undrawn points;
+  * cluster: cluster points awaiting processing, kept in the frontier
+    and popped farthest-from-origin first (ties by smaller id) so
+    escaping clusters reach the boundary quickly;
   * unattached: generated points that have not joined the cluster. They
     are kept forever and retested against later frontier points, because
     their connection to those points is still undecided.
 
 Processing a frontier point x runs, in this fixed order:
   (a) one uniform per unattached point within range of x, ascending id;
-      successes move to the frontier;
+      successes join the cluster;
   (b) one Poisson count, then one placement per candidate point, uniform
-      in B(x, range), thinned against the union of previously processed
-      balls (no randomness in the thinning);
+      in B(x, range), thinned against the covered points' balls (no
+      randomness in the thinning);
   (c) one uniform per surviving new point, in generation order; successes
-      join the frontier, the rest become unattached. Finally x's ball is
-      marked covered.
+      join the cluster, the rest stay unattached. Finally x becomes
+      covered.
 
 No pair is ever tested twice: unattached points sit outside every covered
 ball, so they are never regenerated, and points inside the cluster are
 never tested against each other.
 
 A run ends in one of three ways. Containment: the frontier empties.
-Escape: a point with norm greater than the system size enters the
-frontier, checked at insertion, ending the run immediately. Capped: a
+Escape: a point with norm greater than the system size joins the
+cluster, checked as it joins, ending the run immediately. Capped: a
 work cap (generated points or processing steps) is hit first; capped
 runs are flagged and must not be read as containment.
 
@@ -47,10 +48,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from itertools import count as _counter
 
 from .connection import ConnectionModel, decide_connection
-from .geometry import Point, SpatialIndex, ball_volume, make_point
+from .geometry import CLUSTER, COVERED, UNATTACHED, SpatialIndex, ball_volume
 from .sampling import RngStream, place_candidates, poisson_count, trial_stream
 
 __all__ = [
@@ -75,9 +75,7 @@ class SimParams:
     and flag the outcome as capped: max_steps bounds processed frontier
     points, max_generated_points bounds candidate placements drawn
     (kept or thinned), so a run can never materialize more than that
-    many points no matter how large the intensity is. track_pairs
-    enables an internal ledger asserting that no pair is tested twice
-    (testing aid; costs memory).
+    many points no matter how large the intensity is.
     """
 
     dim: int
@@ -86,7 +84,6 @@ class SimParams:
     extra_points: tuple[tuple[float, ...], ...] = ()
     max_generated_points: int = DEFAULT_MAX_GENERATED
     max_steps: int = DEFAULT_MAX_STEPS
-    track_pairs: bool = False
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -152,20 +149,13 @@ def explore_cluster(
     max_steps = params.max_steps
     max_generated = params.max_generated_points
 
-    ids = _counter()
-    origin = Point((0.0,) * dim, 0.0, next(ids))
-    unattached = SpatialIndex(radius, dim)
-    extras_in: dict[int, bool] = {}
-    extra_order: list[int] = []
-    for coords in params.extra_points:
-        p = make_point(coords, next(ids))
-        extras_in[p.id] = False
-        extra_order.append(p.id)
-        unattached.insert(p)
-    covered = SpatialIndex(2.0 * radius, dim)
-
-    frontier: list[tuple[float, int, Point]] = [(-0.0, origin.id, origin)]
-    pair_seen: set[tuple[int, int]] | None = set() if params.track_pairs else None
+    grid = SpatialIndex(radius, dim)
+    coords = grid.coords
+    state = grid.state
+    origin = grid.insert((0.0,) * dim, CLUSTER)
+    frontier: list[tuple[float, int]] = [(-0.0, origin)]
+    for extra in params.extra_points:
+        grid.insert(extra, UNATTACHED)
 
     escaped = False
     capped = False
@@ -176,33 +166,29 @@ def explore_cluster(
     max_norm = 0.0
     gen = rng.gen
 
-    def adopt(p: Point) -> None:
-        """Move a point into the frontier; escape is checked here."""
+    def adopt(i: int) -> None:
+        """Move a point into the cluster and the frontier; escape is checked here."""
         nonlocal escaped, max_norm
-        if p.norm > max_norm:
-            max_norm = p.norm
-        heappush(frontier, (-p.norm, p.id, p))
-        if p.id in extras_in:
-            extras_in[p.id] = True
-        if p.norm > system_size:
+        state[i] = CLUSTER
+        norm = math.hypot(*coords[i])
+        if norm > max_norm:
+            max_norm = norm
+        heappush(frontier, (-norm, i))
+        if norm > system_size:
             escaped = True
 
     while frontier:
         if steps >= max_steps:
             capped = True
             break
-        _, _, x = heappop(frontier)
+        _, i = heappop(frontier)
+        x = coords[i]
         steps += 1
 
-        for cand in unattached.query(x.coords):
+        for j in grid.query(x, UNATTACHED):
             u = gen.random()
-            if pair_seen is not None:
-                key = (x.id, cand.id) if x.id < cand.id else (cand.id, x.id)
-                assert key not in pair_seen, f"pair {key} tested twice"
-                pair_seen.add(key)
-            if decide_connection(model, x, cand, u):
-                unattached.remove(cand)
-                adopt(cand)
+            if decide_connection(model, x, coords[j], u):
+                adopt(j)
                 if escaped:
                     break
         if escaped:
@@ -223,22 +209,15 @@ def explore_cluster(
                 capped = True
                 count = budget
         candidates += count
-        fresh = place_candidates(rng, x, radius, covered, dim, count)
-        for p in fresh:
-            p.id = next(ids)
+        for p in place_candidates(rng, x, radius, grid, dim, count):
             generated += 1
+            j = grid.insert(p, UNATTACHED)
             u = gen.random()
-            if pair_seen is not None:
-                key = (x.id, p.id)
-                assert key not in pair_seen, f"pair {key} tested twice"
-                pair_seen.add(key)
             if decide_connection(model, x, p, u):
-                adopt(p)
+                adopt(j)
                 if escaped:
                     break
-            else:
-                unattached.insert(p)
-        covered.insert(x)
+        state[i] = COVERED
         if escaped or capped:
             break
 
@@ -249,7 +228,9 @@ def explore_cluster(
         steps=steps,
         max_norm=max_norm,
         capped=capped,
-        extras_in_cluster=tuple(extras_in[i] for i in extra_order),
+        extras_in_cluster=tuple(
+            s != UNATTACHED for s in state[1 : 1 + len(params.extra_points)]
+        ),
     )
 
 
@@ -265,8 +246,12 @@ def run_trials(
     """Outcomes of trials 0..n-1, in trial order; trial t draws from (seed, key, t).
 
     With stop_at_escape the list ends at the first escaping trial. With
-    workers > 1, waves of max(4 * workers, 16) trials are split into
-    contiguous ranges of wave // workers trials, one pool task each.
+    workers > 1 the trials go to the pool in waves, and each wave goes as
+    at most `workers` contiguous ranges of ceil(wave / workers) trials,
+    one task each. A full batch is one wave of all n trials, so each
+    worker gets one range; an early-exit batch runs waves of
+    max(4 * workers, 16) trials, so it waits for little work past its
+    first escape.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
@@ -274,11 +259,11 @@ def run_trials(
         return _run_range((params, model, master_seed, eval_key, 0, n, stop_at_escape))
 
     outcomes: list[ClusterOutcome] = []
-    wave = max(4 * workers, 16)
+    wave = max(4 * workers, 16) if stop_at_escape else n
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for start in range(0, n, wave):
             end = min(n, start + wave)
-            size = max(1, (end - start) // workers)
+            size = -(-(end - start) // workers)
             ranges = [
                 (params, model, master_seed, eval_key, a, min(a + size, end), stop_at_escape)
                 for a in range(start, end, size)

@@ -1,45 +1,33 @@
-"""Points, Euclidean ball volumes, and a uniform-grid neighbor index.
+"""Euclidean ball volumes and the point grid of one exploration.
 
 Distance comparisons throughout the package are inclusive: a point at
-exactly the query radius counts as "within". All coordinates are 64-bit
-floats; norms are cached on the point at creation time.
+exactly the query radius counts as "within". Points are coordinate
+tuples of 64-bit floats; norms are computed where they are needed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
-    "Point",
+    "UNATTACHED",
+    "CLUSTER",
+    "COVERED",
     "SpatialIndex",
     "ball_volume",
     "sphere_surface",
-    "make_point",
-    "neighbors_within",
 ]
 
-
-@dataclass(slots=True, eq=False)
-class Point:
-    """A point of the process: coordinates, cached norm, integer id.
-
-    The id is -1 until the point is adopted by an exploration run, which
-    stamps ids from a per-run monotone counter. Equality is identity;
-    two points with equal coordinates are still distinct.
-    """
-
-    coords: tuple[float, ...]
-    norm: float
-    id: int = -1
-
-
-def make_point(coords: Iterable[float], point_id: int = -1) -> Point:
-    """Build a Point, computing and caching its Euclidean norm."""
-    c = tuple(float(v) for v in coords)
-    return Point(c, math.hypot(*c), point_id)
+# The state of a point in an exploration's grid. A point changes state
+# in place, never leaving the grid: generated points start unattached,
+# join the cluster when a connection succeeds, and become covered once
+# their ball has been processed.
+UNATTACHED = 0
+CLUSTER = 1
+COVERED = 2
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -66,92 +54,94 @@ def sphere_surface(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-class SpatialIndex:
-    """Uniform grid over R^d answering fixed-radius neighbor queries.
+# Cell keys are integers: the cell index vector k read as digits of base
+# _STRIDE, so the key of cell k + o is key(k) + key(o). Cells whose
+# indices reach _STRIDE / 2 may share a key; that only adds points the
+# exact distance test then drops.
+_STRIDE = 1 << 21
 
-    The cell edge equals the query radius, so a query scans the 3^d cells
-    around the query point and filters by exact distance. Practical for
-    moderate dimensions (the scan grows as 3^d).
+
+def _cell_key(cell: Iterable[int]) -> int:
+    key = 0
+    for k in cell:
+        key = key * _STRIDE + k
+    return key
+
+
+@functools.cache
+def _offset_keys(dim: int) -> tuple[int, ...]:
+    """Keys of the 3^d neighbouring cell offsets, own cell first."""
+    keys = [_cell_key(o) for o in itertools.product((-1, 0, 1), repeat=dim)]
+    keys.remove(0)
+    return (0, *keys)
+
+
+class SpatialIndex:
+    """Every point of one exploration: coordinates and a state byte by integer id.
+
+    Ids count up from 0 in insertion order. Ids are filed in a uniform
+    grid whose cell edge is the query radius, so a query scans the 3^d
+    cells around the query point (own cell first) and filters by exact
+    distance and state. Practical for moderate dimensions (the scan
+    grows as 3^d). `coords` and `state` are indexed by id; a point
+    changes state by an assignment to `state[id]` and never leaves.
     """
 
-    __slots__ = ("cell_size", "dim", "_cells", "_count", "_offsets")
+    __slots__ = ("radius", "dim", "coords", "state", "_cells", "_offsets")
 
-    def __init__(self, cell_size: float, dim: int):
-        if not (math.isfinite(cell_size) and cell_size > 0):
-            raise ValueError(f"cell size must be finite and positive, got {cell_size!r}")
+    def __init__(self, radius: float, dim: int):
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {radius!r}")
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-        self.cell_size = float(cell_size)
+        self.radius = float(radius)
         self.dim = dim
-        self._cells: dict[tuple[int, ...], list[Point]] = {}
-        self._count = 0
-        self._offsets = list(itertools.product((-1, 0, 1), repeat=dim))
+        self.coords: list[tuple[float, ...]] = []
+        self.state = bytearray()
+        self._cells: dict[int, list[int]] = {}
+        self._offsets = _offset_keys(dim)
 
-    def _cell_of(self, coords: tuple[float, ...]) -> tuple[int, ...]:
-        cs = self.cell_size
-        return tuple(math.floor(c / cs) for c in coords)
+    def _key(self, coords: tuple[float, ...]) -> int:
+        r = self.radius
+        return _cell_key(math.floor(c / r) for c in coords)
 
-    def insert(self, point: Point) -> None:
-        if len(point.coords) != self.dim:
-            raise ValueError(
-                f"point has {len(point.coords)} coordinates, index expects {self.dim}"
-            )
-        self._cells.setdefault(self._cell_of(point.coords), []).append(point)
-        self._count += 1
+    def insert(self, coords: tuple[float, ...], state: int) -> int:
+        """Store a point in the given state; returns its id."""
+        if len(coords) != self.dim:
+            raise ValueError(f"point has {len(coords)} coordinates, grid expects {self.dim}")
+        i = len(self.coords)
+        self.coords.append(coords)
+        self.state.append(state)
+        self._cells.setdefault(self._key(coords), []).append(i)
+        return i
 
-    def remove(self, point: Point) -> None:
-        """Remove a previously inserted point (identity match)."""
-        cell = self._cell_of(point.coords)
-        bucket = self._cells.get(cell)
-        if bucket is None:
-            raise KeyError(f"point id {point.id} not present in index")
-        for i, p in enumerate(bucket):
-            if p is point:
-                bucket.pop(i)
-                self._count -= 1
-                if not bucket:
-                    del self._cells[cell]
-                return
-        raise KeyError(f"point id {point.id} not present in index")
+    # query and any_within repeat one scan loop on purpose: sharing it
+    # through a generator cost 5-10% on a d=2 critical search.
 
-    def query(self, coords: tuple[float, ...]) -> list[Point]:
-        """All stored points at distance <= cell_size from coords, ascending id."""
-        cs = self.cell_size
-        base = tuple(math.floor(c / cs) for c in coords)
-        cells = self._cells
-        out: list[Point] = []
+    def query(self, coords: tuple[float, ...], state: int) -> list[int]:
+        """Ids of the points in `state` at distance <= radius from coords, ascending."""
+        r = self.radius
+        base = self._key(coords)
+        cells, points, states = self._cells, self.coords, self.state
+        out: list[int] = []
         for off in self._offsets:
-            bucket = cells.get(tuple(b + o for b, o in zip(base, off)))
+            bucket = cells.get(base + off)
             if bucket:
-                for p in bucket:
-                    if math.dist(coords, p.coords) <= cs:
-                        out.append(p)
-        out.sort(key=lambda p: p.id)
+                for i in bucket:
+                    if states[i] == state and math.dist(coords, points[i]) <= r:
+                        out.append(i)
+        out.sort()
         return out
 
-    def __len__(self) -> int:
-        return self._count
-
-    def points(self) -> Iterator[Point]:
-        for bucket in self._cells.values():
-            yield from bucket
-
-    @classmethod
-    def from_points(cls, points: Iterable[Point], cell_size: float, dim: int) -> "SpatialIndex":
-        index = cls(cell_size, dim)
-        for p in points:
-            index.insert(p)
-        return index
-
-
-def neighbors_within(index: SpatialIndex, point: Point, radius: float) -> list[int]:
-    """Ids of indexed points at distance <= radius from `point`, ascending.
-
-    The radius must equal the index cell size; the grid is built for a
-    single query radius.
-    """
-    if radius != index.cell_size:
-        raise ValueError(
-            f"query radius {radius!r} does not match index cell size {index.cell_size!r}"
-        )
-    return [p.id for p in index.query(point.coords)]
+    def any_within(self, coords: tuple[float, ...], state: int) -> bool:
+        """Whether some point in `state` lies at distance <= radius from coords."""
+        r = self.radius
+        base = self._key(coords)
+        cells, points, states = self._cells, self.coords, self.state
+        for off in self._offsets:
+            bucket = cells.get(base + off)
+            if bucket:
+                for i in bucket:
+                    if states[i] == state and math.dist(coords, points[i]) <= r:
+                        return True
+        return False

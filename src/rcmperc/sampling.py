@@ -9,18 +9,19 @@ dispatched in any order (or across processes) without changing results.
 Draw order is part of the interface. `uniform_in_ball` consumes one
 standard-normal vector (the direction) followed by one uniform (the
 radius). `sample_uncovered` consumes one Poisson count, then one
-placement per candidate point in order; rejection against covered balls
-consumes no randomness.
+placement per candidate point in order; a candidate is rejected when a
+covered point of the grid lies within the ball radius of it, and
+rejection consumes no randomness.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, SpatialIndex, ball_volume
+from .geometry import COVERED, SpatialIndex, ball_volume
 
 __all__ = [
     "DEFAULT_SEED",
@@ -104,12 +105,13 @@ def poisson_count(rng: RngStream, mean: float) -> int:
     return int(rng.gen.poisson(mean))
 
 
-def uniform_in_ball(rng: RngStream, center: Point, radius: float, dim: int) -> Point:
-    """One point uniform in the closed ball B(center, radius).
+def uniform_in_ball(
+    rng: RngStream, center: tuple[float, ...], radius: float, dim: int
+) -> tuple[float, ...]:
+    """The coordinates of one point uniform in the closed ball B(center, radius).
 
     Direction comes from a normalized Gaussian vector, distance from
-    radius * U^(1/d). The returned Point has id -1 (unassigned) and its
-    norm is the distance to the global origin, not to `center`.
+    radius * U^(1/d).
     """
     gen = rng.gen
     while True:
@@ -119,72 +121,51 @@ def uniform_in_ball(rng: RngStream, center: Point, radius: float, dim: int) -> P
             break
     dist = radius * gen.random() ** (1.0 / dim)
     scale = dist / length
-    coords = tuple(c + scale * g for c, g in zip(center.coords, direction))
-    return Point(coords, math.hypot(*coords), -1)
-
-
-Covered = Union[SpatialIndex, Sequence[Point]]
+    return tuple(c + scale * g for c, g in zip(center, direction))
 
 
 def sample_uncovered(
     rng: RngStream,
-    center: Point,
+    center: tuple[float, ...],
     radius: float,
-    covered: Covered,
+    grid: SpatialIndex,
     gamma: float,
     dim: int,
-) -> list[Point]:
+) -> list[tuple[float, ...]]:
     """Poisson sample of intensity gamma on B(center, radius) minus covered balls.
 
-    `covered` holds centers of equal-radius balls whose interiors have
-    already been exhausted; candidate points falling within `radius` of
-    any of them are discarded (thinning), which realizes a Poisson
-    process on the uncovered region. Pass a SpatialIndex with cell size
-    2 * radius (as the exploration does), or any sequence of Points.
+    The COVERED points of `grid` are centers of equal-radius balls whose
+    interiors have already been exhausted; candidate points falling
+    within `radius` of any of them are discarded (thinning), which
+    realizes a Poisson process on the uncovered region. The grid's
+    radius must be the ball radius.
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"intensity must be finite and non-negative, got {gamma!r}")
     count = poisson_count(rng, gamma * ball_volume(dim, radius))
-    return place_candidates(rng, center, radius, covered, dim, count)
+    return place_candidates(rng, center, radius, grid, dim, count)
 
 
 def place_candidates(
     rng: RngStream,
-    center: Point,
+    center: tuple[float, ...],
     radius: float,
-    covered: Covered,
+    grid: SpatialIndex,
     dim: int,
     count: int,
-) -> list[Point]:
+) -> list[tuple[float, ...]]:
     """Place `count` uniform candidates in B(center, radius), thinning covered ones.
 
     The placement half of `sample_uncovered`, for callers that draw the
     Poisson count themselves (the exploration does, so it can clamp the
     count to its remaining work budget before any point materializes).
     Each candidate consumes one placement draw whether or not it is kept.
-
-    Only covered centers within 2 * radius of `center` can overlap the
-    sampling ball, so only those are tested.
     """
-    if count <= 0:
-        return []
-    if isinstance(covered, SpatialIndex):
-        if covered.cell_size != 2.0 * radius:
-            raise ValueError(
-                f"covered index cell size {covered.cell_size!r} must equal 2 * radius"
-            )
-        nearby = covered.query(center.coords)
-    else:
-        reach = 2.0 * radius
-        nearby = [c for c in covered if math.dist(center.coords, c.coords) <= reach]
-    # Closest covered balls reject most candidates; test them first.
-    nearby.sort(key=lambda c: math.dist(center.coords, c.coords))
-    blockers = [c.coords for c in nearby]
-    kept: list[Point] = []
+    if grid.radius != radius:
+        raise ValueError(f"grid cell size {grid.radius!r} must equal the ball radius {radius!r}")
+    kept: list[tuple[float, ...]] = []
     for _ in range(count):
         p = uniform_in_ball(rng, center, radius, dim)
-        pc = p.coords
-        if any(math.dist(pc, b) <= radius for b in blockers):
-            continue
-        kept.append(p)
+        if not grid.any_within(p, COVERED):
+            kept.append(p)
     return kept

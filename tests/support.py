@@ -10,6 +10,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import stats
 
+from rcmperc import COVERED, SpatialIndex
+
 
 def round_sig(x: float, digits: int = 5) -> float:
     """Round to the given number of significant digits."""
@@ -22,6 +24,14 @@ def assert_matches_reference(value: float, reference: float, digits: int = 5) ->
     """value, rounded to `digits` significant digits, equals the reference."""
     got = round_sig(value, digits)
     assert got == reference, f"{value!r} rounds to {got!r}, reference is {reference!r}"
+
+
+def covered_grid(*centers: tuple[float, ...], radius: float = 2.0, dim: int = 2) -> SpatialIndex:
+    """A point grid of the given radius holding `centers` as covered points."""
+    grid = SpatialIndex(radius, dim)
+    for c in centers:
+        grid.insert(c, COVERED)
+    return grid
 
 
 def pooled_histogram(

@@ -25,7 +25,6 @@ from rcmperc import (
     estimate_critical,
     estimate_pair_connectedness,
     explore_cluster,
-    make_point,
     poisson_count,
     sample_uncovered,
     trial_stream,
@@ -40,6 +39,7 @@ from support import (
     assert_matches_reference,
     majority_rule,
     poisson_gof_pvalue,
+    covered_grid,
     round_sig,
     two_sample_pvalue,
 )
@@ -183,10 +183,10 @@ def test_c7_sampler_distributions_pass_statistical_suite():
 
     def radial_ok(seed: int) -> bool:
         rng = RngStream(seed)
-        center = make_point((0.0, 0.0, 0.0), 0)
+        center = (0.0, 0.0, 0.0)
         n = 60_000
         inside = sum(
-            math.hypot(*uniform_in_ball(rng, center, 2.0, 3).coords) <= 1.0
+            math.hypot(*uniform_in_ball(rng, center, 2.0, 3)) <= 1.0
             for _ in range(n)
         )
         # P(|X| <= 1) = (1/2)^3
@@ -195,13 +195,13 @@ def test_c7_sampler_distributions_pass_statistical_suite():
 
     def thinning_ok(seed: int) -> bool:
         rng = RngStream(seed)
-        origin = make_point((0.0, 0.0), 0)
-        blocker = make_point((2.0, 0.0), 1)
+        origin = (0.0, 0.0)
+        blocker = (2.0, 0.0)
         lens = 8.0 * math.pi / 3.0 - 2.0 * math.sqrt(3.0)
         want = 0.5 * (4.0 * math.pi - lens)
         n = 20_000
         total = sum(
-            len(sample_uncovered(rng, origin, 2.0, [blocker], 0.5, 2))
+            len(sample_uncovered(rng, origin, 2.0, covered_grid(blocker), 0.5, 2))
             for _ in range(n)
         )
         return abs(total / n - want) <= 3.0 * math.sqrt(want / n)

@@ -17,7 +17,6 @@ from rcmperc import (
     ball_volume,
     decide_connection,
     effective_connectivity_mass,
-    make_point,
 )
 
 from support import assert_matches_reference
@@ -134,14 +133,14 @@ class TestValidation:
 class TestDecideConnection:
     def test_out_of_range_never_connects(self):
         m = Gilbert(radius=2.0)
-        a = make_point((0.0, 0.0), 0)
-        b = make_point((2.5, 0.0), 1)
+        a = (0.0, 0.0)
+        b = (2.5, 0.0)
         assert decide_connection(m, a, b, 0.0) is False
 
     def test_in_range_threshold(self):
         m = PenetrableSphere(radius=2.0, prob=0.6)
-        a = make_point((0.0, 0.0), 0)
-        b = make_point((1.0, 0.0), 1)
+        a = (0.0, 0.0)
+        b = (1.0, 0.0)
         assert decide_connection(m, a, b, 0.6) is True    # u <= phi connects
         assert decide_connection(m, a, b, 0.6000001) is False
 
@@ -149,7 +148,7 @@ class TestDecideConnection:
         # 10^6 decisions per radius for 20 random radii, 3 sigma binomial
         gen = np.random.default_rng(424242)
         n = 1_000_000
-        a = make_point((0.0, 0.0), 0)
+        a = (0.0, 0.0)
         models = [
             PenetrableSphere(radius=2.0, prob=0.75),
             SoftSphere(radius=2.0, hardness=6),
@@ -157,7 +156,7 @@ class TestDecideConnection:
         radii = gen.uniform(0.05, 2.0, size=10)
         for model in models:
             for r in radii:
-                b = make_point((float(r), 0.0), 1)
+                b = (float(r), 0.0)
                 phi = model.phi_at(float(r))
                 uniforms = gen.random(n)
                 hits = sum(decide_connection(model, a, b, float(u)) for u in uniforms)

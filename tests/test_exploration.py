@@ -19,6 +19,7 @@ from rcmperc import (
     wilson_interval,
 )
 
+from rcmperc import exploration
 from rcmperc.exploration import run_trials
 
 from brute_force import brute_force_trial
@@ -125,21 +126,36 @@ class TestExploreCluster:
         c = run(gamma=0.4, system_size=25.0, seed=106, trial=4)
         assert a != c
 
-    def test_each_pair_tested_once(self):
-        # track_pairs asserts inside explore_cluster; drive it hard
+    def test_each_pair_tested_once(self, monkeypatch):
+        # every connection test goes through decide_connection; a recorder
+        # in its place sees each unordered pair of coordinates at most once
+        decide = exploration.decide_connection
+        seen: set[tuple[tuple[float, ...], tuple[float, ...]]] = set()
+        tested = 0
+
+        def recorder(model, x, y, u):
+            nonlocal tested
+            key = (x, y) if x < y else (y, x)
+            assert key not in seen, f"pair {key} tested twice"
+            seen.add(key)
+            tested += 1
+            return decide(model, x, y, u)
+
+        monkeypatch.setattr(exploration, "decide_connection", recorder)
         for t in range(300):
-            params = SimParams(
-                dim=2, gamma=0.45, system_size=15.0, track_pairs=True
-            )
+            seen.clear()
+            params = SimParams(dim=2, gamma=0.45, system_size=15.0)
             explore_cluster(params, GILBERT, trial_stream(107, 0, t))
         for t in range(100):
+            seen.clear()
             params = SimParams(
-                dim=3, gamma=0.05, system_size=8.0, track_pairs=True,
+                dim=3, gamma=0.05, system_size=8.0,
                 extra_points=((1.0, 0.0, 0.0), (0.0, 3.0, 0.0)),
             )
             explore_cluster(
                 params, PenetrableSphere(radius=2.0, prob=0.6), trial_stream(108, 0, t)
             )
+        assert tested > 10_000
 
     def test_extras_reported_in_order(self):
         # a forced neighbour at distance 1 always joins under Gilbert;
@@ -167,6 +183,44 @@ class TestRunTrials:
             assert run_trials(params, GILBERT, seed, 0, 61, workers) == serial
             stopped = run_trials(params, GILBERT, seed, 0, 61, workers, stop_at_escape=True)
             assert stopped == serial[: first + 1]
+
+    def test_pool_ranges(self, monkeypatch):
+        # an inline stand-in for the pool records the (start, end) of every
+        # task, one list per wave; gamma 0 never escapes, so every wave runs
+        tasks: list[list[tuple[int, int]]] = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, ranges):
+                ranges = list(ranges)
+                tasks.append([(r[4], r[5]) for r in ranges])
+                return map(fn, ranges)
+
+        monkeypatch.setattr(exploration, "ProcessPoolExecutor", InlinePool)
+        params = SimParams(dim=2, gamma=0.0, system_size=10.0)
+        serial = run_trials(params, GILBERT, 5, 0, 61)
+        want = {
+            # a full batch: one range per worker
+            (2, False): [[(0, 31), (31, 61)]],
+            (3, False): [[(0, 21), (21, 42), (42, 61)]],
+            # an early-exit batch: waves of max(4 * workers, 16) trials
+            (2, True): [[(0, 8), (8, 16)], [(16, 24), (24, 32)], [(32, 40), (40, 48)],
+                        [(48, 55), (55, 61)]],
+            (3, True): [[(0, 6), (6, 12), (12, 16)], [(16, 22), (22, 28), (28, 32)],
+                        [(32, 38), (38, 44), (44, 48)], [(48, 53), (53, 58), (58, 61)]],
+        }
+        for (workers, stop), ranges in want.items():
+            tasks.clear()
+            assert run_trials(params, GILBERT, 5, 0, 61, workers, stop) == serial
+            assert tasks == ranges
 
 
 class TestEscapeMonotone:

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcmperc import Point, SpatialIndex, ball_volume, make_point, neighbors_within, sphere_surface
+from rcmperc import (
+    CLUSTER,
+    COVERED,
+    UNATTACHED,
+    RngStream,
+    SpatialIndex,
+    ball_volume,
+    place_candidates,
+    sphere_surface,
+)
 
 
 class TestBallVolume:
@@ -69,105 +78,122 @@ class TestSphereSurface:
             assert sphere_surface(dim) == pytest.approx(dim * ball_volume(dim, 1.0), rel=1e-13)
 
 
-class TestPoint:
-    def test_make_point_caches_norm(self):
-        p = make_point((3.0, 4.0), 7)
-        assert p.norm == 5.0
-        assert p.id == 7
-        assert p.coords == (3.0, 4.0)
-
-    def test_default_id_unassigned(self):
-        assert make_point((1.0,)).id == -1
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=6))
-    @settings(max_examples=300)
-    def test_norm_matches_exact_sum(self, coords):
-        # reference: exact sum of squares, then one correctly rounded sqrt
-        p = make_point(coords)
-        want = math.sqrt(math.fsum(c * c for c in coords))
-        assert p.norm == pytest.approx(want, rel=2e-15, abs=1e-140)
+STATES = (UNATTACHED, CLUSTER, COVERED)
 
 
-def _linear_scan(points: list[Point], coords: tuple[float, ...], radius: float) -> list[int]:
-    return sorted(p.id for p in points if math.dist(coords, p.coords) <= radius)
+def _linear_scan(points, states, coords, radius, state) -> list[int]:
+    return [
+        i for i, (p, s) in enumerate(zip(points, states))
+        if s == state and math.dist(coords, p) <= radius
+    ]
+
+
+def _filled(radius, dim, points, states) -> SpatialIndex:
+    grid = SpatialIndex(radius, dim)
+    for i, (p, s) in enumerate(zip(points, states)):
+        assert grid.insert(p, s) == i
+    return grid
 
 
 class TestSpatialIndex:
     def test_insert_query_remove(self):
-        idx = SpatialIndex(2.0, 2)
-        a = make_point((0.5, 0.5), 0)
-        b = make_point((1.5, 0.0), 1)
-        c = make_point((5.0, 5.0), 2)
-        for p in (a, b, c):
-            idx.insert(p)
-        assert len(idx) == 3
-        assert [p.id for p in idx.query((0.0, 0.0))] == [0, 1]
-        idx.remove(a)
-        assert [p.id for p in idx.query((0.0, 0.0))] == [1]
-        assert len(idx) == 2
-        with pytest.raises(KeyError):
-            idx.remove(a)
+        # a point leaves a state's query results by changing state
+        grid = _filled(2.0, 2, [(0.5, 0.5), (1.5, 0.0), (5.0, 5.0), (-1.0, 0.0)],
+                       [UNATTACHED, COVERED, UNATTACHED, UNATTACHED])
+        assert grid.query((0.0, 0.0), UNATTACHED) == [0, 3]
+        assert grid.query((0.0, 0.0), COVERED) == [1]
+        assert grid.query((0.0, 0.0), CLUSTER) == []
+        grid.state[0] = CLUSTER
+        assert grid.query((0.0, 0.0), UNATTACHED) == [3]
+        assert grid.query((0.0, 0.0), CLUSTER) == [0]
+        assert grid.query((0.0, 0.0), COVERED) == [1]
 
     def test_remove_identity_not_equality(self):
-        idx = SpatialIndex(1.0, 1)
-        p1 = make_point((0.25,), 0)
-        p2 = make_point((0.25,), 1)
-        idx.insert(p1)
-        with pytest.raises(KeyError):
-            idx.remove(p2)
+        # points 0 and 1 share coordinates but stay distinct points
+        grid = _filled(1.0, 1, [(0.25,), (0.25,)], [UNATTACHED, UNATTACHED])
+        assert grid.query((0.0,), UNATTACHED) == [0, 1]
+        grid.state[1] = COVERED
+        assert grid.query((0.0,), UNATTACHED) == [0]
+        assert grid.query((0.0,), COVERED) == [1]
 
     def test_boundary_distance_counts_as_within(self):
-        idx = SpatialIndex(2.0, 2)
-        idx.insert(make_point((2.0, 0.0), 0))     # exactly at the query radius
-        idx.insert(make_point((0.0, -2.0), 1))
-        assert [p.id for p in idx.query((0.0, 0.0))] == [0, 1]
+        grid = _filled(2.0, 2, [(2.0, 0.0), (0.0, -2.0), (2.0, 0.0001)], [COVERED] * 3)
+        assert grid.query((0.0, 0.0), COVERED) == [0, 1]
+        assert grid.any_within((0.0, 2.0 + 1e-12), COVERED) is False
+        assert grid.any_within((-2.0, 0.0), UNATTACHED) is False
+        assert grid.any_within((0.0, 0.0), COVERED) is True
+        grid = _filled(2.0, 2, [(2.0, 0.0)], [COVERED])
+        assert grid.any_within((0.0, 0.0), COVERED) is True      # exactly at the radius
+
+    def test_negative_coordinates(self):
+        # queries and points in cells on both sides of zero
+        points = [(-0.1, -0.1), (-1.8, -0.2), (0.1, -1.0), (-3.5, -3.5), (-2.05, 0.0)]
+        grid = _filled(1.0, 2, points, [UNATTACHED] * len(points))
+        assert grid.query((-1.0, -0.5), UNATTACHED) == [0, 1]
+        assert grid.query((-3.0, -3.0), UNATTACHED) == [3]
+        assert grid.query((-1.1, 0.0), UNATTACHED) == [1, 4]
 
     def test_results_sorted_by_id(self):
-        idx = SpatialIndex(3.0, 2)
-        for pid in (5, 1, 9, 3):
-            idx.insert(make_point((0.1 * pid, 0.0), pid))
-        assert [p.id for p in idx.query((0.0, 0.0))] == [1, 3, 5, 9]
+        # inserted so that the own cell holds the larger ids
+        points = [(2.9, 0.0), (-2.9, 0.0), (0.1, 0.0), (0.2, 0.1), (1.0, -2.0)]
+        grid = _filled(3.0, 2, points, [UNATTACHED] * len(points))
+        assert grid.query((0.0, 0.0), UNATTACHED) == [0, 1, 2, 3, 4]
+
+    def test_far_cells_sharing_a_key_stay_apart(self):
+        # cell (1, -2^21) has the same integer key as cell (0, 0)
+        grid = _filled(1.0, 2, [(1.5, -(2.0**21) + 0.5), (0.5, 0.5)], [COVERED] * 2)
+        assert grid.query((0.5, 0.5), COVERED) == [1]
+        assert grid.any_within((0.5, -0.5), COVERED) is True
+        assert grid.any_within((0.1, 0.9), COVERED) is True
+        grid.state[1] = UNATTACHED
+        assert grid.any_within((0.5, 0.5), COVERED) is False
 
     def test_agrees_with_linear_scan_thousand_points(self):
         gen = np.random.default_rng(20240801)
         radius = 1.5
-        points = [
-            make_point(gen.uniform(-10, 10, size=3), pid) for pid in range(1000)
-        ]
-        idx = SpatialIndex.from_points(points, radius, 3)
+        points = [tuple(gen.uniform(-10, 10, size=3)) for _ in range(1000)]
+        states = [STATES[k] for k in gen.integers(0, 3, size=1000)]
+        grid = _filled(radius, 3, points, states)
         for _ in range(200):
             q = tuple(gen.uniform(-10, 10, size=3))
-            got = neighbors_within(idx, make_point(q), radius)
-            assert got == _linear_scan(points, q, radius)
+            for state in STATES:
+                assert grid.query(q, state) == _linear_scan(points, states, q, radius, state)
 
     def test_agrees_with_linear_scan_many_configurations(self):
-        # 10^4 random query configurations across random point sets
+        # 10^4 queries at d = 1..5 over random points in random states
         gen = np.random.default_rng(77)
         checked = 0
-        for _ in range(100):
-            dim = int(gen.integers(1, 5))
-            radius = float(gen.uniform(0.3, 3.0))
-            n = int(gen.integers(0, 80))
-            points = [make_point(gen.uniform(-6, 6, size=dim), pid) for pid in range(n)]
-            idx = SpatialIndex.from_points(points, radius, dim)
-            for _ in range(100):
-                q = tuple(gen.uniform(-6, 6, size=dim))
-                assert neighbors_within(idx, make_point(q), radius) == _linear_scan(
-                    points, q, radius
-                )
-                checked += 1
+        for dim in range(1, 6):
+            for _ in range(20):
+                radius = float(gen.uniform(0.3, 3.0))
+                n = int(gen.integers(0, 120))
+                points = [tuple(gen.uniform(-6, 6, size=dim)) for _ in range(n)]
+                states = [STATES[k] for k in gen.integers(0, 3, size=n)]
+                grid = _filled(radius, dim, points, states)
+                for _ in range(100):
+                    q = tuple(gen.uniform(-6, 6, size=dim))
+                    state = STATES[int(gen.integers(0, 3))]
+                    want = _linear_scan(points, states, q, radius, state)
+                    assert grid.query(q, state) == want
+                    assert grid.any_within(q, state) is bool(want)
+                    checked += 1
         assert checked == 10_000
 
     def test_radius_must_match_cell_size(self):
-        idx = SpatialIndex(2.0, 2)
-        with pytest.raises(ValueError):
-            neighbors_within(idx, make_point((0.0, 0.0)), 1.9)
+        # place_candidates refuses a grid whose edge is not the ball radius,
+        # before any draw and whatever the count
+        for cell in (1.9, 4.0):
+            for count in (0, 3):
+                rng = RngStream(31)
+                with pytest.raises(ValueError, match="must equal the ball radius"):
+                    place_candidates(rng, (0.0, 0.0), 2.0, SpatialIndex(cell, 2), 2, count)
+                assert rng.gen.random() == RngStream(31).gen.random()
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             SpatialIndex(0.0, 2)
         with pytest.raises(ValueError):
             SpatialIndex(1.0, 0)
-        idx = SpatialIndex(1.0, 2)
+        grid = SpatialIndex(1.0, 2)
         with pytest.raises(ValueError):
-            idx.insert(make_point((1.0, 2.0, 3.0)))
+            grid.insert((1.0, 2.0, 3.0), UNATTACHED)

@@ -11,16 +11,15 @@ from rcmperc import (
     SpatialIndex,
     ball_volume,
     derive_seed,
-    make_point,
     poisson_count,
     sample_uncovered,
     trial_stream,
     uniform_in_ball,
 )
 
-from support import poisson_gof_pvalue
+from support import covered_grid, poisson_gof_pvalue
 
-ORIGIN2 = make_point((0.0, 0.0), 0)
+ORIGIN2 = (0.0, 0.0)
 
 
 class TestRngStream:
@@ -104,26 +103,25 @@ class TestUniformInBall:
     def test_stays_inside(self):
         for dim in (1, 2, 3, 5):
             rng = RngStream(11, (dim,))
-            center = make_point((4.0,) + (0.0,) * (dim - 1), 0)
+            center = (4.0,) + (0.0,) * (dim - 1)
             for _ in range(300):
                 p = uniform_in_ball(rng, center, 2.0, dim)
-                assert math.dist(p.coords, center.coords) <= 2.0
-                assert len(p.coords) == dim
-                assert p.id == -1
+                assert math.dist(p, center) <= 2.0
+                assert len(p) == dim
 
     def test_norm_is_global_not_relative(self):
         rng = RngStream(12)
-        center = make_point((10.0, -3.0), 0)
+        center = (10.0, -3.0)
         p = uniform_in_ball(rng, center, 1.0, 2)
-        assert p.norm == pytest.approx(math.hypot(*p.coords), rel=1e-15)
-        assert p.norm > 8.0  # nowhere near the relative distance
+        assert math.dist(p, center) <= 1.0
+        assert math.hypot(*p) > 8.0  # coordinates are global, not relative
 
     def test_radial_fraction_d2(self):
         # P(|X| <= 1) in a radius 2 disc is (1/2)^2 = 1/4
         rng = RngStream(13)
         n = 400_000
         hits = sum(
-            math.hypot(*uniform_in_ball(rng, ORIGIN2, 2.0, 2).coords) <= 1.0
+            math.hypot(*uniform_in_ball(rng, ORIGIN2, 2.0, 2)) <= 1.0
             for _ in range(n)
         )
         sigma = math.sqrt(0.25 * 0.75 / n)
@@ -133,31 +131,31 @@ class TestUniformInBall:
         # |X|^d / R^d is uniform on [0, 1]
         for dim in (2, 3):
             rng = RngStream(14, (dim,))
-            center = make_point((0.0,) * dim, 0)
+            center = (0.0,) * dim
             u = [
-                (math.hypot(*uniform_in_ball(rng, center, 2.0, dim).coords) / 2.0) ** dim
+                (math.hypot(*uniform_in_ball(rng, center, 2.0, dim)) / 2.0) ** dim
                 for _ in range(50_000)
             ]
             assert stats.kstest(u, "uniform").pvalue > 0.01
 
     def test_coordinate_means_d3(self):
         rng = RngStream(15)
-        center = make_point((0.0, 0.0, 0.0), 0)
+        center = (0.0, 0.0, 0.0)
         n = 200_000
         acc = np.zeros(3)
         for _ in range(n):
-            acc += uniform_in_ball(rng, center, 2.0, 3).coords
+            acc += uniform_in_ball(rng, center, 2.0, 3)
         # per-coordinate variance is R^2/(d+2) = 4/5
         sigma = math.sqrt(0.8 / n)
         assert np.all(np.abs(acc / n) <= 3.0 * sigma)
 
     def test_centered_on_offset(self):
         rng = RngStream(16)
-        center = make_point((10.0, -3.0), 0)
+        center = (10.0, -3.0)
         n = 100_000
         acc = np.zeros(2)
         for _ in range(n):
-            acc += uniform_in_ball(rng, center, 2.0, 2).coords
+            acc += uniform_in_ball(rng, center, 2.0, 2)
         sigma = math.sqrt(1.0 / n)  # R^2/(d+2) = 1
         assert abs(acc[0] / n - 10.0) <= 3.0 * sigma
         assert abs(acc[1] / n + 3.0) <= 3.0 * sigma
@@ -166,47 +164,44 @@ class TestUniformInBall:
 class TestSampleUncovered:
     def test_zero_intensity_empty(self):
         rng = RngStream(21)
-        assert sample_uncovered(rng, ORIGIN2, 2.0, [], 0.0, 2) == []
+        assert sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(), 0.0, 2) == []
 
     def test_fully_covered_empty(self):
         rng = RngStream(22)
         for _ in range(200):
-            assert sample_uncovered(rng, ORIGIN2, 2.0, [ORIGIN2], 0.8, 2) == []
+            assert sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(ORIGIN2), 0.8, 2) == []
 
     def test_negative_intensity_rejected(self):
         rng = RngStream(23)
         with pytest.raises(ValueError):
-            sample_uncovered(rng, ORIGIN2, 2.0, [], -0.1, 2)
+            sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(), -0.1, 2)
 
     def test_count_is_poisson(self):
         rng = RngStream(24)
         mean = 0.3 * ball_volume(2, 2.0)
         counts = [
-            len(sample_uncovered(rng, ORIGIN2, 2.0, [], 0.3, 2)) for _ in range(10_000)
+            len(sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(), 0.3, 2)) for _ in range(10_000)
         ]
         assert poisson_gof_pvalue(counts, mean) > 0.01
 
     def test_kept_points_avoid_covered(self):
         rng = RngStream(25)
-        blockers = [
-            make_point((1.0, 0.5), 1),
-            make_point((-2.0, 1.0), 2),
-            make_point((3.5, -0.5), 3),
-        ]
+        blockers = [(1.0, 0.5), (-2.0, 1.0), (3.5, -0.5)]
+        grid = covered_grid(*blockers)
         for _ in range(500):
-            for p in sample_uncovered(rng, ORIGIN2, 2.0, blockers, 0.6, 2):
-                assert all(math.dist(p.coords, b.coords) > 2.0 for b in blockers)
-                assert math.dist(p.coords, ORIGIN2.coords) <= 2.0
+            for p in sample_uncovered(rng, ORIGIN2, 2.0, grid, 0.6, 2):
+                assert all(math.dist(p, b) > 2.0 for b in blockers)
+                assert math.dist(p, ORIGIN2) <= 2.0
 
     def test_partial_coverage_mean(self):
         # one covered ball at distance 2: lens area 8 pi/3 - 2 sqrt(3)
         rng = RngStream(26)
-        blocker = make_point((2.0, 0.0), 1)
+        blocker = (2.0, 0.0)
         lens = 8.0 * math.pi / 3.0 - 2.0 * math.sqrt(3.0)
         want = 0.5 * (ball_volume(2, 2.0) - lens)
         n = 20_000
         total = sum(
-            len(sample_uncovered(rng, ORIGIN2, 2.0, [blocker], 0.5, 2))
+            len(sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(blocker), 0.5, 2))
             for _ in range(n)
         )
         assert abs(total / n - want) <= 3.0 * math.sqrt(want / n)
@@ -217,36 +212,28 @@ class TestSampleUncovered:
         left = np.empty(n)
         right = np.empty(n)
         for i in range(n):
-            pts = sample_uncovered(rng, ORIGIN2, 2.0, [], 0.5, 2)
-            left[i] = sum(p.coords[0] < 0.0 for p in pts)
+            pts = sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(), 0.5, 2)
+            left[i] = sum(p[0] < 0.0 for p in pts)
             right[i] = len(pts) - left[i]
         rho = np.corrcoef(left, right)[0, 1]
         assert abs(rho) <= 3.0 / math.sqrt(n)
 
     def test_spatial_index_requires_matching_cell(self):
         rng = RngStream(28)
-        idx = SpatialIndex(cell_size=3.0, dim=2)
+        idx = SpatialIndex(3.0, 2)
         with pytest.raises(ValueError, match="cell size"):
             sample_uncovered(rng, ORIGIN2, 2.0, idx, 0.5, 2)
-
-    def test_index_and_sequence_paths_agree(self):
-        blockers = [make_point((1.5, 0.0), 1), make_point((-1.0, 1.0), 2)]
-        idx = SpatialIndex.from_points(blockers, cell_size=4.0, dim=2)
-        for trial in range(50):
-            a = sample_uncovered(RngStream(29, (trial,)), ORIGIN2, 2.0, idx, 0.7, 2)
-            b = sample_uncovered(RngStream(29, (trial,)), ORIGIN2, 2.0, blockers, 0.7, 2)
-            assert [p.coords for p in a] == [p.coords for p in b]
 
     def test_rejection_consumes_no_randomness(self):
         # thinning must only filter: same stream, with and without a
         # blocker, yields the same survivors
-        blocker = make_point((1.2, 0.3), 1)
+        blocker = (1.2, 0.3)
         for trial in range(200):
-            free = sample_uncovered(RngStream(30, (trial,)), ORIGIN2, 2.0, [], 0.8, 2)
+            free = sample_uncovered(RngStream(30, (trial,)), ORIGIN2, 2.0, covered_grid(), 0.8, 2)
             thinned = sample_uncovered(
-                RngStream(30, (trial,)), ORIGIN2, 2.0, [blocker], 0.8, 2
+                RngStream(30, (trial,)), ORIGIN2, 2.0, covered_grid(blocker), 0.8, 2
             )
             survivors = [
-                p.coords for p in free if math.dist(p.coords, blocker.coords) > 2.0
+                p for p in free if math.dist(p, blocker) > 2.0
             ]
-            assert [p.coords for p in thinned] == survivors
+            assert [p for p in thinned] == survivors

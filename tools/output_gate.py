@@ -5,8 +5,11 @@
 
 `capture` imports `rcmperc` from the `src/` directory SRC and runs every
 case of the matrix in this process through `run_cli`: each subcommand
-in json and csv at `--threads` 1, 2 and 3, one `--output-file` case, and
-every argv of `tests/test_cli.py::TestUsageErrors::test_exit_one`. For
+in json and csv at `--threads` 1, 2 and 3 (with d=3 cases for every
+non-Gilbert model, the tabulated one reading `tools/gate_phi.csv`), one
+`--output-file` case, and every argv of
+`tests/test_cli.py::TestUsageErrors::test_exit_one`. It runs from the
+checkout root, so the table's relative path in argv stays the same. For
 each case it records the exit code, stderr, and stdout or the output
 file's bytes, with the `wall_ms` and `wall_seconds` values blanked,
 since only they depend on the clock. `compare` lists the cases whose
@@ -29,7 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-TESTS_CLI = Path(__file__).resolve().parents[1] / "tests" / "test_cli.py"
+ROOT = Path(__file__).resolve().parents[1]
+TESTS_CLI = ROOT / "tests" / "test_cli.py"
+PHI_TABLE = "tools/gate_phi.csv"
 
 # name -> argv; each runs as json and csv at --threads 1, 2 and 3
 MATRIX: dict[str, list[str]] = {
@@ -41,6 +46,14 @@ MATRIX: dict[str, list[str]] = {
     "bound": ["bound", "--dim", "3", "--gamma", "0.05"],
     "bound-table": ["bound", "--table"],
     "tau": ["tau", "--gamma", "0.1", "--r", "2.5", "--trials", "300", "--system-size", "12"],
+    "explore-penetrable-d3": ["explore", "--dim", "3", "--model", "penetrable", "--p", "0.5",
+                              "--gamma", "0.12", "--system-size", "8", "--runs", "5", "--seed", "7"],
+    "explore-soft-sphere-d3": ["explore", "--dim", "3", "--model", "soft-sphere", "--hardness", "12",
+                               "--gamma", "0.07", "--system-size", "8", "--runs", "5", "--seed", "7"],
+    "explore-tabulated-d3": ["explore", "--dim", "3", "--model", "tabulated", "--phi-csv", PHI_TABLE,
+                             "--gamma", "0.1", "--system-size", "8", "--runs", "5", "--seed", "7"],
+    "tau-penetrable-d3": ["tau", "--dim", "3", "--model", "penetrable", "--gamma", "0.1", "--r", "2.5",
+                          "--trials", "300", "--system-size", "8"],
     "reproduce": ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "10",
                   "--refine", "1"],
 }
@@ -107,6 +120,8 @@ def run_case(run_cli, argv: list[str], out_file: Path | None) -> dict:
 
 def capture(src: str, dest: str) -> int:
     sys.path.insert(0, str(Path(src).resolve()))
+    dest_path = Path(dest).resolve()
+    os.chdir(ROOT)
     os.environ.pop("RCM_PERC_THREADS", None)
     from rcmperc.cli import run_cli
 
@@ -115,7 +130,7 @@ def capture(src: str, dest: str) -> int:
         for case_id, argv in cases().items():
             out_file = Path(tmp) / "out.txt" if case_id == "output-file" else None
             records[case_id] = run_case(run_cli, argv, out_file)
-    Path(dest).write_text(json.dumps(records, indent=1) + "\n")
+    dest_path.write_text(json.dumps(records, indent=1) + "\n")
     print(f"{len(records)} cases from {src} -> {dest}")
     return 0
 
