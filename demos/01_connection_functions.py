@@ -8,7 +8,7 @@ integral of phi over space (the connectivity mass) is the expected
 number of partners of a typical point at unit intensity.
 """
 
-from rcmperc import Gilbert, PenetrableSphere, SoftSphere, TabulatedRadial, effective_connectivity_mass
+from rcmperc import Gilbert, PenetrableSphere, SoftSphere, TabulatedRadial
 
 models = [
     Gilbert(radius=2.0),
@@ -34,5 +34,5 @@ for m in models:
 print("\nconnectivity mass (expected partners at intensity 1)")
 print(f"{'model':45s}" + "".join(f"   d={d}   " for d in (2, 3, 4, 5)))
 for m in models:
-    row = "".join(f"  {effective_connectivity_mass(m, d):7.3f}" for d in (2, 3, 4, 5))
+    row = "".join(f"  {m.connectivity_mass(d):7.3f}" for d in (2, 3, 4, 5))
     print(f"{m.describe():45s}{row}")

@@ -25,7 +25,6 @@ from .connection import (
     SoftSphere,
     TabulatedRadial,
     decide_connection,
-    effective_connectivity_mass,
 )
 from .exploration import (
     ClusterOutcome,
@@ -36,17 +35,15 @@ from .exploration import (
     wilson_interval,
 )
 from .geometry import CLUSTER, COVERED, UNATTACHED, SpatialIndex, ball_volume, sphere_surface
-from .records import TrialRecord
 from .reference import (
     DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, ReferenceRow, ReferenceTable, reproduce_preset,
 )
 from .sampling import (
     DEFAULT_SEED,
-    RngStream,
     derive_seed,
     place_candidates,
     poisson_count,
-    sample_uncovered,
+    stream,
     trial_stream,
     uniform_in_ball,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "TabulatedRadial",
     "QuadratureError",
     "decide_connection",
-    "effective_connectivity_mass",
     "ClusterOutcome",
     "PairConnectednessEstimate",
     "SimParams",
@@ -79,7 +75,6 @@ __all__ = [
     "SpatialIndex",
     "ball_volume",
     "sphere_surface",
-    "TrialRecord",
     "REFERENCE_TABLES",
     "ReferenceRow",
     "ReferenceTable",
@@ -87,11 +82,10 @@ __all__ = [
     "DESK_SYSTEM_SIZE",
     "reproduce_preset",
     "DEFAULT_SEED",
-    "RngStream",
     "derive_seed",
     "place_candidates",
     "poisson_count",
-    "sample_uncovered",
+    "stream",
     "trial_stream",
     "uniform_in_ball",
     "CriticalEstimate",

@@ -15,10 +15,10 @@ size by 1 + g = 1 / (1 - q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
-from .connection import ConnectionModel, effective_connectivity_mass
+from .connection import DEFAULT_QUAD_TOL, ConnectionModel
 
 __all__ = ["BranchingReport", "branching_bound", "constant_g_certificate"]
 
@@ -49,22 +49,11 @@ class BranchingReport:
     certificate_slack: float | None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "model": self.model,
-            "dim": self.dim,
-            "connectivity_mass": self.connectivity_mass,
-            "branching_bound": self.branching_bound,
-            "gamma": self.gamma,
-            "expected_degree": self.expected_degree,
-            "certificate_valid": self.certificate_valid,
-            "cluster_excess_bound": self.cluster_excess_bound,
-            "mean_cluster_size_bound": self.mean_cluster_size_bound,
-            "certificate_slack": self.certificate_slack,
-        }
+        return asdict(self)
 
 
 def _positive_mass(model: ConnectionModel, dim: int, quad_tol: float) -> float:
-    mass = effective_connectivity_mass(model, dim, quad_tol)
+    mass = model.connectivity_mass(dim, quad_tol)
     if mass <= 0.0:
         raise ValueError(
             "connection function has zero mass; the branching bound is infinite"
@@ -72,13 +61,13 @@ def _positive_mass(model: ConnectionModel, dim: int, quad_tol: float) -> float:
     return mass
 
 
-def branching_bound(model: ConnectionModel, dim: int, quad_tol: float = 1e-10) -> float:
+def branching_bound(model: ConnectionModel, dim: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Reciprocal of the connectivity mass: a lower bound on the critical intensity."""
     return 1.0 / _positive_mass(model, dim, quad_tol)
 
 
 def constant_g_certificate(
-    model: ConnectionModel, dim: int, gamma: float, quad_tol: float = 1e-10
+    model: ConnectionModel, dim: int, gamma: float, quad_tol: float = DEFAULT_QUAD_TOL
 ) -> BranchingReport:
     """Subcriticality certificate at a given intensity.
 

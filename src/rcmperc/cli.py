@@ -34,8 +34,8 @@ built from that table. `run_cli` resolves the worker count once, then
 calls the handler. Handlers write nothing: each returns an `_Output`
 holding its JSON document, its CSV rows and header, its stderr notes and
 its exit code. `_emit` is the only code that writes a result, chooses
-between JSON and CSV, or opens --output-file; CSV cells are formatted by
-`records.csv_cell`, as in `TrialRecord.to_csv_row`. Invalid input raises
+between JSON and CSV, or opens --output-file; `_csv_cell` is the one
+CSV cell format, with floats by round-trip repr. Invalid input raises
 ValueError, failed numerics raise RuntimeError, and `run_cli` reports
 either, or an OSError, as one `error:` line with exit code 1.
 
@@ -64,12 +64,14 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .bounds import branching_bound, constant_g_certificate
-from .connection import MODEL_KINDS, ConnectionModel, TabulatedRadial, effective_connectivity_mass
-from .exploration import SimParams, estimate_pair_connectedness, explore_cluster
-from .records import CSV_FIELDS, TrialRecord, csv_cell
+from .connection import DEFAULT_QUAD_TOL, MODEL_KINDS, ConnectionModel, TabulatedRadial
+from .exploration import (
+    DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, SimParams, estimate_pair_connectedness,
+    explore_cluster,
+)
 from .reference import DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, SCALES, reproduce_preset
 from .sampling import DEFAULT_SEED, trial_stream
-from .threshold import estimate_critical, percolation_verdict
+from .threshold import DEFAULT_RAMP_FACTOR, DEFAULT_REFINEMENTS, estimate_critical, percolation_verdict
 
 __all__ = ["run_cli", "main"]
 
@@ -116,15 +118,15 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
         help="worker processes (default RCM_PERC_THREADS, else 1)",
     )
     g.add_argument(
-        "--max-points", type=int, default=10_000_000,
+        "--max-points", type=int, default=DEFAULT_MAX_GENERATED,
         help="cap on generated points per exploration",
     )
     g.add_argument(
-        "--max-steps", type=int, default=1_000_000,
+        "--max-steps", type=int, default=DEFAULT_MAX_STEPS,
         help="cap on processed frontier points per exploration",
     )
     g.add_argument(
-        "--quad-tol", type=float, default=1e-10,
+        "--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
         help="absolute tolerance of the radial quadrature",
     )
 
@@ -286,6 +288,17 @@ def _document(
 # --- output -----------------------------------------------------------------
 
 
+def _csv_cell(v: Any) -> str:
+    """One CSV cell: booleans as true/false, floats by repr, None empty."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
 @dataclass(frozen=True)
 class _Output:
     """What a command produced, for `_emit` to write.
@@ -318,7 +331,7 @@ def _emit(args, out: _Output) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([csv_cell(row[k]) for k in header] for row in out.rows)
+        writer.writerows([_csv_cell(row[k]) for k in header] for row in out.rows)
         text = buf.getvalue()
     if args.output_file:
         with open(args.output_file, "w", newline="") as fh:
@@ -339,13 +352,17 @@ def _cmd_explore(args) -> _Output:
     params = _build_params(args, args.gamma)
     if args.runs < 1:
         raise ValueError(f"--runs must be positive, got {args.runs}")
-    records: list[dict[str, Any]] = []
+    rows: list[dict[str, Any]] = []
     for t in range(args.runs):
         t0 = time.perf_counter()
-        outcome = explore_cluster(params, model, trial_stream(args.seed, 0, t))
+        o = explore_cluster(params, model, trial_stream(args.seed, 0, t))
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        records.append(TrialRecord.from_outcome(t, args.seed, args.gamma, outcome, wall_ms).to_dict())
-    return _Output(records, records, CSV_FIELDS, code=2 if any(r["capped"] for r in records) else 0)
+        rows.append({
+            "trial": t, "seed": args.seed, "gamma": args.gamma, "escaped": o.escaped,
+            "cluster_size": o.cluster_size, "generated_points": o.generated_points,
+            "steps": o.steps, "max_norm": o.max_norm, "capped": o.capped, "wall_ms": wall_ms,
+        })
+    return _Output(rows, rows, code=2 if any(r["capped"] for r in rows) else 0)
 
 
 def _cmd_percolate(args) -> _Output:
@@ -409,7 +426,7 @@ def _cmd_bound(args) -> _Output:
 
     model = _build_model(args)
     if args.gamma is None:
-        mass = effective_connectivity_mass(model, args.dim, args.quad_tol)
+        mass = model.connectivity_mass(args.dim, args.quad_tol)
         result: dict[str, Any] = {
             "model": model.describe(),
             "dim": args.dim,
@@ -440,9 +457,9 @@ def _cmd_tau(args) -> _Output:
 
 def _cmd_reproduce(args) -> _Output:
     dims = None
-    if args.dims:
+    if args.dims is not None:
         try:
-            dims = [int(s) for s in str(args.dims).split(",") if s.strip()]
+            dims = [int(s) for s in args.dims.split(",")]  # an empty item fails int()
         except ValueError:
             raise ValueError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
     doc = reproduce_preset(
@@ -495,8 +512,10 @@ _FULL_RUNS = _arg(
     "--full-runs", action="store_true",
     help="run every trial instead of stopping at the first escape",
 )
-_RAMP = _arg("--ramp", type=float, default=1.1, help="geometric ramp factor (default 1.1)")
-_REFINE = _arg("--refine", type=int, default=2, help="midpoint refinements (default 2)")
+_RAMP = _arg("--ramp", type=float, default=DEFAULT_RAMP_FACTOR,
+             help=f"geometric ramp factor (default {DEFAULT_RAMP_FACTOR})")
+_REFINE = _arg("--refine", type=int, default=DEFAULT_REFINEMENTS,
+               help=f"midpoint refinements (default {DEFAULT_REFINEMENTS})")
 
 _COMMANDS: dict[str, _Command] = {
     c.name: c

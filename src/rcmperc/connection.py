@@ -15,8 +15,9 @@ Models:
   * TabulatedRadial: phi linearly interpolated from a user table on
     [0, radius], clamped to [0, 1].
 
-The effective connectivity mass of a model in dimension d is the integral
-of phi over R^d. Its reciprocal is the branching lower bound on the
+A model's `connectivity_mass(dim)` is the integral of phi over R^d:
+closed forms for Gilbert and penetrable spheres, adaptive radial
+quadrature otherwise. Its reciprocal is the branching lower bound on the
 critical intensity (see `rcmperc.bounds`).
 
 `MODEL_KINDS` maps each model's `kind` name to its class; `to_config`
@@ -45,8 +46,10 @@ __all__ = [
     "QuadratureError",
     "MODEL_KINDS",
     "decide_connection",
-    "effective_connectivity_mass",
 ]
+
+# Absolute tolerance of the radial quadrature in `connectivity_mass`.
+DEFAULT_QUAD_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -68,7 +71,7 @@ class ConnectionModel(ABC):
     def phi_at(self, r: float) -> float:
         """Connection probability at distance r. Zero for r > radius."""
 
-    def connectivity_mass(self, dim: int, quad_tol: float = 1e-10) -> float:
+    def connectivity_mass(self, dim: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
         """Integral of phi over R^d, via adaptive radial quadrature.
 
         Subclasses with a closed form override this. The quadrature is
@@ -131,7 +134,7 @@ class Gilbert(ConnectionModel):
     def phi_at(self, r: float) -> float:
         return 1.0 if r <= self.radius else 0.0
 
-    def connectivity_mass(self, dim: int, quad_tol: float = 1e-10) -> float:
+    def connectivity_mass(self, dim: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
         return ball_volume(dim, self.radius)
 
     def describe(self) -> str:
@@ -154,7 +157,7 @@ class PenetrableSphere(ConnectionModel):
     def phi_at(self, r: float) -> float:
         return self.prob if r <= self.radius else 0.0
 
-    def connectivity_mass(self, dim: int, quad_tol: float = 1e-10) -> float:
+    def connectivity_mass(self, dim: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
         return self.prob * ball_volume(dim, self.radius)
 
     def describe(self) -> str:
@@ -289,14 +292,3 @@ def decide_connection(
         return False
     return u <= model.phi_at(r)
 
-
-def effective_connectivity_mass(
-    model: ConnectionModel, dim: int, quad_tol: float = 1e-10
-) -> float:
-    """Integral of the connection function over R^d.
-
-    Closed forms are used where available (Gilbert, penetrable); otherwise
-    the radial integral is evaluated adaptively to absolute tolerance
-    `quad_tol` and scaled by the surface measure of the unit sphere.
-    """
-    return model.connectivity_mass(dim, quad_tol)

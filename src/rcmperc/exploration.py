@@ -46,12 +46,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from heapq import heappop, heappush
+
+import numpy as np
 
 from .connection import ConnectionModel, decide_connection
 from .geometry import CLUSTER, COVERED, UNATTACHED, SpatialIndex, ball_volume
-from .sampling import RngStream, place_candidates, poisson_count, trial_stream
+from .sampling import place_candidates, poisson_count, trial_stream
 
 __all__ = [
     "SimParams",
@@ -131,7 +133,7 @@ class ClusterOutcome:
 
 
 def explore_cluster(
-    params: SimParams, model: ConnectionModel, rng: RngStream
+    params: SimParams, model: ConnectionModel, rng: np.random.Generator
 ) -> ClusterOutcome:
     """Grow the origin's cluster until containment, escape, or a work cap.
 
@@ -164,7 +166,6 @@ def explore_cluster(
     candidates = 0
     ball_mean = gamma * ball_volume(dim, radius)
     max_norm = 0.0
-    gen = rng.gen
 
     def adopt(i: int) -> None:
         """Move a point into the cluster and the frontier; escape is checked here."""
@@ -186,7 +187,7 @@ def explore_cluster(
         steps += 1
 
         for j in grid.query(x, UNATTACHED):
-            u = gen.random()
+            u = rng.random()
             if decide_connection(model, x, coords[j], u):
                 adopt(j)
                 if escaped:
@@ -212,7 +213,7 @@ def explore_cluster(
         for p in place_candidates(rng, x, radius, grid, dim, count):
             generated += 1
             j = grid.insert(p, UNATTACHED)
-            u = gen.random()
+            u = rng.random()
             if decide_connection(model, x, p, u):
                 adopt(j)
                 if escaped:
@@ -327,19 +328,7 @@ class PairConnectednessEstimate:
     exclusion_warning: bool
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "gamma": self.gamma,
-            "trials": self.trials,
-            "positives": self.positives,
-            "resolved": self.resolved,
-            "excluded_escaped": self.excluded_escaped,
-            "excluded_capped": self.excluded_capped,
-            "tau_hat": self.tau_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "exclusion_warning": self.exclusion_warning,
-        }
+        return asdict(self)
 
 
 def estimate_pair_connectedness(

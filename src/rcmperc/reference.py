@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .bounds import branching_bound
-from .connection import MODEL_KINDS, ConnectionModel
-from .exploration import SimParams
+from .connection import DEFAULT_QUAD_TOL, MODEL_KINDS, ConnectionModel
+from .exploration import DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, SimParams
 from .sampling import DEFAULT_SEED, derive_seed
-from .threshold import estimate_critical
+from .threshold import DEFAULT_RAMP_FACTOR, DEFAULT_REFINEMENTS, estimate_critical
 
 __all__ = [
     "ReferenceRow",
@@ -147,11 +147,11 @@ def reproduce_preset(
     workers: int = 1,
     dims: Sequence[int] | None = None,
     runs: int | None = None,
-    ramp_factor: float = 1.1,
-    refinements: int = 2,
-    max_points: int = 10_000_000,
-    max_steps: int = 1_000_000,
-    quad_tol: float = 1e-10,
+    ramp_factor: float = DEFAULT_RAMP_FACTOR,
+    refinements: int = DEFAULT_REFINEMENTS,
+    max_points: int = DEFAULT_MAX_GENERATED,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> dict[str, Any]:
     """Re-run one reference table and report brackets next to the references.
 
@@ -167,6 +167,8 @@ def reproduce_preset(
     model = table.build_model()
     all_dims = [r.dim for r in table.rows]
     use_dims = list(dims) if dims is not None else all_dims
+    if not use_dims:
+        raise ValueError("the dimension list must not be empty")
     for d in use_dims:
         if d not in all_dims:
             raise ValueError(f"table {table_number} has no row for dimension {d}")

@@ -1,36 +1,35 @@
 """Seeded random sampling primitives.
 
-Reproducibility contract: every stochastic routine takes an RngStream,
-a PCG64 generator derived from a master seed and an integer key tuple.
-Equal (seed, key) pairs always produce identical draw sequences, and
-distinct keys give statistically independent streams, so trials can be
-dispatched in any order (or across processes) without changing results.
+Reproducibility contract: every stochastic routine draws from a numpy
+`Generator` made by `stream(master_seed, *key)`: PCG64 seeded from the
+master seed and an integer key. Equal (seed, key) pairs always produce
+identical draw sequences, and distinct keys give statistically
+independent streams, so trials can be dispatched in any order (or across
+processes) without changing results.
 
 Draw order is part of the interface. `uniform_in_ball` consumes one
 standard-normal vector (the direction) followed by one uniform (the
-radius). `sample_uncovered` consumes one Poisson count, then one
-placement per candidate point in order; a candidate is rejected when a
-covered point of the grid lies within the ball radius of it, and
-rejection consumes no randomness.
+radius). The intake of a ball is `poisson_count`, one Poisson count,
+then `place_candidates`, one placement per candidate point in order; a
+candidate is rejected when a covered point of the grid lies within the
+ball radius of it, and rejection consumes no randomness.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import COVERED, SpatialIndex, ball_volume
+from .geometry import COVERED, SpatialIndex
 
 __all__ = [
     "DEFAULT_SEED",
-    "RngStream",
+    "stream",
     "trial_stream",
     "derive_seed",
     "poisson_count",
     "uniform_in_ball",
-    "sample_uncovered",
     "place_candidates",
 ]
 
@@ -45,45 +44,30 @@ def _entropy(master_seed: int, key: tuple[int, ...]) -> list[int]:
     return [master_seed, len(key), *key]
 
 
-class RngStream:
-    """A keyed substream of a master seed.
+def stream(master_seed: int, *key: int) -> np.random.Generator:
+    """The generator keyed by (master_seed, *key).
 
-    The stream is seeded from the integer sequence (master_seed, len(key),
+    PCG64 is seeded from the integer sequence (master_seed, len(key),
     *key), so the same pair always reproduces the same draws and distinct
-    keys, including keys of different lengths, are independent. Substreams
-    derive new streams by extending the key.
+    keys, including keys of different lengths, are independent.
     """
-
-    __slots__ = ("master_seed", "key", "gen")
-
-    def __init__(self, master_seed: int, key: Sequence[int] = ()):
-        master_seed = int(master_seed)
-        if master_seed < 0:
-            raise ValueError(f"master seed must be non-negative, got {master_seed}")
-        k = tuple(int(v) for v in key)
-        if any(v < 0 for v in k):
-            raise ValueError(f"stream key entries must be non-negative, got {k}")
-        self.master_seed = master_seed
-        self.key = k
-        seq = np.random.SeedSequence(_entropy(master_seed, k))
-        self.gen = np.random.Generator(np.random.PCG64(seq))
-
-    def substream(self, *key: int) -> "RngStream":
-        """A fresh independent stream whose key extends this one's."""
-        return RngStream(self.master_seed, self.key + key)
-
-    def __repr__(self) -> str:
-        return f"RngStream(master_seed={self.master_seed}, key={self.key})"
+    master_seed = int(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be non-negative, got {master_seed}")
+    k = tuple(int(v) for v in key)
+    if any(v < 0 for v in k):
+        raise ValueError(f"stream key entries must be non-negative, got {k}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(master_seed, k))))
 
 
-def trial_stream(master_seed: int, eval_index: int, trial_index: int) -> RngStream:
+def trial_stream(master_seed: int, eval_index: int, trial_index: int) -> np.random.Generator:
     """The stream assigned to one trial of one evaluation.
 
     Standalone commands use eval_index 0; the critical-intensity search
     numbers its verdict evaluations 0, 1, 2, ... so every trial anywhere
     in a run has its own independent stream.
     """
-    return RngStream(master_seed, (eval_index, trial_index))
+    return stream(master_seed, eval_index, trial_index)
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -98,56 +82,33 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(lo) | (int(hi) << 32)
 
 
-def poisson_count(rng: RngStream, mean: float) -> int:
+def poisson_count(rng: np.random.Generator, mean: float) -> int:
     """One exact Poisson draw with the given mean (>= 0)."""
     if not (math.isfinite(mean) and mean >= 0.0):
         raise ValueError(f"Poisson mean must be finite and non-negative, got {mean!r}")
-    return int(rng.gen.poisson(mean))
+    return int(rng.poisson(mean))
 
 
 def uniform_in_ball(
-    rng: RngStream, center: tuple[float, ...], radius: float, dim: int
+    rng: np.random.Generator, center: tuple[float, ...], radius: float, dim: int
 ) -> tuple[float, ...]:
     """The coordinates of one point uniform in the closed ball B(center, radius).
 
     Direction comes from a normalized Gaussian vector, distance from
     radius * U^(1/d).
     """
-    gen = rng.gen
     while True:
-        direction = gen.standard_normal(dim)
+        direction = rng.standard_normal(dim)
         length = math.hypot(*direction)
         if length > 0.0:
             break
-    dist = radius * gen.random() ** (1.0 / dim)
+    dist = radius * rng.random() ** (1.0 / dim)
     scale = dist / length
     return tuple(c + scale * g for c, g in zip(center, direction))
 
 
-def sample_uncovered(
-    rng: RngStream,
-    center: tuple[float, ...],
-    radius: float,
-    grid: SpatialIndex,
-    gamma: float,
-    dim: int,
-) -> list[tuple[float, ...]]:
-    """Poisson sample of intensity gamma on B(center, radius) minus covered balls.
-
-    The COVERED points of `grid` are centers of equal-radius balls whose
-    interiors have already been exhausted; candidate points falling
-    within `radius` of any of them are discarded (thinning), which
-    realizes a Poisson process on the uncovered region. The grid's
-    radius must be the ball radius.
-    """
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"intensity must be finite and non-negative, got {gamma!r}")
-    count = poisson_count(rng, gamma * ball_volume(dim, radius))
-    return place_candidates(rng, center, radius, grid, dim, count)
-
-
 def place_candidates(
-    rng: RngStream,
+    rng: np.random.Generator,
     center: tuple[float, ...],
     radius: float,
     grid: SpatialIndex,
@@ -156,10 +117,15 @@ def place_candidates(
 ) -> list[tuple[float, ...]]:
     """Place `count` uniform candidates in B(center, radius), thinning covered ones.
 
-    The placement half of `sample_uncovered`, for callers that draw the
-    Poisson count themselves (the exploration does, so it can clamp the
-    count to its remaining work budget before any point materializes).
-    Each candidate consumes one placement draw whether or not it is kept.
+    The COVERED points of `grid` are centers of equal-radius balls whose
+    interiors have already been exhausted; candidates falling within
+    `radius` of any of them are discarded. With a Poisson `count` of mean
+    gamma * |B(center, radius)| this realizes a Poisson process of
+    intensity gamma on the uncovered part of the ball. The caller draws
+    the count (the exploration clamps it to its remaining work budget
+    before any point materializes). Each candidate consumes one placement
+    draw whether or not it is kept. The grid's cell size must be the ball
+    radius.
     """
     if grid.radius != radius:
         raise ValueError(f"grid cell size {grid.radius!r} must equal the ball radius {radius!r}")

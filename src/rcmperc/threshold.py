@@ -19,12 +19,14 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .bounds import branching_bound
-from .connection import ConnectionModel
+from .connection import DEFAULT_QUAD_TOL, ConnectionModel
 from .exploration import SimParams, run_trials
 
 __all__ = ["PercolationVerdict", "CriticalEstimate", "percolation_verdict", "estimate_critical"]
 
 _MAX_RAMP_STEPS = 500
+DEFAULT_RAMP_FACTOR = 1.1
+DEFAULT_REFINEMENTS = 2
 
 
 @dataclass(frozen=True)
@@ -153,11 +155,11 @@ def estimate_critical(
     model: ConnectionModel,
     runs: int,
     master_seed: int,
-    ramp_factor: float = 1.1,
-    refinements: int = 2,
+    ramp_factor: float = DEFAULT_RAMP_FACTOR,
+    refinements: int = DEFAULT_REFINEMENTS,
     workers: int = 1,
     full_runs: bool = False,
-    quad_tol: float = 1e-10,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> CriticalEstimate:
     """Bracket the critical intensity for the given model and window.
 

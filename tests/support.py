@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import stats
 
-from rcmperc import COVERED, SpatialIndex
+from rcmperc import COVERED, SpatialIndex, ball_volume, place_candidates, poisson_count
 
 
 def round_sig(x: float, digits: int = 5) -> float:
@@ -32,6 +32,22 @@ def covered_grid(*centers: tuple[float, ...], radius: float = 2.0, dim: int = 2)
     for c in centers:
         grid.insert(c, COVERED)
     return grid
+
+
+def ball_intake(
+    rng: np.random.Generator,
+    center: tuple[float, ...],
+    radius: float,
+    grid: SpatialIndex,
+    gamma: float,
+    dim: int,
+) -> list[tuple[float, ...]]:
+    """The exploration's intake of one ball: a Poisson count of mean
+    gamma * |B(center, radius)|, then that many placements, thinned
+    against the covered points of `grid`."""
+    return place_candidates(
+        rng, center, radius, grid, dim, poisson_count(rng, gamma * ball_volume(dim, radius))
+    )
 
 
 def pooled_histogram(

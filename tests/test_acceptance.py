@@ -18,7 +18,6 @@ import pytest
 from rcmperc import (
     Gilbert,
     PenetrableSphere,
-    RngStream,
     SimParams,
     SoftSphere,
     branching_bound,
@@ -26,7 +25,7 @@ from rcmperc import (
     estimate_pair_connectedness,
     explore_cluster,
     poisson_count,
-    sample_uncovered,
+    stream,
     trial_stream,
     uniform_in_ball,
 )
@@ -36,6 +35,7 @@ from rcmperc.reference import REFERENCE_TABLES
 from brute_force import brute_force_trial
 from support import (
     assert_bracket_invariants,
+    ball_intake,
     assert_matches_reference,
     majority_rule,
     poisson_gof_pvalue,
@@ -176,13 +176,13 @@ def test_c7_sampler_distributions_pass_statistical_suite():
     # behave like the distributions they claim; each sub-check is a 1%
     # significance test, judged by 3-seed majority rule
     def poisson_ok(seed: int) -> bool:
-        rng = RngStream(seed)
+        rng = stream(seed)
         return poisson_gof_pvalue(
             [poisson_count(rng, 7.5) for _ in range(40_000)], 7.5
         ) > 0.01
 
     def radial_ok(seed: int) -> bool:
-        rng = RngStream(seed)
+        rng = stream(seed)
         center = (0.0, 0.0, 0.0)
         n = 60_000
         inside = sum(
@@ -194,14 +194,14 @@ def test_c7_sampler_distributions_pass_statistical_suite():
         return abs(inside / n - 0.125) <= 3.0 * sigma
 
     def thinning_ok(seed: int) -> bool:
-        rng = RngStream(seed)
+        rng = stream(seed)
         origin = (0.0, 0.0)
         blocker = (2.0, 0.0)
         lens = 8.0 * math.pi / 3.0 - 2.0 * math.sqrt(3.0)
         want = 0.5 * (4.0 * math.pi - lens)
         n = 20_000
         total = sum(
-            len(sample_uncovered(rng, origin, 2.0, covered_grid(blocker), 0.5, 2))
+            len(ball_intake(rng, origin, 2.0, covered_grid(blocker), 0.5, 2))
             for _ in range(n)
         )
         return abs(total / n - want) <= 3.0 * math.sqrt(want / n)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import importlib
+import io
 import json
 import math
 import shutil
@@ -9,10 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcmperc import Gilbert, branching_bound
+from rcmperc import (
+    Gilbert, SimParams, branching_bound, explore_cluster, reproduce_preset, trial_stream,
+)
+from rcmperc import cli
 from rcmperc.cli import run_cli
-from rcmperc.records import CSV_FIELDS, TrialRecord
 
 from support import round_sig
 
@@ -57,6 +63,8 @@ class TestUsageErrors:
             # escape is impossible: max-steps * range is below the window
             ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "2",
              "--max-steps", "3", "--max-points", "500"],
+            ["reproduce", "--table", "1", "--scale", "desk", "--dims", ","],
+            ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2,,3"],
         ],
     )
     def test_exit_one(self, capsys, argv):
@@ -110,27 +118,51 @@ class TestExplore:
         assert len(lines) == 8
         assert [json.loads(l)["trial"] for l in lines] == list(range(8))
 
+    def test_rows_match_explore_cluster(self, capsys):
+        out = run_ok(capsys, [
+            "explore", "--gamma", "0.3", "--dim", "2", "--system-size", "15",
+            "--runs", "4", "--seed", "5",
+        ])
+        params = SimParams(dim=2, gamma=0.3, system_size=15.0)
+        for t, line in enumerate(out.out.strip().splitlines()):
+            row = json.loads(line)
+            assert row.pop("wall_ms") >= 0.0
+            o = explore_cluster(params, Gilbert(radius=2.0), trial_stream(5, 0, t))
+            assert row == {
+                "trial": t, "seed": 5, "gamma": 0.3, "escaped": o.escaped,
+                "cluster_size": o.cluster_size, "generated_points": o.generated_points,
+                "steps": o.steps, "max_norm": o.max_norm, "capped": o.capped,
+            }
+
     def test_csv_round_trip(self, capsys):
         out = run_ok(capsys, [
             "explore", "--gamma", "0.2", "--dim", "2", "--system-size", "15",
             "--runs", "4", "--seed", "3", "--output", "csv",
         ])
-        lines = out.out.strip().splitlines()
-        assert lines[0] == ",".join(CSV_FIELDS)
-        recs = [TrialRecord.from_csv_row(l.split(",")) for l in lines[1:]]
-        assert len(recs) == 4
-        assert all(r.seed == 3 for r in recs)
+        reader = csv.reader(io.StringIO(out.out))
+        assert next(reader) == [
+            "trial", "seed", "gamma", "escaped", "cluster_size", "generated_points",
+            "steps", "max_norm", "capped", "wall_ms",
+        ]
+        rows = list(reader)
+        assert len(rows) == 4
+        assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+        assert all(r[1] == "3" and r[2] == "0.2" for r in rows)
+        assert all(r[3] in ("true", "false") and r[8] in ("true", "false") for r in rows)
 
     def test_json_and_csv_agree(self, capsys):
         argv = ["explore", "--gamma", "0.25", "--dim", "2", "--system-size", "12",
                 "--runs", "3", "--seed", "9"]
         jout = run_ok(capsys, argv).out
         cout = run_ok(capsys, argv + ["--output", "csv"]).out
-        jrecs = [TrialRecord(**json.loads(l)) for l in jout.strip().splitlines()]
-        crecs = [TrialRecord.from_csv_row(l.split(","))
-                 for l in cout.strip().splitlines()[1:]]
-        for a, b in zip(jrecs, crecs):
-            assert a == TrialRecord(**{**b.__dict__, "wall_ms": a.wall_ms})
+        jrows = [json.loads(l) for l in jout.strip().splitlines()]
+        crows = list(csv.DictReader(io.StringIO(cout)))
+        assert len(jrows) == len(crows) == 3
+        for j, c in zip(jrows, crows):
+            assert list(j) == list(c)
+            for key in j:
+                if key != "wall_ms":
+                    assert cli._csv_cell(j[key]) == c[key], key
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -416,10 +448,27 @@ class TestReproduce:
         assert float(row["branching_bound"]) == branching_bound(Gilbert(radius=2.0), 2)
 
     def test_bad_dims_string(self, capsys):
-        assert run_cli([
-            "reproduce", "--table", "1", "--scale", "desk", "--dims", "2;3",
-        ]) == 1
+        for dims in ("2;3", ""):
+            assert run_cli([
+                "reproduce", "--table", "1", "--scale", "desk", "--dims", dims,
+            ]) == 1
         capsys.readouterr()
+
+    def test_empty_dims_list_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            reproduce_preset(1, "desk", dims=[])
+
+
+class TestCsvCell:
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300)
+    def test_float_round_trip(self, x):
+        assert float(cli._csv_cell(x)) == x
+
+    def test_bool_and_none_cells(self):
+        assert cli._csv_cell(True) == "true"
+        assert cli._csv_cell(False) == "false"
+        assert cli._csv_cell(None) == ""
 
 
 class TestConsoleScript:

@@ -16,7 +16,6 @@ from rcmperc import (
     TabulatedRadial,
     ball_volume,
     decide_connection,
-    effective_connectivity_mass,
 )
 
 from support import assert_matches_reference
@@ -170,12 +169,12 @@ class TestConnectivityMass:
     def test_gilbert_closed_form(self):
         m = Gilbert(radius=2.0)
         for dim in range(1, 7):
-            assert effective_connectivity_mass(m, dim) == ball_volume(dim, 2.0)
+            assert m.connectivity_mass(dim) == ball_volume(dim, 2.0)
 
     def test_penetrable_scales_gilbert(self):
         m = PenetrableSphere(radius=2.0, prob=0.75)
         for dim in (2, 3, 4, 5):
-            assert effective_connectivity_mass(m, dim) == pytest.approx(
+            assert m.connectivity_mass(dim) == pytest.approx(
                 0.75 * ball_volume(dim, 2.0), rel=1e-15
             )
 
@@ -187,32 +186,32 @@ class TestConnectivityMass:
         ):
             m = SoftSphere(radius=2.0, hardness=hardness)
             for dim, ref in zip((2, 3, 4, 5), refs):
-                assert_matches_reference(1.0 / effective_connectivity_mass(m, dim), ref)
+                assert_matches_reference(1.0 / m.connectivity_mass(dim), ref)
 
     def test_soft_mass_below_gilbert(self):
         for dim in (2, 3, 4, 5):
-            soft = effective_connectivity_mass(SoftSphere(radius=2.0, hardness=6), dim)
-            hard = effective_connectivity_mass(Gilbert(radius=2.0), dim)
+            soft = SoftSphere(radius=2.0, hardness=6).connectivity_mass(dim)
+            hard = Gilbert(radius=2.0).connectivity_mass(dim)
             assert soft < hard
 
     def test_tabulated_constant_one_equals_ball(self):
         m = TabulatedRadial((0.0, 2.0), (1.0, 1.0))
         for dim in (2, 3, 4):
-            assert effective_connectivity_mass(m, dim) == pytest.approx(
+            assert m.connectivity_mass(dim) == pytest.approx(
                 ball_volume(dim, 2.0), abs=1e-8, rel=1e-10
             )
 
     def test_tabulated_cone_profile_analytic(self):
         # phi = 1 on [0,1], linear down to 0 at 2: mass = 7 pi / 3 in d = 2
         m = TabulatedRadial((0.0, 1.0, 2.0), (1.0, 1.0, 0.0))
-        assert effective_connectivity_mass(m, 2) == pytest.approx(
+        assert m.connectivity_mass(2) == pytest.approx(
             7.0 * math.pi / 3.0, abs=1e-9
         )
 
     def test_unreachable_tolerance_raises(self):
         m = SoftSphere(radius=2.0, hardness=6)
         with pytest.raises(QuadratureError) as exc:
-            effective_connectivity_mass(m, 2, quad_tol=1e-30)
+            m.connectivity_mass(2, quad_tol=1e-30)
         assert exc.value.error > 1e-30
         assert exc.value.estimate > 0.0
 

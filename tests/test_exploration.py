@@ -8,13 +8,13 @@ import pytest
 from rcmperc import (
     Gilbert,
     PenetrableSphere,
-    RngStream,
     SimParams,
     branching_bound,
     constant_g_certificate,
     estimate_pair_connectedness,
     explore_cluster,
     percolation_verdict,
+    stream,
     trial_stream,
     wilson_interval,
 )
@@ -55,7 +55,7 @@ class TestSimParams:
     def test_system_size_must_exceed_range(self):
         params = SimParams(dim=2, gamma=0.1, system_size=1.5)
         with pytest.raises(ValueError, match="system size"):
-            explore_cluster(params, GILBERT, RngStream(1))
+            explore_cluster(params, GILBERT, stream(1))
 
 
 class TestExploreCluster:
@@ -164,7 +164,7 @@ class TestExploreCluster:
             dim=2, gamma=0.0, system_size=50.0,
             extra_points=((1.0, 0.0), (40.0, 0.0)),
         )
-        out = explore_cluster(params, GILBERT, RngStream(1))
+        out = explore_cluster(params, GILBERT, stream(1))
         assert out.extras_in_cluster == (True, False)
         assert out.cluster_size == 2
 

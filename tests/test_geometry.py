@@ -11,11 +11,11 @@ from rcmperc import (
     CLUSTER,
     COVERED,
     UNATTACHED,
-    RngStream,
     SpatialIndex,
     ball_volume,
     place_candidates,
     sphere_surface,
+    stream,
 )
 
 
@@ -184,10 +184,10 @@ class TestSpatialIndex:
         # before any draw and whatever the count
         for cell in (1.9, 4.0):
             for count in (0, 3):
-                rng = RngStream(31)
+                rng = stream(31)
                 with pytest.raises(ValueError, match="must equal the ball radius"):
                     place_candidates(rng, (0.0, 0.0), 2.0, SpatialIndex(cell, 2), 2, count)
-                assert rng.gen.random() == RngStream(31).gen.random()
+                assert rng.random() == stream(31).random()
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):

@@ -7,56 +7,42 @@ import pytest
 from scipy import stats
 
 from rcmperc import (
-    RngStream,
-    SpatialIndex,
     ball_volume,
     derive_seed,
     poisson_count,
-    sample_uncovered,
+    stream,
     trial_stream,
     uniform_in_ball,
 )
 
-from support import covered_grid, poisson_gof_pvalue
+from support import covered_grid, poisson_gof_pvalue, ball_intake
 
 ORIGIN2 = (0.0, 0.0)
 
 
-class TestRngStream:
+class TestStream:
     def test_same_key_same_draws(self):
-        a = RngStream(99, (3, 7))
-        b = RngStream(99, (3, 7))
-        assert a.gen.random(16).tolist() == b.gen.random(16).tolist()
+        a = stream(99, 3, 7)
+        b = stream(99, 3, 7)
+        assert a.random(16).tolist() == b.random(16).tolist()
 
     def test_different_keys_differ(self):
         draws = {
-            key: tuple(RngStream(99, key).gen.random(4).tolist())
+            key: tuple(stream(99, *key).random(4).tolist())
             for key in [(), (0,), (1,), (0, 0), (0, 1), (1, 0)]
         }
         assert len(set(draws.values())) == len(draws)
 
-    def test_substream_extends_key(self):
-        root = RngStream(5, (2,))
-        sub = root.substream(9, 1)
-        assert sub.key == (2, 9, 1)
-        same = RngStream(5, (2, 9, 1))
-        assert sub.gen.random(8).tolist() == same.gen.random(8).tolist()
-
-    def test_substream_leaves_parent_untouched(self):
-        a = RngStream(5)
-        b = RngStream(5)
-        a.substream(1).gen.random(100)
-        assert a.gen.random(4).tolist() == b.gen.random(4).tolist()
-
     def test_trial_stream_key_layout(self):
-        s = trial_stream(1729, 4, 17)
-        assert (s.master_seed, s.key) == (1729, (4, 17))
+        a = trial_stream(1729, 4, 17)
+        b = stream(1729, 4, 17)
+        assert a.random(8).tolist() == b.random(8).tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RngStream(-1)
+            stream(-1)
         with pytest.raises(ValueError):
-            RngStream(3, (0, -2))
+            stream(3, 0, -2)
 
 
 class TestDeriveSeed:
@@ -75,17 +61,17 @@ class TestDeriveSeed:
 
 class TestPoissonCount:
     def test_zero_mean_is_zero(self):
-        rng = RngStream(1)
+        rng = stream(1)
         assert all(poisson_count(rng, 0.0) == 0 for _ in range(100))
 
     def test_bad_mean(self):
-        rng = RngStream(1)
+        rng = stream(1)
         for bad in (-0.5, math.inf, math.nan):
             with pytest.raises(ValueError):
                 poisson_count(rng, bad)
 
     def test_moments(self):
-        rng = RngStream(2024)
+        rng = stream(2024)
         n = 300_000
         draws = np.array([poisson_count(rng, 4.0) for _ in range(n)], dtype=float)
         # mean: 3 sigma window with sigma = sqrt(4/n)
@@ -94,7 +80,7 @@ class TestPoissonCount:
         assert abs(draws.var() - 4.0) <= 3.0 * math.sqrt((4.0 + 32.0) / n)
 
     def test_distribution_gof(self):
-        rng = RngStream(77)
+        rng = stream(77)
         samples = [poisson_count(rng, 50.0) for _ in range(100_000)]
         assert poisson_gof_pvalue(samples, 50.0) > 0.01
 
@@ -102,7 +88,7 @@ class TestPoissonCount:
 class TestUniformInBall:
     def test_stays_inside(self):
         for dim in (1, 2, 3, 5):
-            rng = RngStream(11, (dim,))
+            rng = stream(11, dim)
             center = (4.0,) + (0.0,) * (dim - 1)
             for _ in range(300):
                 p = uniform_in_ball(rng, center, 2.0, dim)
@@ -110,7 +96,7 @@ class TestUniformInBall:
                 assert len(p) == dim
 
     def test_norm_is_global_not_relative(self):
-        rng = RngStream(12)
+        rng = stream(12)
         center = (10.0, -3.0)
         p = uniform_in_ball(rng, center, 1.0, 2)
         assert math.dist(p, center) <= 1.0
@@ -118,7 +104,7 @@ class TestUniformInBall:
 
     def test_radial_fraction_d2(self):
         # P(|X| <= 1) in a radius 2 disc is (1/2)^2 = 1/4
-        rng = RngStream(13)
+        rng = stream(13)
         n = 400_000
         hits = sum(
             math.hypot(*uniform_in_ball(rng, ORIGIN2, 2.0, 2)) <= 1.0
@@ -130,7 +116,7 @@ class TestUniformInBall:
     def test_radial_law_kolmogorov(self):
         # |X|^d / R^d is uniform on [0, 1]
         for dim in (2, 3):
-            rng = RngStream(14, (dim,))
+            rng = stream(14, dim)
             center = (0.0,) * dim
             u = [
                 (math.hypot(*uniform_in_ball(rng, center, 2.0, dim)) / 2.0) ** dim
@@ -139,7 +125,7 @@ class TestUniformInBall:
             assert stats.kstest(u, "uniform").pvalue > 0.01
 
     def test_coordinate_means_d3(self):
-        rng = RngStream(15)
+        rng = stream(15)
         center = (0.0, 0.0, 0.0)
         n = 200_000
         acc = np.zeros(3)
@@ -150,7 +136,7 @@ class TestUniformInBall:
         assert np.all(np.abs(acc / n) <= 3.0 * sigma)
 
     def test_centered_on_offset(self):
-        rng = RngStream(16)
+        rng = stream(16)
         center = (10.0, -3.0)
         n = 100_000
         acc = np.zeros(2)
@@ -163,75 +149,64 @@ class TestUniformInBall:
 
 class TestSampleUncovered:
     def test_zero_intensity_empty(self):
-        rng = RngStream(21)
-        assert sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(), 0.0, 2) == []
+        rng = stream(21)
+        assert ball_intake(rng, ORIGIN2, 2.0, covered_grid(), 0.0, 2) == []
 
     def test_fully_covered_empty(self):
-        rng = RngStream(22)
+        rng = stream(22)
         for _ in range(200):
-            assert sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(ORIGIN2), 0.8, 2) == []
-
-    def test_negative_intensity_rejected(self):
-        rng = RngStream(23)
-        with pytest.raises(ValueError):
-            sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(), -0.1, 2)
+            assert ball_intake(rng, ORIGIN2, 2.0, covered_grid(ORIGIN2), 0.8, 2) == []
 
     def test_count_is_poisson(self):
-        rng = RngStream(24)
+        rng = stream(24)
         mean = 0.3 * ball_volume(2, 2.0)
         counts = [
-            len(sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(), 0.3, 2)) for _ in range(10_000)
+            len(ball_intake(rng, ORIGIN2, 2.0, covered_grid(), 0.3, 2)) for _ in range(10_000)
         ]
         assert poisson_gof_pvalue(counts, mean) > 0.01
 
     def test_kept_points_avoid_covered(self):
-        rng = RngStream(25)
+        rng = stream(25)
         blockers = [(1.0, 0.5), (-2.0, 1.0), (3.5, -0.5)]
         grid = covered_grid(*blockers)
         for _ in range(500):
-            for p in sample_uncovered(rng, ORIGIN2, 2.0, grid, 0.6, 2):
+            for p in ball_intake(rng, ORIGIN2, 2.0, grid, 0.6, 2):
                 assert all(math.dist(p, b) > 2.0 for b in blockers)
                 assert math.dist(p, ORIGIN2) <= 2.0
 
     def test_partial_coverage_mean(self):
         # one covered ball at distance 2: lens area 8 pi/3 - 2 sqrt(3)
-        rng = RngStream(26)
+        rng = stream(26)
         blocker = (2.0, 0.0)
         lens = 8.0 * math.pi / 3.0 - 2.0 * math.sqrt(3.0)
         want = 0.5 * (ball_volume(2, 2.0) - lens)
         n = 20_000
         total = sum(
-            len(sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(blocker), 0.5, 2))
+            len(ball_intake(rng, ORIGIN2, 2.0, covered_grid(blocker), 0.5, 2))
             for _ in range(n)
         )
         assert abs(total / n - want) <= 3.0 * math.sqrt(want / n)
 
     def test_disjoint_halves_uncorrelated(self):
-        rng = RngStream(27)
+        rng = stream(27)
         n = 10_000
         left = np.empty(n)
         right = np.empty(n)
         for i in range(n):
-            pts = sample_uncovered(rng, ORIGIN2, 2.0, covered_grid(), 0.5, 2)
+            pts = ball_intake(rng, ORIGIN2, 2.0, covered_grid(), 0.5, 2)
             left[i] = sum(p[0] < 0.0 for p in pts)
             right[i] = len(pts) - left[i]
         rho = np.corrcoef(left, right)[0, 1]
         assert abs(rho) <= 3.0 / math.sqrt(n)
-
-    def test_spatial_index_requires_matching_cell(self):
-        rng = RngStream(28)
-        idx = SpatialIndex(3.0, 2)
-        with pytest.raises(ValueError, match="cell size"):
-            sample_uncovered(rng, ORIGIN2, 2.0, idx, 0.5, 2)
 
     def test_rejection_consumes_no_randomness(self):
         # thinning must only filter: same stream, with and without a
         # blocker, yields the same survivors
         blocker = (1.2, 0.3)
         for trial in range(200):
-            free = sample_uncovered(RngStream(30, (trial,)), ORIGIN2, 2.0, covered_grid(), 0.8, 2)
-            thinned = sample_uncovered(
-                RngStream(30, (trial,)), ORIGIN2, 2.0, covered_grid(blocker), 0.8, 2
+            free = ball_intake(stream(30, trial), ORIGIN2, 2.0, covered_grid(), 0.8, 2)
+            thinned = ball_intake(
+                stream(30, trial), ORIGIN2, 2.0, covered_grid(blocker), 0.8, 2
             )
             survivors = [
                 p for p in free if math.dist(p, blocker) > 2.0
