@@ -35,7 +35,7 @@ from typing import Any, ClassVar
 import numpy as np
 from scipy import integrate
 
-from .geometry import ball_volume, sphere_surface
+from .geometry import ball_volume, distance, sphere_surface
 
 __all__ = [
     "ConnectionModel",
@@ -287,7 +287,7 @@ def decide_connection(
 
     Distances beyond the model radius never connect, regardless of u.
     """
-    r = math.dist(x, y)
+    r = distance(x, y)
     if r > model.radius:
         return False
     return u <= model.phi_at(r)

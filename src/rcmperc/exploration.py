@@ -52,7 +52,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .connection import ConnectionModel, decide_connection
-from .geometry import CLUSTER, COVERED, UNATTACHED, SpatialIndex, ball_volume
+from .geometry import CLUSTER, COVERED, UNATTACHED, SpatialIndex, ball_volume, norm
 from .sampling import place_candidates, poisson_count, trial_stream
 
 __all__ = [
@@ -171,11 +171,11 @@ def explore_cluster(
         """Move a point into the cluster and the frontier; escape is checked here."""
         nonlocal escaped, max_norm
         state[i] = CLUSTER
-        norm = math.hypot(*coords[i])
-        if norm > max_norm:
-            max_norm = norm
-        heappush(frontier, (-norm, i))
-        if norm > system_size:
+        r = norm(coords[i])
+        if r > max_norm:
+            max_norm = r
+        heappush(frontier, (-r, i))
+        if r > system_size:
             escaped = True
 
     while frontier:

@@ -1,8 +1,13 @@
-"""Euclidean ball volumes and the point grid of one exploration.
+"""Euclidean ball volumes, distances and the point grid of one exploration.
 
 Distance comparisons throughout the package are inclusive: a point at
 exactly the query radius counts as "within". Points are coordinate
 tuples of 64-bit floats; norms are computed where they are needed.
+
+Float contract: every distance and norm on the simulation path is the
+square root of the squares summed in coordinate order, one rounding per
+operation, as `distance` and `norm` compute them. `math.hypot`,
+`math.dist` and `sum()` round differently and are not used there.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ __all__ = [
     "COVERED",
     "SpatialIndex",
     "ball_volume",
+    "distance",
+    "norm",
     "sphere_surface",
 ]
 
@@ -52,6 +59,23 @@ def sphere_surface(dim: int) -> float:
     if not isinstance(dim, int) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+
+def norm(v: Iterable[float]) -> float:
+    """Euclidean norm: the square root of the squares summed in coordinate order."""
+    s = 0.0
+    for c in v:
+        s += c * c
+    return math.sqrt(s)
+
+
+def distance(x: Iterable[float], y: Iterable[float]) -> float:
+    """Euclidean distance: the square root of the squared differences summed in coordinate order."""
+    s = 0.0
+    for a, b in zip(x, y):
+        d = a - b
+        s += d * d
+    return math.sqrt(s)
 
 
 # Cell keys are integers: the cell index vector k read as digits of base
@@ -128,7 +152,7 @@ class SpatialIndex:
             bucket = cells.get(base + off)
             if bucket:
                 for i in bucket:
-                    if states[i] == state and math.dist(coords, points[i]) <= r:
+                    if states[i] == state and distance(coords, points[i]) <= r:
                         out.append(i)
         out.sort()
         return out
@@ -142,6 +166,6 @@ class SpatialIndex:
             bucket = cells.get(base + off)
             if bucket:
                 for i in bucket:
-                    if states[i] == state and math.dist(coords, points[i]) <= r:
+                    if states[i] == state and distance(coords, points[i]) <= r:
                         return True
         return False

@@ -13,6 +13,13 @@ radius). The intake of a ball is `poisson_count`, one Poisson count,
 then `place_candidates`, one placement per candidate point in order; a
 candidate is rejected when a covered point of the grid lies within the
 ball radius of it, and rejection consumes no randomness.
+
+Float contract: the direction's length, like every distance and norm on
+the simulation path, is the square root of the squares summed in
+coordinate order (`geometry.norm`, `geometry.distance`), never
+`math.hypot`, `math.dist` or `sum()`, whose roundings differ. A point
+is `center + (radius * U^(1/d) / length) * g`, coordinate by
+coordinate, with one rounding per operation.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import math
 
 import numpy as np
 
-from .geometry import COVERED, SpatialIndex
+from .geometry import COVERED, SpatialIndex, norm
 
 __all__ = [
     "DEFAULT_SEED",
@@ -98,8 +105,8 @@ def uniform_in_ball(
     radius * U^(1/d).
     """
     while True:
-        direction = rng.standard_normal(dim)
-        length = math.hypot(*direction)
+        direction = rng.standard_normal(dim).tolist()
+        length = norm(direction)
         if length > 0.0:
             break
     dist = radius * rng.random() ** (1.0 / dim)

@@ -6,8 +6,9 @@
 `capture` imports `rcmperc` from the `src/` directory SRC and runs every
 case of the matrix in this process through `run_cli`: each subcommand
 in json and csv at `--threads` 1, 2 and 3 (with d=3 cases for every
-non-Gilbert model, the tabulated one reading `tools/gate_phi.csv`), one
-`--output-file` case, and every argv of
+non-Gilbert model, the tabulated ones reading `tools/gate_phi.csv`,
+explorations at d=1 and d=5, and a `--full-runs` verdict that hits both
+work caps and exits 2), one `--output-file` case, and every argv of
 `tests/test_cli.py::TestUsageErrors::test_exit_one`. It runs from the
 checkout root, so the table's relative path in argv stays the same. For
 each case it records the exit code, stderr, and stdout or the output
@@ -54,6 +55,14 @@ MATRIX: dict[str, list[str]] = {
                              "--gamma", "0.1", "--system-size", "8", "--runs", "5", "--seed", "7"],
     "tau-penetrable-d3": ["tau", "--dim", "3", "--model", "penetrable", "--gamma", "0.1", "--r", "2.5",
                           "--trials", "300", "--system-size", "8"],
+    "explore-d1": ["explore", "--dim", "1", "--gamma", "1.2", "--system-size", "15", "--runs", "5",
+                   "--seed", "7"],
+    "explore-d5": ["explore", "--dim", "5", "--gamma", "0.01", "--system-size", "12", "--runs", "5",
+                   "--seed", "7"],
+    "percolate-capped": ["percolate", "--gamma", "0.5", "--system-size", "40", "--runs", "12",
+                         "--seed", "6", "--full-runs", "--max-points", "300", "--max-steps", "45"],
+    "tau-tabulated": ["tau", "--model", "tabulated", "--phi-csv", PHI_TABLE, "--gamma", "0.1",
+                      "--r", "1.5", "--trials", "300", "--system-size", "12"],
     "reproduce": ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "10",
                   "--refine", "1"],
 }
