@@ -34,7 +34,7 @@ from .exploration import (
     explore_cluster,
     wilson_interval,
 )
-from .geometry import CLUSTER, COVERED, UNATTACHED, SpatialIndex, ball_volume, sphere_surface
+from .geometry import CLUSTER, COVERED, UNATTACHED, ball_volume, sphere_surface
 from .reference import (
     DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, ReferenceRow, ReferenceTable, reproduce_preset,
 )
@@ -72,7 +72,6 @@ __all__ = [
     "UNATTACHED",
     "CLUSTER",
     "COVERED",
-    "SpatialIndex",
     "ball_volume",
     "sphere_surface",
     "REFERENCE_TABLES",

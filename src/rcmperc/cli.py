@@ -17,7 +17,7 @@ Common flags
 --range, --p, --beta, --hardness, --phi-csv; geometry via --dim and
 --system-size (defaults to the desk window for the dimension); runs via
 --runs / --trials; reproducibility via --seed (fixed default 1729, never
-wall clock). --threads selects worker processes (default from
+wall clock). --threads selects worker threads (default from
 RCM_PERC_THREADS, else 1); results never depend on the worker count.
 --output picks json or csv, --output-file a destination path (default
 stdout). --config FILE loads `key = value` lines named after the long
@@ -115,7 +115,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     )
     g.add_argument(
         "--threads", type=int, default=None,
-        help="worker processes (default RCM_PERC_THREADS, else 1)",
+        help="worker threads (default RCM_PERC_THREADS, else 1)",
     )
     g.add_argument(
         "--max-points", type=int, default=DEFAULT_MAX_GENERATED,

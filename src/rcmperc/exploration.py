@@ -1,8 +1,12 @@
 """Lazy exploration of the origin's cluster in a random connection model.
 
 The cluster of the origin is grown breadth-outward without ever realizing
-the full point process. Every point a run knows of lives in one grid
-(`SpatialIndex`), by integer id, in one of three states:
+the full point process. The compiled kernel (`kernel.c`, loaded by
+`rcmperc.kernel`) runs the whole exploration; this docstring, with the
+draw order in `rcmperc.sampling` and `decide_connection` and `phi_at` in
+`rcmperc.connection`, states the rules it follows. Every point a run
+knows of lives in one grid of cells as wide as the connection range, by
+integer id, in one of three states:
 
   * covered: cluster points whose neighborhood is fully resolved, one
     per processing step; their balls hold no further undrawn points;
@@ -35,25 +39,27 @@ runs are flagged and must not be read as containment.
 
 Batches of trials go through `run_trials`. Results never depend on the
 worker count: trial t draws from the keyed stream (seed, key, t), trials
-go to workers as contiguous index ranges that stop at their own first
-escape when asked to, and ranges are read back in trial order, so an
-early-exit batch ends at the first escaping trial as a serial run does.
-Trials past it that finished in flight are discarded, so counters
-derived from the result match a serial run exactly.
+go to worker threads as contiguous index ranges that stop at their own
+first escape when asked to, and ranges are read back in trial order, so
+an early-exit batch ends at the first escaping trial as a serial run
+does. Trials past it that finished in flight are discarded, so counters
+derived from the result match a serial run exactly. Kernel calls release
+the interpreter lock, so worker threads explore in parallel.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from heapq import heappop, heappush
 
 import numpy as np
 
-from .connection import ConnectionModel, decide_connection
-from .geometry import CLUSTER, COVERED, UNATTACHED, SpatialIndex, ball_volume, norm
-from .sampling import place_candidates, poisson_count, trial_stream
+from .connection import ConnectionModel
+from .geometry import ball_volume
+from .kernel import bitgen, ffi, lib, model_struct
+from .sampling import trial_stream
 
 __all__ = [
     "SimParams",
@@ -140,99 +146,81 @@ def explore_cluster(
     The rng must be fresh for this run: results are a pure function of
     (params, model, seed, key).
     """
+    with rng.bit_generator.lock:
+        return _explore(params, model, [rng])[0]
+
+
+# Work caps go to the kernel as 64-bit integers. Clamped to 2^61, twice
+# the remaining budget stays below numpy's largest Poisson mean, and no
+# run can reach such a cap anyway.
+_CAP_LIMIT = 1 << 61
+
+# The most trials per kernel call in run_trials: each call releases the
+# interpreter lock once for its whole chunk, and at most this many trial
+# streams are alive per worker.
+_CHUNK = 64
+
+
+def _explore(
+    params: SimParams,
+    model: ConnectionModel,
+    rngs: list[np.random.Generator],
+    stop_at_escape: bool = False,
+    pair_log: list[tuple[int, int]] | None = None,
+) -> list[ClusterOutcome]:
+    """One exploration per generator, in order, in one kernel call.
+
+    No other thread may draw from the generators meanwhile: the kernel
+    reads and advances their bit generators without taking their locks.
+    With stop_at_escape the list ends at the first escaping run. A
+    pair_log list receives every connection test as (frontier point id,
+    tested point id); ids count the origin 0, the extra points 1.. and
+    then the generated points in generation order, afresh in every run.
+    """
     radius = model.radius
-    system_size = params.system_size
-    if system_size <= radius:
+    if params.system_size <= radius:
         raise ValueError(
-            f"system size {system_size!r} must exceed the connection radius {radius!r}"
+            f"system size {params.system_size!r} must exceed the connection radius {radius!r}"
         )
-    dim = params.dim
-    gamma = params.gamma
-    max_steps = params.max_steps
-    max_generated = params.max_generated_points
-
-    grid = SpatialIndex(radius, dim)
-    coords = grid.coords
-    state = grid.state
-    origin = grid.insert((0.0,) * dim, CLUSTER)
-    frontier: list[tuple[float, int]] = [(-0.0, origin)]
-    for extra in params.extra_points:
-        grid.insert(extra, UNATTACHED)
-
-    escaped = False
-    capped = False
-    steps = 0
-    generated = 0
-    candidates = 0
-    ball_mean = gamma * ball_volume(dim, radius)
-    max_norm = 0.0
-
-    def adopt(i: int) -> None:
-        """Move a point into the cluster and the frontier; escape is checked here."""
-        nonlocal escaped, max_norm
-        state[i] = CLUSTER
-        r = norm(coords[i])
-        if r > max_norm:
-            max_norm = r
-        heappush(frontier, (-r, i))
-        if r > system_size:
-            escaped = True
-
-    while frontier:
-        if steps >= max_steps:
-            capped = True
-            break
-        _, i = heappop(frontier)
-        x = coords[i]
-        steps += 1
-
-        for j in grid.query(x, UNATTACHED):
-            u = rng.random()
-            if decide_connection(model, x, coords[j], u):
-                adopt(j)
-                if escaped:
-                    break
-        if escaped:
-            break
-
-        # clamp the Poisson intake to the remaining budget before any
-        # candidate materializes, or a huge intensity would stall here
-        budget = max_generated - candidates
-        if ball_mean > max(2.0 * budget, 1000.0):
-            # capping is then certain beyond any doubt (Chernoff gives
-            # P[count <= budget] < e^-150) and numpy cannot draw such
-            # means at all, so skip the draw
-            capped = True
-            count = budget
-        else:
-            count = poisson_count(rng, ball_mean)
-            if count > budget:
-                capped = True
-                count = budget
-        candidates += count
-        for p in place_candidates(rng, x, radius, grid, dim, count):
-            generated += 1
-            j = grid.insert(p, UNATTACHED)
-            u = rng.random()
-            if decide_connection(model, x, p, u):
-                adopt(j)
-                if escaped:
-                    break
-        state[i] = COVERED
-        if escaped or capped:
-            break
-
-    return ClusterOutcome(
-        escaped=escaped,
-        cluster_size=steps + len(frontier),
-        generated_points=generated,
-        steps=steps,
-        max_norm=max_norm,
-        capped=capped,
-        extras_in_cluster=tuple(
-            s != UNATTACHED for s in state[1 : 1 + len(params.extra_points)]
-        ),
-    )
+    n = len(rngs)
+    n_extras = len(params.extra_points)
+    extras = ffi.new("double[]", [c for p in params.extra_points for c in p])
+    c_params = ffi.new("rcm_params *", {
+        "dim": params.dim,
+        "system_size": params.system_size,
+        "ball_mean": params.gamma * ball_volume(params.dim, radius),
+        "max_steps": min(params.max_steps, _CAP_LIMIT),
+        "max_generated": min(params.max_generated_points, _CAP_LIMIT),
+        "extras": extras,
+        "n_extras": n_extras,
+    })
+    outs = ffi.new("rcm_outcome[]", n)
+    extras_in = ffi.new("uint8_t[]", n * n_extras)
+    log = ffi.new("rcm_pair_log *") if pair_log is not None else ffi.NULL
+    try:
+        ran = lib.rcm_explore([bitgen(rng) for rng in rngs], n, stop_at_escape,
+                              model_struct(model), c_params, outs, extras_in, log)
+        if ran < 0:
+            raise MemoryError("the exploration kernel ran out of memory")
+        if pair_log is not None and log.n:
+            ids = ffi.unpack(log.ids, 2 * log.n)
+            pair_log.extend(zip(ids[::2], ids[1::2]))
+    finally:
+        if pair_log is not None:
+            lib.rcm_free(log.ids)
+    flags = ffi.unpack(extras_in, ran * n_extras)
+    return [
+        ClusterOutcome(
+            escaped=bool(o.escaped),
+            cluster_size=o.cluster_size,
+            generated_points=o.generated,
+            steps=o.steps,
+            max_norm=o.max_norm,
+            capped=bool(o.capped),
+            extras_in_cluster=tuple(bool(b) for b in flags[k * n_extras : (k + 1) * n_extras]),
+        )
+        for k, o in enumerate(outs[0:ran])
+    ]
 
 
 def run_trials(
@@ -247,48 +235,63 @@ def run_trials(
     """Outcomes of trials 0..n-1, in trial order; trial t draws from (seed, key, t).
 
     With stop_at_escape the list ends at the first escaping trial. With
-    workers > 1 the trials go to the pool in waves, and each wave goes as
-    at most `workers` contiguous ranges of ceil(wave / workers) trials,
-    one task each. A full batch is one wave of all n trials, so each
-    worker gets one range; an early-exit batch runs waves of
+    workers > 1 the trials go to a thread pool in waves, and each wave
+    goes as at most `workers` contiguous ranges of ceil(wave / workers)
+    trials, one task each. A full batch is one wave of all n trials, so
+    each worker gets one range; an early-exit batch runs waves of
     max(4 * workers, 16) trials, so it waits for little work past its
-    first escape.
+    first escape. The pool never has more threads than the machine has
+    cores; the ranges do not depend on that.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     if workers == 1 or n <= 1:
-        return _run_range((params, model, master_seed, eval_key, 0, n, stop_at_escape))
+        return _run_range(params, model, master_seed, eval_key, stop_at_escape, (0, n))
+
+    def run_range(bounds: tuple[int, int]) -> list[ClusterOutcome]:
+        return _run_range(params, model, master_seed, eval_key, stop_at_escape, bounds)
 
     outcomes: list[ClusterOutcome] = []
     wave = max(4 * workers, 16) if stop_at_escape else n
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         for start in range(0, n, wave):
             end = min(n, start + wave)
             size = -(-(end - start) // workers)
-            ranges = [
-                (params, model, master_seed, eval_key, a, min(a + size, end), stop_at_escape)
-                for a in range(start, end, size)
-            ]
-            for part in pool.map(_run_range, ranges):
+            ranges = [(a, min(a + size, end)) for a in range(start, end, size)]
+            for part in pool.map(run_range, ranges):
                 outcomes.extend(part)
                 if stop_at_escape and part[-1].escaped:
                     return outcomes
     return outcomes
 
 
-def _run_range(task) -> list[ClusterOutcome]:
+def _run_range(
+    params: SimParams,
+    model: ConnectionModel,
+    master_seed: int,
+    eval_key: int,
+    stop_at_escape: bool,
+    bounds: tuple[int, int],
+) -> list[ClusterOutcome]:
     """Trials start..end-1 of one batch, stopping at the first escape if asked.
 
-    The pool's task function: module level so it pickles by name, and it
-    looks up explore_cluster and trial_stream as globals when called.
+    Each kernel call takes the next chunk of trials, with their streams
+    derived first. Chunks double from 16 trials up to _CHUNK, so a range
+    that stops early derives few streams it does not use, and an
+    early-exit range of a wave is one call. trial_stream
+    is looked up as a global when called.
     """
-    params, model, master_seed, eval_key, start, end, stop_at_escape = task
-    outcomes = []
-    for t in range(start, end):
-        outcome = explore_cluster(params, model, trial_stream(master_seed, eval_key, t))
-        outcomes.append(outcome)
-        if stop_at_escape and outcome.escaped:
+    t, end = bounds
+    chunk = 16
+    outcomes: list[ClusterOutcome] = []
+    while t < end:
+        rngs = [trial_stream(master_seed, eval_key, k) for k in range(t, min(t + chunk, end))]
+        part = _explore(params, model, rngs, stop_at_escape)
+        outcomes.extend(part)
+        if stop_at_escape and part[-1].escaped:
             break
+        t += len(rngs)
+        chunk = min(2 * chunk, _CHUNK)
     return outcomes
 
 

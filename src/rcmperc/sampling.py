@@ -11,24 +11,31 @@ Draw order is part of the interface. `uniform_in_ball` consumes one
 standard-normal vector (the direction) followed by one uniform (the
 radius). The intake of a ball is `poisson_count`, one Poisson count,
 then `place_candidates`, one placement per candidate point in order; a
-candidate is rejected when a covered point of the grid lies within the
-ball radius of it, and rejection consumes no randomness.
+candidate is rejected when a covered ball centre lies within the ball
+radius of it, and rejection consumes no randomness. Both placement
+functions run in the compiled kernel (`rcmperc.kernel`), which draws
+through the Generator's own bit generator with the functions numpy's
+Generator calls (`random_standard_normal_fill`, `next_double`,
+`random_poisson`), so a kernel draw and a numpy draw of the same kind
+consume the same stream.
 
 Float contract: the direction's length, like every distance and norm on
 the simulation path, is the square root of the squares summed in
-coordinate order (`geometry.norm`, `geometry.distance`), never
-`math.hypot`, `math.dist` or `sum()`, whose roundings differ. A point
-is `center + (radius * U^(1/d) / length) * g`, coordinate by
-coordinate, with one rounding per operation.
+coordinate order (`geometry.distance` in Python, the same loop in the
+kernel), never `math.hypot`, `math.dist` or `sum()`, whose roundings
+differ. A point is `center + (radius * U^(1/d) / length) * g`,
+coordinate by coordinate, with one rounding per operation and no fused
+multiply-add.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import COVERED, SpatialIndex, norm
+from .kernel import bitgen, ffi, lib
 
 __all__ = [
     "DEFAULT_SEED",
@@ -104,41 +111,56 @@ def uniform_in_ball(
     Direction comes from a normalized Gaussian vector, distance from
     radius * U^(1/d).
     """
-    while True:
-        direction = rng.standard_normal(dim).tolist()
-        length = norm(direction)
-        if length > 0.0:
-            break
-    dist = radius * rng.random() ** (1.0 / dim)
-    scale = dist / length
-    return tuple(c + scale * g for c, g in zip(center, direction))
+    return _place(rng, center, radius, (), dim, 1)[0]
 
 
 def place_candidates(
     rng: np.random.Generator,
     center: tuple[float, ...],
     radius: float,
-    grid: SpatialIndex,
+    covered: Sequence[tuple[float, ...]],
     dim: int,
     count: int,
 ) -> list[tuple[float, ...]]:
     """Place `count` uniform candidates in B(center, radius), thinning covered ones.
 
-    The COVERED points of `grid` are centers of equal-radius balls whose
+    The `covered` points are centers of equal-radius balls whose
     interiors have already been exhausted; candidates falling within
     `radius` of any of them are discarded. With a Poisson `count` of mean
     gamma * |B(center, radius)| this realizes a Poisson process of
     intensity gamma on the uncovered part of the ball. The caller draws
     the count (the exploration clamps it to its remaining work budget
     before any point materializes). Each candidate consumes one placement
-    draw whether or not it is kept. The grid's cell size must be the ball
-    radius.
+    draw whether or not it is kept.
     """
-    if grid.radius != radius:
-        raise ValueError(f"grid cell size {grid.radius!r} must equal the ball radius {radius!r}")
-    kept: list[tuple[float, ...]] = []
-    for _ in range(count):
-        p = uniform_in_ball(rng, center, radius, dim)
-        if not grid.any_within(p, COVERED):
-            kept.append(p)
-    return kept
+    return _place(rng, center, radius, covered, dim, count)
+
+
+def _place(
+    rng: np.random.Generator,
+    center: tuple[float, ...],
+    radius: float,
+    covered: Sequence[tuple[float, ...]],
+    dim: int,
+    count: int,
+) -> list[tuple[float, ...]]:
+    """The kernel's placement entry: validated arguments in, kept points out."""
+    if not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"ball radius must be finite and positive, got {radius!r}")
+    if count < 0:
+        raise ValueError(f"candidate count must be non-negative, got {count!r}")
+    for p in (center, *covered):
+        if len(p) != dim:
+            raise ValueError(f"point {p!r} has {len(p)} coordinates, expected {dim}")
+    out = ffi.new("double[]", count * dim)
+    with rng.bit_generator.lock:
+        kept = lib.rcm_place(
+            bitgen(rng), dim, center, radius, [c for p in covered for c in p],
+            len(covered), count, out,
+        )
+    if kept < 0:
+        raise MemoryError("the placement kernel ran out of memory")
+    coords = ffi.unpack(out, kept * dim)
+    return [tuple(coords[i : i + dim]) for i in range(0, kept * dim, dim)]

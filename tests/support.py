@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import stats
 
-from rcmperc import COVERED, SpatialIndex, ball_volume, place_candidates, poisson_count
+from rcmperc import ball_volume, place_candidates, poisson_count
 
 
 def round_sig(x: float, digits: int = 5) -> float:
@@ -26,27 +26,24 @@ def assert_matches_reference(value: float, reference: float, digits: int = 5) ->
     assert got == reference, f"{value!r} rounds to {got!r}, reference is {reference!r}"
 
 
-def covered_grid(*centers: tuple[float, ...], radius: float = 2.0, dim: int = 2) -> SpatialIndex:
-    """A point grid of the given radius holding `centers` as covered points."""
-    grid = SpatialIndex(radius, dim)
-    for c in centers:
-        grid.insert(c, COVERED)
-    return grid
+def covered_grid(*centers: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    """The covered ball centres `place_candidates` thins against."""
+    return centers
 
 
 def ball_intake(
     rng: np.random.Generator,
     center: tuple[float, ...],
     radius: float,
-    grid: SpatialIndex,
+    covered: Sequence[tuple[float, ...]],
     gamma: float,
     dim: int,
 ) -> list[tuple[float, ...]]:
     """The exploration's intake of one ball: a Poisson count of mean
     gamma * |B(center, radius)|, then that many placements, thinned
-    against the covered points of `grid`."""
+    against balls of the same radius around the `covered` centres."""
     return place_candidates(
-        rng, center, radius, grid, dim, poisson_count(rng, gamma * ball_volume(dim, radius))
+        rng, center, radius, covered, dim, poisson_count(rng, gamma * ball_volume(dim, radius))
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -126,36 +127,42 @@ class TestExploreCluster:
         c = run(gamma=0.4, system_size=25.0, seed=106, trial=4)
         assert a != c
 
-    def test_each_pair_tested_once(self, monkeypatch):
-        # every connection test goes through decide_connection; a recorder
-        # in its place sees each unordered pair of coordinates at most once
-        decide = exploration.decide_connection
-        seen: set[tuple[tuple[float, ...], tuple[float, ...]]] = set()
+    def test_each_pair_tested_once(self):
+        # the kernel logs every connection test as (frontier id, tested id);
+        # no unordered pair of points is tested twice in one run
         tested = 0
 
-        def recorder(model, x, y, u):
+        def check(params, model, rng):
             nonlocal tested
-            key = (x, y) if x < y else (y, x)
-            assert key not in seen, f"pair {key} tested twice"
-            seen.add(key)
-            tested += 1
-            return decide(model, x, y, u)
+            pairs: list[tuple[int, int]] = []
+            exploration._explore(params, model, [rng], pair_log=pairs)
+            seen: set[tuple[int, int]] = set()
+            for i, j in pairs:
+                key = (i, j) if i < j else (j, i)
+                assert key not in seen, f"pair {key} tested twice"
+                seen.add(key)
+            tested += len(pairs)
 
-        monkeypatch.setattr(exploration, "decide_connection", recorder)
         for t in range(300):
-            seen.clear()
             params = SimParams(dim=2, gamma=0.45, system_size=15.0)
-            explore_cluster(params, GILBERT, trial_stream(107, 0, t))
+            check(params, GILBERT, trial_stream(107, 0, t))
         for t in range(100):
-            seen.clear()
             params = SimParams(
                 dim=3, gamma=0.05, system_size=8.0,
                 extra_points=((1.0, 0.0, 0.0), (0.0, 3.0, 0.0)),
             )
-            explore_cluster(
-                params, PenetrableSphere(radius=2.0, prob=0.6), trial_stream(108, 0, t)
-            )
+            check(params, PenetrableSphere(radius=2.0, prob=0.6), trial_stream(108, 0, t))
         assert tested > 10_000
+
+    def test_pair_log_leaves_the_outcome_unchanged(self):
+        params = SimParams(dim=2, gamma=0.45, system_size=15.0, extra_points=((1.0, 0.5),))
+        for t in range(20):
+            rng = trial_stream(109, 0, t)
+            [logged] = exploration._explore(params, GILBERT, [rng], pair_log=[])
+            after = rng.random()
+            rng = trial_stream(109, 0, t)
+            assert explore_cluster(params, GILBERT, rng) == logged
+            assert rng.random() == after
 
     def test_extras_reported_in_order(self):
         # a forced neighbour at distance 1 always joins under Gilbert;
@@ -188,23 +195,7 @@ class TestRunTrials:
         # an inline stand-in for the pool records the (start, end) of every
         # task, one list per wave; gamma 0 never escapes, so every wave runs
         tasks: list[list[tuple[int, int]]] = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, ranges):
-                ranges = list(ranges)
-                tasks.append([(r[4], r[5]) for r in ranges])
-                return map(fn, ranges)
-
-        monkeypatch.setattr(exploration, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(tasks, []))
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         serial = run_trials(params, GILBERT, 5, 0, 61)
         want = {
@@ -221,6 +212,40 @@ class TestRunTrials:
             tasks.clear()
             assert run_trials(params, GILBERT, 5, 0, 61, workers, stop) == serial
             assert tasks == ranges
+
+    def test_no_more_threads_than_cores(self, monkeypatch):
+        # 10,000 workers still split a batch into one-trial ranges, but the
+        # pool is sized to the cores; the inline pool starts no thread
+        tasks: list[list[tuple[int, int]]] = []
+        sizes: list[int] = []
+        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(tasks, sizes))
+        params = SimParams(dim=2, gamma=0.0, system_size=10.0)
+        serial = run_trials(params, GILBERT, 5, 0, 61)
+        assert run_trials(params, GILBERT, 5, 0, 61, 10_000) == serial
+        assert tasks == [[(t, t + 1) for t in range(61)]]
+        assert sizes == [min(10_000, os.cpu_count() or 1)]
+
+
+def _inline_pool(tasks: list, sizes: list):
+    """A ThreadPoolExecutor stand-in that runs tasks inline, recording the
+    pool size and each wave's ranges."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, ranges):
+            ranges = list(ranges)
+            tasks.append(ranges)
+            return map(fn, ranges)
+
+    return InlinePool
 
 
 class TestEscapeMonotone:

@@ -11,12 +11,12 @@ from rcmperc import (
     CLUSTER,
     COVERED,
     UNATTACHED,
-    SpatialIndex,
     ball_volume,
     place_candidates,
     sphere_surface,
     stream,
 )
+from rcmperc.kernel import ffi, lib
 
 
 class TestBallVolume:
@@ -88,11 +88,37 @@ def _linear_scan(points, states, coords, radius, state) -> list[int]:
     ]
 
 
-def _filled(radius, dim, points, states) -> SpatialIndex:
-    grid = SpatialIndex(radius, dim)
-    for i, (p, s) in enumerate(zip(points, states)):
-        assert grid.insert(p, s) == i
-    return grid
+class _Grid:
+    """Points in states, asked through the kernel's grid-query entry.
+
+    Each question files the points in a fresh kernel grid, so a state
+    changed here holds from the next question on.
+    """
+
+    def __init__(self, radius, dim, points, states):
+        assert all(len(p) == dim for p in points)
+        self.radius, self.dim = radius, dim
+        self.coords = [c for p in points for c in p]
+        self.state = bytearray(states)
+
+    def _ask(self, coords, state) -> tuple[list[int], bool]:
+        n = len(self.state)
+        ids = ffi.new("int64_t[]", n)
+        found = ffi.new("int *")
+        count = lib.rcm_grid_query(self.radius, self.dim, self.coords, list(self.state), n,
+                                   coords, state, ids, found)
+        assert count >= 0
+        return list(ids[0:count]), bool(found[0])
+
+    def query(self, coords, state) -> list[int]:
+        return self._ask(coords, state)[0]
+
+    def any_within(self, coords, state) -> bool:
+        return self._ask(coords, state)[1]
+
+
+def _filled(radius, dim, points, states) -> _Grid:
+    return _Grid(radius, dim, points, states)
 
 
 class TestSpatialIndex:
@@ -179,21 +205,28 @@ class TestSpatialIndex:
                     checked += 1
         assert checked == 10_000
 
-    def test_radius_must_match_cell_size(self):
-        # place_candidates refuses a grid whose edge is not the ball radius,
-        # before any draw and whatever the count
-        for cell in (1.9, 4.0):
+    def test_bad_placement_arguments_consume_no_draw(self):
+        # place_candidates refuses a bad radius, count or point before any
+        # draw and whatever the count
+        bad = [
+            dict(radius=0.0), dict(radius=math.nan), dict(count=-1),
+            dict(center=(0.0, 0.0, 0.0)), dict(covered=[(1.0, 2.0, 3.0)]),
+        ]
+        for kwargs in bad:
             for count in (0, 3):
+                args = dict(center=(0.0, 0.0), radius=2.0, covered=[(1.0, 1.0)], dim=2,
+                            count=count) | kwargs
                 rng = stream(31)
-                with pytest.raises(ValueError, match="must equal the ball radius"):
-                    place_candidates(rng, (0.0, 0.0), 2.0, SpatialIndex(cell, 2), 2, count)
+                with pytest.raises(ValueError):
+                    place_candidates(rng, **args)
                 assert rng.random() == stream(31).random()
 
     def test_rejects_bad_construction(self):
+        # the kernel grid refuses a radius that is not finite and positive,
+        # and a dimension below 1
+        for radius, dim in ((0.0, 2), (-1.0, 2), (math.nan, 2), (math.inf, 2), (1.0, 0)):
+            found = ffi.new("int *")
+            assert lib.rcm_grid_query(radius, dim, [], [], 0, [0.0, 0.0], UNATTACHED,
+                                      ffi.NULL, found) == -2
         with pytest.raises(ValueError):
-            SpatialIndex(0.0, 2)
-        with pytest.raises(ValueError):
-            SpatialIndex(1.0, 0)
-        grid = SpatialIndex(1.0, 2)
-        with pytest.raises(ValueError):
-            grid.insert((1.0, 2.0, 3.0), UNATTACHED)
+            place_candidates(stream(1), (0.0, 0.0), 1.0, [(1.0, 2.0, 3.0)], 2, 1)
