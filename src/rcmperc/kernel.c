@@ -143,7 +143,7 @@ double rcm_phi(const rcm_model *m, double r)
             return 1.0;
         /* an overflowing power gives an infinite exponent and phi 1 */
         return -expm1(-(m->energy * pow(m->radius / r, m->hardness)));
-    default:
+    default: /* RCM_TABULATED */
         if (r > m->radius || r < 0.0)
             return 0.0;
         /* np.interp returns a NaN r as it is, and the clamp maps it to 0 */

@@ -5,7 +5,7 @@ Reproducibility contract: every stochastic routine draws from a numpy
 master seed and an integer key. Equal (seed, key) pairs always produce
 identical draw sequences, and distinct keys give statistically
 independent streams, so trials can be dispatched in any order (or across
-processes) without changing results.
+threads) without changing results.
 
 Draw order is part of the interface. `uniform_in_ball` consumes one
 standard-normal vector (the direction) followed by one uniform (the

@@ -117,14 +117,10 @@ class _Grid:
         return self._ask(coords, state)[1]
 
 
-def _filled(radius, dim, points, states) -> _Grid:
-    return _Grid(radius, dim, points, states)
-
-
 class TestSpatialIndex:
     def test_insert_query_remove(self):
         # a point leaves a state's query results by changing state
-        grid = _filled(2.0, 2, [(0.5, 0.5), (1.5, 0.0), (5.0, 5.0), (-1.0, 0.0)],
+        grid = _Grid(2.0, 2, [(0.5, 0.5), (1.5, 0.0), (5.0, 5.0), (-1.0, 0.0)],
                        [UNATTACHED, COVERED, UNATTACHED, UNATTACHED])
         assert grid.query((0.0, 0.0), UNATTACHED) == [0, 3]
         assert grid.query((0.0, 0.0), COVERED) == [1]
@@ -136,25 +132,25 @@ class TestSpatialIndex:
 
     def test_remove_identity_not_equality(self):
         # points 0 and 1 share coordinates but stay distinct points
-        grid = _filled(1.0, 1, [(0.25,), (0.25,)], [UNATTACHED, UNATTACHED])
+        grid = _Grid(1.0, 1, [(0.25,), (0.25,)], [UNATTACHED, UNATTACHED])
         assert grid.query((0.0,), UNATTACHED) == [0, 1]
         grid.state[1] = COVERED
         assert grid.query((0.0,), UNATTACHED) == [0]
         assert grid.query((0.0,), COVERED) == [1]
 
     def test_boundary_distance_counts_as_within(self):
-        grid = _filled(2.0, 2, [(2.0, 0.0), (0.0, -2.0), (2.0, 0.0001)], [COVERED] * 3)
+        grid = _Grid(2.0, 2, [(2.0, 0.0), (0.0, -2.0), (2.0, 0.0001)], [COVERED] * 3)
         assert grid.query((0.0, 0.0), COVERED) == [0, 1]
         assert grid.any_within((0.0, 2.0 + 1e-12), COVERED) is False
         assert grid.any_within((-2.0, 0.0), UNATTACHED) is False
         assert grid.any_within((0.0, 0.0), COVERED) is True
-        grid = _filled(2.0, 2, [(2.0, 0.0)], [COVERED])
+        grid = _Grid(2.0, 2, [(2.0, 0.0)], [COVERED])
         assert grid.any_within((0.0, 0.0), COVERED) is True      # exactly at the radius
 
     def test_negative_coordinates(self):
         # queries and points in cells on both sides of zero
         points = [(-0.1, -0.1), (-1.8, -0.2), (0.1, -1.0), (-3.5, -3.5), (-2.05, 0.0)]
-        grid = _filled(1.0, 2, points, [UNATTACHED] * len(points))
+        grid = _Grid(1.0, 2, points, [UNATTACHED] * len(points))
         assert grid.query((-1.0, -0.5), UNATTACHED) == [0, 1]
         assert grid.query((-3.0, -3.0), UNATTACHED) == [3]
         assert grid.query((-1.1, 0.0), UNATTACHED) == [1, 4]
@@ -162,12 +158,12 @@ class TestSpatialIndex:
     def test_results_sorted_by_id(self):
         # inserted so that the own cell holds the larger ids
         points = [(2.9, 0.0), (-2.9, 0.0), (0.1, 0.0), (0.2, 0.1), (1.0, -2.0)]
-        grid = _filled(3.0, 2, points, [UNATTACHED] * len(points))
+        grid = _Grid(3.0, 2, points, [UNATTACHED] * len(points))
         assert grid.query((0.0, 0.0), UNATTACHED) == [0, 1, 2, 3, 4]
 
     def test_far_cells_sharing_a_key_stay_apart(self):
         # cell (1, -2^21) has the same integer key as cell (0, 0)
-        grid = _filled(1.0, 2, [(1.5, -(2.0**21) + 0.5), (0.5, 0.5)], [COVERED] * 2)
+        grid = _Grid(1.0, 2, [(1.5, -(2.0**21) + 0.5), (0.5, 0.5)], [COVERED] * 2)
         assert grid.query((0.5, 0.5), COVERED) == [1]
         assert grid.any_within((0.5, -0.5), COVERED) is True
         assert grid.any_within((0.1, 0.9), COVERED) is True
@@ -179,7 +175,7 @@ class TestSpatialIndex:
         radius = 1.5
         points = [tuple(gen.uniform(-10, 10, size=3)) for _ in range(1000)]
         states = [STATES[k] for k in gen.integers(0, 3, size=1000)]
-        grid = _filled(radius, 3, points, states)
+        grid = _Grid(radius, 3, points, states)
         for _ in range(200):
             q = tuple(gen.uniform(-10, 10, size=3))
             for state in STATES:
@@ -195,7 +191,7 @@ class TestSpatialIndex:
                 n = int(gen.integers(0, 120))
                 points = [tuple(gen.uniform(-6, 6, size=dim)) for _ in range(n)]
                 states = [STATES[k] for k in gen.integers(0, 3, size=n)]
-                grid = _filled(radius, dim, points, states)
+                grid = _Grid(radius, dim, points, states)
                 for _ in range(100):
                     q = tuple(gen.uniform(-6, 6, size=dim))
                     state = STATES[int(gen.integers(0, 3))]
