@@ -128,8 +128,9 @@ def _build(name: str, path: Path) -> None:
     }
     try:
         path.parent.mkdir(exist_ok=True)
+        # run beside the cache, where no stray setup.cfg feeds the build
         done = subprocess.run([sys.executable, "-c", _BUILD_SCRIPT, json.dumps(args)],
-                              capture_output=True, text=True)
+                              cwd=path.parent, capture_output=True, text=True)
     except OSError as exc:
         detail = str(exc)
     else:
