@@ -7,8 +7,9 @@
 case of the matrix in this process through `run_cli`: each subcommand
 in json and csv at `--threads` 1, 2 and 3 (with d=3 cases for every
 non-Gilbert model, the tabulated ones reading `tools/gate_phi.csv`,
-explorations at d=1 and d=5, and a `--full-runs` verdict that hits both
-work caps and exits 2), one `--output-file` case, and every argv of
+explorations at d=1 and d=5, an early-exit verdict whose first escape
+lies past the first trial chunk, and a `--full-runs` verdict that hits
+both work caps and exits 2), one `--output-file` case, and every argv of
 `tests/test_cli.py::TestUsageErrors::test_exit_one`. It runs from the
 checkout root, so the table's relative path in argv stays the same. For
 each case it records the exit code, stderr, and stdout or the output
@@ -41,6 +42,9 @@ PHI_TABLE = "tools/gate_phi.csv"
 MATRIX: dict[str, list[str]] = {
     "explore": ["explore", "--gamma", "0.3", "--system-size", "15", "--runs", "5", "--seed", "7"],
     "percolate": ["percolate", "--gamma", "0.3", "--system-size", "25", "--runs", "61", "--seed", "6"],
+    # first escape at trial 31: past the first chunk at 2 threads
+    "percolate-later-chunk": ["percolate", "--gamma", "0.3", "--system-size", "40", "--runs", "61",
+                              "--seed", "11"],
     "percolate-full": ["percolate", "--gamma", "0.3", "--system-size", "25", "--runs", "61",
                        "--seed", "6", "--full-runs"],
     "critical": ["critical", "--system-size", "15", "--runs", "40", "--seed", "13"],
