@@ -38,13 +38,14 @@ work cap (generated points or processing steps) is hit first; capped
 runs are flagged and must not be read as containment.
 
 Batches of trials go through `run_trials`. Results never depend on the
-worker count: trial t draws from the keyed stream (seed, key, t), trials
-go to worker threads as contiguous index ranges that stop at their own
-first escape when asked to, and ranges are read back in trial order, so
-an early-exit batch ends at the first escaping trial as a serial run
-does. Trials past it that finished in flight are discarded, so counters
-derived from the result match a serial run exactly. Kernel calls release
-the interpreter lock, so worker threads explore in parallel.
+worker count: trial t draws from the keyed stream (seed, key, t), and
+trials go to the kernel in contiguous chunks that are read back in
+trial order. An early-exit batch shares one index between its chunks,
+the lowest escaping trial found so far: no trial above it runs, and the
+batch ends at the first escaping trial as a serial run does. Trials past
+it that finished in flight are discarded, so counters derived from the
+result match a serial run exactly. Kernel calls release the interpreter
+lock, so worker threads explore in parallel.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ _CAP_LIMIT = 1 << 61
 
 # The most trials per kernel call in run_trials: each call releases the
 # interpreter lock once for its whole chunk, and at most this many trial
-# streams are alive per worker.
+# streams are alive per thread. An early-exit batch derives streams for
+# at most one chunk per thread past its first escape.
 _CHUNK = 64
 
 
@@ -165,14 +167,17 @@ def _explore(
     params: SimParams,
     model: ConnectionModel,
     rngs: list[np.random.Generator],
-    stop_at_escape: bool = False,
+    first: int = 0,
+    first_escape=ffi.NULL,
     pair_log: list[tuple[int, int]] | None = None,
 ) -> list[ClusterOutcome]:
-    """One exploration per generator, in order, in one kernel call.
+    """Explorations of trials first, first + 1, ..., one per generator, in one kernel call.
 
     No other thread may draw from the generators meanwhile: the kernel
     reads and advances their bit generators without taking their locks.
-    With stop_at_escape the list ends at the first escaping run. A
+    A first_escape `int64_t *` is the batch's lowest escaping trial index
+    so far, shared with other calls: the list ends before the first trial
+    above it, or at an escaping trial, which lowers it. A
     pair_log list receives every connection test as (frontier point id,
     tested point id); ids count the origin 0, the extra points 1.. and
     then the generated points in generation order, afresh in every run.
@@ -198,7 +203,7 @@ def _explore(
     extras_in = ffi.new("uint8_t[]", n * n_extras)
     log = ffi.new("rcm_pair_log *") if pair_log is not None else ffi.NULL
     try:
-        ran = lib.rcm_explore([bitgen(rng) for rng in rngs], n, stop_at_escape,
+        ran = lib.rcm_explore([bitgen(rng) for rng in rngs], n, first, first_escape,
                               model_struct(model), c_params, outs, extras_in, log)
         if ran < 0:
             raise MemoryError("the exploration kernel ran out of memory")
@@ -234,65 +239,32 @@ def run_trials(
 ) -> list[ClusterOutcome]:
     """Outcomes of trials 0..n-1, in trial order; trial t draws from (seed, key, t).
 
-    With stop_at_escape the list ends at the first escaping trial. With
-    workers > 1 the trials go to a thread pool in waves, and each wave
-    goes as at most `workers` contiguous ranges of ceil(wave / workers)
-    trials, one task each. A full batch is one wave of all n trials, so
-    each worker gets one range; an early-exit batch runs waves of
-    max(4 * workers, 16) trials, so it waits for little work past its
-    first escape. The pool never has more threads than the machine has
-    cores; the ranges do not depend on that.
+    With stop_at_escape the list ends at the first escaping trial. The
+    trials go to the kernel in contiguous chunks of min(_CHUNK,
+    ceil(n / threads)) trials, threads being the smaller of workers and
+    the machine's cores. The chunks run in trial order, on a pool of that
+    many threads, or in this thread when that is one. trial_stream is
+    looked up as a global when called.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
-    if workers == 1 or n <= 1:
-        return _run_range(params, model, master_seed, eval_key, stop_at_escape, (0, n))
+    threads = min(workers, os.cpu_count() or 1)
+    chunk = min(_CHUNK, -(-n // threads))
+    first_escape = ffi.new("int64_t *", n) if stop_at_escape else ffi.NULL
 
-    def run_range(bounds: tuple[int, int]) -> list[ClusterOutcome]:
-        return _run_range(params, model, master_seed, eval_key, stop_at_escape, bounds)
+    def run_chunk(start: int) -> list[ClusterOutcome]:
+        if stop_at_escape and start > first_escape[0]:
+            return []
+        rngs = [trial_stream(master_seed, eval_key, t) for t in range(start, min(start + chunk, n))]
+        return _explore(params, model, rngs, start, first_escape)
 
-    outcomes: list[ClusterOutcome] = []
-    wave = max(4 * workers, 16) if stop_at_escape else n
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        for start in range(0, n, wave):
-            end = min(n, start + wave)
-            size = -(-(end - start) // workers)
-            ranges = [(a, min(a + size, end)) for a in range(start, end, size)]
-            for part in pool.map(run_range, ranges):
-                outcomes.extend(part)
-                if stop_at_escape and part[-1].escaped:
-                    return outcomes
-    return outcomes
-
-
-def _run_range(
-    params: SimParams,
-    model: ConnectionModel,
-    master_seed: int,
-    eval_key: int,
-    stop_at_escape: bool,
-    bounds: tuple[int, int],
-) -> list[ClusterOutcome]:
-    """Trials start..end-1 of one batch, stopping at the first escape if asked.
-
-    Each kernel call takes the next chunk of trials, with their streams
-    derived first. Chunks double from 16 trials up to _CHUNK, so a range
-    that stops early derives few streams it does not use, and an
-    early-exit range of a wave is one call. trial_stream
-    is looked up as a global when called.
-    """
-    t, end = bounds
-    chunk = 16
-    outcomes: list[ClusterOutcome] = []
-    while t < end:
-        rngs = [trial_stream(master_seed, eval_key, k) for k in range(t, min(t + chunk, end))]
-        part = _explore(params, model, rngs, stop_at_escape)
-        outcomes.extend(part)
-        if stop_at_escape and part[-1].escaped:
-            break
-        t += len(rngs)
-        chunk = min(2 * chunk, _CHUNK)
-    return outcomes
+    if threads == 1:
+        parts = list(map(run_chunk, range(0, n, chunk)))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run_chunk, range(0, n, chunk)))
+    outcomes = [o for part in parts for o in part]
+    return outcomes[: first_escape[0] + 1] if stop_at_escape else outcomes
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -709,21 +709,32 @@ done:
 }
 
 /*
- * Explorations of the origin's cluster, trial k drawing from bgs[k], in
- * trial order; with stop_at_escape the batch ends at its first escaping
- * trial. outs and extras_in (n_extras per trial) receive the results, and
- * a non-NULL log every connection test, which the caller frees with
- * rcm_free(log->ids). Returns the number of trials run, or RCM_NO_MEMORY.
+ * Explorations of the origin's cluster, trial first + k drawing from
+ * bgs[k], in trial order. outs and extras_in (n_extras per trial) receive
+ * the results, and a non-NULL log every connection test, which the caller
+ * frees with rcm_free(log->ids). A non-NULL first_escape is shared by the
+ * calls of a batch, which may run at once in other threads: it holds the
+ * lowest escaping trial index found so far (the batch size while there is
+ * none), a trial above it does not run, and an escaping trial lowers it
+ * and ends the call. Returns the number of trials run, or RCM_NO_MEMORY.
  */
-int64_t rcm_explore(bitgen_t *const *bgs, int64_t n_trials, int stop_at_escape,
+int64_t rcm_explore(bitgen_t *const *bgs, int64_t n_trials, int64_t first, int64_t *first_escape,
                     const rcm_model *m, const rcm_params *p,
                     rcm_outcome *outs, uint8_t *extras_in, rcm_pair_log *log)
 {
     for (int64_t k = 0; k < n_trials; k++) {
+        int64_t t = first + k;
+        if (first_escape && t > __atomic_load_n(first_escape, __ATOMIC_RELAXED))
+            return k;
         if (explore_one(bgs[k], m, p, outs + k, extras_in + k * p->n_extras, log) != RCM_OK)
             return RCM_NO_MEMORY;
-        if (stop_at_escape && outs[k].escaped)
+        if (first_escape && outs[k].escaped) {
+            int64_t seen = __atomic_load_n(first_escape, __ATOMIC_RELAXED);
+            while (t < seen && !__atomic_compare_exchange_n(first_escape, &seen, t, 0,
+                                                            __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+                ;
             return k + 1;
+        }
     }
     return n_trials;
 }

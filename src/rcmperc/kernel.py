@@ -80,7 +80,7 @@ int64_t rcm_place(bitgen_t *bg, int dim, const double *center, double radius,
                   const double *covered, int64_t n_covered, int64_t count, double *out);
 int64_t rcm_grid_query(double radius, int dim, const double *points, const uint8_t *states,
                        int64_t n, const double *q, int state, int64_t *ids, int *any);
-int64_t rcm_explore(bitgen_t *const *bgs, int64_t n_trials, int stop_at_escape,
+int64_t rcm_explore(bitgen_t *const *bgs, int64_t n_trials, int64_t first, int64_t *first_escape,
                     const rcm_model *m, const rcm_params *p,
                     rcm_outcome *outs, uint8_t *extras_in, rcm_pair_log *log);
 void rcm_free(void *p);

@@ -177,10 +177,15 @@ class TestExploreCluster:
 
 
 class TestRunTrials:
-    # first escapes at trial 0, at trial 10 (inside a range at 2 and 3
-    # workers) and at trial 31 (last trial of the second 16-trial wave)
-    @pytest.mark.parametrize("system_size,seed", [(25.0, 6), (25.0, 11), (40.0, 11)])
-    def test_ranges_match_serial_order(self, system_size, seed):
+    # first escapes at trial 0, at trial 10 (inside the first chunk), at
+    # trial 31 (the first trial of the second chunk at 2 threads) and at
+    # trial 33 (inside the second chunk at 2 threads, with later escapes
+    # there and, at 3 threads, in the third chunk)
+    @pytest.mark.parametrize(
+        "system_size,seed", [(25.0, 6), (25.0, 11), (40.0, 11), (60.0, 6)]
+    )
+    def test_ranges_match_serial_order(self, system_size, seed, monkeypatch):
+        monkeypatch.setattr(exploration.os, "cpu_count", lambda: 3)
         params = SimParams(dim=2, gamma=0.3, system_size=system_size)
         serial = [
             explore_cluster(params, GILBERT, trial_stream(seed, 0, t)) for t in range(61)
@@ -192,43 +197,82 @@ class TestRunTrials:
             assert stopped == serial[: first + 1]
 
     def test_pool_ranges(self, monkeypatch):
-        # an inline stand-in for the pool records the (start, end) of every
-        # task, one list per wave; gamma 0 never escapes, so every wave runs
-        tasks: list[list[tuple[int, int]]] = []
+        # an inline stand-in for the pool records the chunk starts it is
+        # given; at 4 cores a batch goes in chunks of min(64, ceil(n /
+        # threads)) trials, one thread needs no pool, and gamma 0 never
+        # escapes, so every chunk runs in both modes
+        tasks: list[list[int]] = []
         monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(tasks, []))
+        monkeypatch.setattr(exploration.os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
-        serial = run_trials(params, GILBERT, 5, 0, 61)
         want = {
-            # a full batch: one range per worker
-            (2, False): [[(0, 31), (31, 61)]],
-            (3, False): [[(0, 21), (21, 42), (42, 61)]],
-            # an early-exit batch: waves of max(4 * workers, 16) trials
-            (2, True): [[(0, 8), (8, 16)], [(16, 24), (24, 32)], [(32, 40), (40, 48)],
-                        [(48, 55), (55, 61)]],
-            (3, True): [[(0, 6), (6, 12), (12, 16)], [(16, 22), (22, 28), (28, 32)],
-                        [(32, 38), (38, 44), (44, 48)], [(48, 53), (53, 58), (58, 61)]],
+            (1, 61): [],
+            (2, 61): [[0, 31]],
+            (3, 61): [[0, 21, 42]],
+            (2, 200): [[0, 64, 128, 192]],
         }
-        for (workers, stop), ranges in want.items():
-            tasks.clear()
-            assert run_trials(params, GILBERT, 5, 0, 61, workers, stop) == serial
-            assert tasks == ranges
+        for (workers, n), starts in want.items():
+            serial = [
+                explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(n)
+            ]
+            for stop in (False, True):
+                tasks.clear()
+                assert run_trials(params, GILBERT, 5, 0, n, workers, stop) == serial
+                assert tasks == starts
 
     def test_no_more_threads_than_cores(self, monkeypatch):
-        # 10,000 workers still split a batch into one-trial ranges, but the
-        # pool is sized to the cores; the inline pool starts no thread
-        tasks: list[list[tuple[int, int]]] = []
+        # 10,000 workers get a pool sized to the cores; the inline pool
+        # starts no thread
         sizes: list[int] = []
-        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(tasks, sizes))
+        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool([], sizes))
+        monkeypatch.setattr(exploration.os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         serial = run_trials(params, GILBERT, 5, 0, 61)
         assert run_trials(params, GILBERT, 5, 0, 61, 10_000) == serial
-        assert tasks == [[(t, t + 1) for t in range(61)]]
-        assert sizes == [min(10_000, os.cpu_count() or 1)]
+        assert sizes == [4]
+
+    def test_shared_first_escape_index(self):
+        # seed 6 at this size first escapes at trial 33, and again at 37
+        params = SimParams(dim=2, gamma=0.3, system_size=60.0)
+        serial = [
+            explore_cluster(params, GILBERT, trial_stream(6, 0, t)) for t in range(45)
+        ]
+
+        def explore(start, end, first_escape):
+            rngs = [trial_stream(6, 0, t) for t in range(start, end)]
+            return exploration._explore(params, GILBERT, rngs, start, first_escape)
+
+        # no trial above a preset index runs
+        first_escape = exploration.ffi.new("int64_t *", 32)
+        assert explore(20, 45, first_escape) == serial[20:33]
+        assert first_escape[0] == 32
+        # an escaping trial lowers the index and ends the call
+        first_escape[0] = 61
+        assert explore(30, 45, first_escape) == serial[30:34]
+        assert first_escape[0] == 33
+        # a chunk of earlier trials still runs in full, a later one not at all
+        assert explore(0, 34, first_escape) == serial[:34]
+        assert explore(34, 45, first_escape) == []
+        assert first_escape[0] == 33
+
+    def test_serial_batch_derives_no_stream_past_its_escaping_chunk(self, monkeypatch):
+        derived: list[int] = []
+
+        def counting_stream(seed, key, t):
+            derived.append(t)
+            return trial_stream(seed, key, t)
+
+        monkeypatch.setattr(exploration, "trial_stream", counting_stream)
+        # seed 1 at this size first escapes at trial 76, in the second 64-trial chunk
+        params = SimParams(dim=2, gamma=0.25, system_size=40.0)
+        outcomes = run_trials(params, GILBERT, 1, 0, 300, stop_at_escape=True)
+        assert len(outcomes) == 77 and outcomes[-1].escaped
+        assert derived == list(range(128))
 
 
 def _inline_pool(tasks: list, sizes: list):
     """A ThreadPoolExecutor stand-in that runs tasks inline, recording the
-    pool size and each wave's ranges."""
+    pool size and the chunk starts of each map."""
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -240,10 +284,10 @@ def _inline_pool(tasks: list, sizes: list):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, ranges):
-            ranges = list(ranges)
-            tasks.append(ranges)
-            return map(fn, ranges)
+        def map(self, fn, starts):
+            starts = list(starts)
+            tasks.append(starts)
+            return map(fn, starts)
 
     return InlinePool
 

@@ -67,7 +67,7 @@ class TestPercolationVerdict:
             percolation_verdict(params2(), GILBERT, math.inf, runs=10, master_seed=1)
 
     def test_worker_count_invisible(self):
-        # 61 runs: the last 16-trial wave is short and splits unevenly
+        # 61 runs: at 2 and 3 threads the last chunk is shorter than the rest
         for runs in (60, 61):
             for full in (False, True):
                 verdicts = [
