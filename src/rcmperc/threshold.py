@@ -36,7 +36,9 @@ class PercolationVerdict:
     runs counts the trials actually consumed: with early exit the series
     stops at the first escaping trial, so runs can be below the request.
     capped_runs counts trials that hit a work cap; those are unreliable
-    and never read as containment. step_kind records the search phase
+    and never read as containment. contained counts the trials that
+    neither escaped nor hit a cap: a trial can do both, when the budget
+    clamp caps a step whose kept candidates then escape. step_kind records the search phase
     ('ramp' or 'refine') when the verdict was produced by a search.
     """
 
@@ -44,12 +46,9 @@ class PercolationVerdict:
     runs: int
     escapes: int
     capped_runs: int
+    contained: int
     percolates: bool
     step_kind: str | None = None
-
-    @property
-    def contained(self) -> int:
-        return self.runs - self.escapes - self.capped_runs
 
     @property
     def reliable(self) -> bool:
@@ -101,6 +100,7 @@ def percolation_verdict(
         runs=len(outcomes),
         escapes=escapes,
         capped_runs=capped,
+        contained=sum(1 for o in outcomes if not (o.escaped or o.capped)),
         percolates=escapes >= 1,
     )
 

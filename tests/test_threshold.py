@@ -54,6 +54,13 @@ class TestPercolationVerdict:
         assert v.escapes > 1
         assert v.escapes + v.capped_runs + v.contained == 200
 
+    def test_contained_excludes_runs_both_capped_and_escaped(self):
+        # the budget clamp caps a step whose kept candidates then escape,
+        # so one of these runs counts as both an escape and a capped run
+        params = params2(40.0, max_generated_points=300, max_steps=45)
+        v = percolation_verdict(params, GILBERT, 0.5, runs=12, master_seed=6, full_runs=True)
+        assert (v.runs, v.escapes, v.capped_runs, v.contained) == (12, 9, 4, 0)
+
     def test_gamma_overrides_params(self):
         v = percolation_verdict(params2(), GILBERT, 0.0, runs=10, master_seed=5)
         assert v.gamma == 0.0  # params.gamma = 0.1 was ignored
