@@ -185,7 +185,7 @@ class TestRunTrials:
         "system_size,seed", [(25.0, 6), (25.0, 11), (40.0, 11), (60.0, 6)]
     )
     def test_ranges_match_serial_order(self, system_size, seed, monkeypatch):
-        monkeypatch.setattr(exploration.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         params = SimParams(dim=2, gamma=0.3, system_size=system_size)
         serial = [
             explore_cluster(params, GILBERT, trial_stream(seed, 0, t)) for t in range(61)
@@ -203,7 +203,7 @@ class TestRunTrials:
         # escapes, so every chunk runs in both modes
         tasks: list[list[int]] = []
         monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(tasks, []))
-        monkeypatch.setattr(exploration.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         want = {
             (1, 61): [],
@@ -223,7 +223,7 @@ class TestRunTrials:
         # starts no thread
         sizes: list[int] = []
         monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool([], sizes))
-        monkeypatch.setattr(exploration.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         serial = run_trials(params, GILBERT, 5, 0, 61)
         assert run_trials(params, GILBERT, 5, 0, 61, 10_000) == serial
