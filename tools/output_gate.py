@@ -45,6 +45,11 @@ MATRIX: dict[str, list[str]] = {
     # first escape at trial 31: past the first chunk at 2 threads
     "percolate-later-chunk": ["percolate", "--gamma", "0.3", "--system-size", "40", "--runs", "61",
                               "--seed", "11"],
+    # seeds of two and three 32-bit words, every trial run
+    "percolate-seed-2^32": ["percolate", "--gamma", "0.3", "--system-size", "25", "--runs", "61",
+                            "--seed", "4294967296", "--full-runs"],
+    "percolate-seed-2^64+5": ["percolate", "--gamma", "0.3", "--system-size", "25", "--runs", "61",
+                              "--seed", "18446744073709551621", "--full-runs"],
     "percolate-full": ["percolate", "--gamma", "0.3", "--system-size", "25", "--runs", "61",
                        "--seed", "6", "--full-runs"],
     "critical": ["critical", "--system-size", "15", "--runs", "40", "--seed", "13"],
