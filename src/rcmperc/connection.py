@@ -33,7 +33,6 @@ from dataclasses import dataclass, fields
 from typing import Any, ClassVar
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import ball_volume, distance, sphere_surface
 
@@ -81,6 +80,8 @@ class ConnectionModel(ABC):
         """
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+        from scipy import integrate  # here: models with a closed form never need scipy
+
         radius = self.radius
         value, err = integrate.quad(
             lambda r: self.phi_at(r) * r ** (dim - 1),

@@ -38,14 +38,16 @@ work cap (generated points or processing steps) is hit first; capped
 runs are flagged and must not be read as containment.
 
 Batches of trials go through `run_trials`. Results never depend on the
-worker count: trial t draws from the keyed stream (seed, key, t), and
-trials go to the kernel in contiguous chunks that are read back in
-trial order. An early-exit batch shares one index between its chunks,
-the lowest escaping trial found so far: no trial above it runs, and the
-batch ends at the first escaping trial as a serial run does. Trials past
-it that finished in flight are discarded, so counters derived from the
-result match a serial run exactly. Kernel calls release the interpreter
-lock, so worker threads explore in parallel.
+worker count: the kernel derives trial t's stream, the keyed stream
+(seed, key, t) of `trial_stream`, and writes trial t's outcome to slot
+t. Each worker thread makes one kernel call, which takes trials one at
+a time from a counter shared by the batch. An early-exit batch also
+shares the lowest escaping trial found so far: no trial above it starts,
+and the batch ends at the first escaping trial as a serial run does.
+Trials past it that other threads had started are discarded, so
+counters derived from the result match a serial run exactly. Kernel
+calls release the interpreter lock, so worker threads explore in
+parallel.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 from .connection import ConnectionModel
 from .geometry import ball_volume
 from .kernel import bitgen, ffi, lib, model_struct
-from .sampling import trial_stream
+from .sampling import trial_entropy
 
 __all__ = [
     "SimParams",
@@ -148,7 +150,7 @@ def explore_cluster(
     (params, model, seed, key).
     """
     with rng.bit_generator.lock:
-        return _explore(params, model, [rng])[0]
+        return _explore(params, model, rng)
 
 
 # Work caps go to the kernel as 64-bit integers. Clamped to 2^61, twice
@@ -156,64 +158,29 @@ def explore_cluster(
 # run can reach such a cap anyway.
 _CAP_LIMIT = 1 << 61
 
-# The most trials per kernel call in run_trials: each call releases the
-# interpreter lock once for its whole chunk, and at most this many trial
-# streams are alive per thread. An early-exit batch derives streams for
-# at most one chunk per thread past its first escape.
-_CHUNK = 64
 
-
-def _explore(
-    params: SimParams,
-    model: ConnectionModel,
-    rngs: list[np.random.Generator],
-    first: int = 0,
-    first_escape=ffi.NULL,
-    pair_log: list[tuple[int, int]] | None = None,
-) -> list[ClusterOutcome]:
-    """Explorations of trials first, first + 1, ..., one per generator, in one kernel call.
-
-    No other thread may draw from the generators meanwhile: the kernel
-    reads and advances their bit generators without taking their locks.
-    A first_escape `int64_t *` is the batch's lowest escaping trial index
-    so far, shared with other calls: the list ends before the first trial
-    above it, or at an escaping trial, which lowers it. A
-    pair_log list receives every connection test as (frontier point id,
-    tested point id); ids count the origin 0, the extra points 1.. and
-    then the generated points in generation order, afresh in every run.
-    """
+def _kernel_args(params: SimParams, model: ConnectionModel):
+    """The kernel's `rcm_model *` and `rcm_params *` for runs of params under model."""
     radius = model.radius
     if params.system_size <= radius:
         raise ValueError(
             f"system size {params.system_size!r} must exceed the connection radius {radius!r}"
         )
-    n = len(rngs)
-    n_extras = len(params.extra_points)
-    extras = ffi.new("double[]", [c for p in params.extra_points for c in p])
     c_params = ffi.new("rcm_params *", {
         "dim": params.dim,
         "system_size": params.system_size,
         "ball_mean": params.gamma * ball_volume(params.dim, radius),
         "max_steps": min(params.max_steps, _CAP_LIMIT),
         "max_generated": min(params.max_generated_points, _CAP_LIMIT),
-        "extras": extras,
-        "n_extras": n_extras,
+        "n_extras": len(params.extra_points),
+        "extras": [c for p in params.extra_points for c in p],
     })
-    outs = ffi.new("rcm_outcome[]", n)
-    extras_in = ffi.new("uint8_t[]", n * n_extras)
-    log = ffi.new("rcm_pair_log *") if pair_log is not None else ffi.NULL
-    try:
-        ran = lib.rcm_explore([bitgen(rng) for rng in rngs], n, first, first_escape,
-                              model_struct(model), c_params, outs, extras_in, log)
-        if ran < 0:
-            raise MemoryError("the exploration kernel ran out of memory")
-        if pair_log is not None and log.n:
-            ids = ffi.unpack(log.ids, 2 * log.n)
-            pair_log.extend(zip(ids[::2], ids[1::2]))
-    finally:
-        if pair_log is not None:
-            lib.rcm_free(log.ids)
-    flags = ffi.unpack(extras_in, ran * n_extras)
+    return model_struct(model), c_params
+
+
+def _outcomes(outs, extras_in, n_extras: int, n: int) -> list[ClusterOutcome]:
+    """The first n kernel outcomes, with their n_extras flags each."""
+    flags = ffi.unpack(extras_in, n * n_extras)
     return [
         ClusterOutcome(
             escaped=bool(o.escaped),
@@ -224,8 +191,39 @@ def _explore(
             capped=bool(o.capped),
             extras_in_cluster=tuple(bool(b) for b in flags[k * n_extras : (k + 1) * n_extras]),
         )
-        for k, o in enumerate(outs[0:ran])
+        for k, o in enumerate(outs[0:n])
     ]
+
+
+def _explore(
+    params: SimParams,
+    model: ConnectionModel,
+    rng: np.random.Generator,
+    pair_log: list[tuple[int, int]] | None = None,
+) -> ClusterOutcome:
+    """One exploration drawing from rng, in one kernel call.
+
+    No other thread may draw from rng meanwhile: the kernel reads and
+    advances its bit generator without taking its lock. A pair_log list
+    receives every connection test as (frontier point id, tested point
+    id); ids count the origin 0, the extra points 1.. and then the
+    generated points in generation order.
+    """
+    m, c_params = _kernel_args(params, model)
+    n_extras = len(params.extra_points)
+    out = ffi.new("rcm_outcome[]", 1)
+    extras_in = ffi.new("uint8_t[]", n_extras)
+    log = ffi.new("rcm_pair_log *") if pair_log is not None else ffi.NULL
+    try:
+        if lib.rcm_explore(bitgen(rng), m, c_params, out, extras_in, log) < 0:
+            raise MemoryError("the exploration kernel ran out of memory")
+        if pair_log is not None and log.n:
+            ids = ffi.unpack(log.ids, 2 * log.n)
+            pair_log.extend(zip(ids[::2], ids[1::2]))
+    finally:
+        if pair_log is not None:
+            lib.rcm_free(log.ids)
+    return _outcomes(out, extras_in, n_extras, 1)[0]
 
 
 def run_trials(
@@ -240,31 +238,35 @@ def run_trials(
     """Outcomes of trials 0..n-1, in trial order; trial t draws from (seed, key, t).
 
     With stop_at_escape the list ends at the first escaping trial. The
-    trials go to the kernel in contiguous chunks of min(_CHUNK,
-    ceil(n / threads)) trials, threads being the smaller of workers and
-    the machine's cores. The chunks run in trial order, on a pool of that
-    many threads, or in this thread when that is one. trial_stream is
-    looked up as a global when called.
+    batch runs as one kernel call per thread, threads being the smaller
+    of workers and the machine's cores: on a pool of that many threads,
+    or in this thread when that is one. The calls take the trials from
+    one shared counter and derive each trial's stream in C.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
+    entropy = trial_entropy(master_seed, eval_key)
+    m, c_params = _kernel_args(params, model)
     threads = min(workers, os.cpu_count() or 1)
-    chunk = min(_CHUNK, -(-n // threads))
+    n_extras = len(params.extra_points)
+    outs = ffi.new("rcm_outcome[]", n)
+    extras_in = ffi.new("uint8_t[]", n * n_extras)
+    next_trial = ffi.new("int64_t *", 0)
     first_escape = ffi.new("int64_t *", n) if stop_at_escape else ffi.NULL
 
-    def run_chunk(start: int) -> list[ClusterOutcome]:
-        if stop_at_escape and start > first_escape[0]:
-            return []
-        rngs = [trial_stream(master_seed, eval_key, t) for t in range(start, min(start + chunk, n))]
-        return _explore(params, model, rngs, start, first_escape)
+    def run(_: int = 0) -> int:
+        return lib.rcm_run_trials(entropy, len(entropy), n, next_trial, first_escape,
+                                  m, c_params, outs, extras_in)
 
     if threads == 1:
-        parts = list(map(run_chunk, range(0, n, chunk)))
+        ran = [run()]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, range(0, n, chunk)))
-    outcomes = [o for part in parts for o in part]
-    return outcomes[: first_escape[0] + 1] if stop_at_escape else outcomes
+            ran = list(pool.map(run, range(threads)))
+    if min(ran) < 0:
+        raise MemoryError("the exploration kernel ran out of memory")
+    done = min(first_escape[0] + 1, n) if stop_at_escape else n
+    return _outcomes(outs, extras_in, n_extras, done)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:

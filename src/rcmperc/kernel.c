@@ -6,7 +6,10 @@
  * functions numpy's Generator itself calls (random_standard_normal_fill,
  * random_poisson, next_double), in the order that exploration.py and
  * sampling.py document, so a run consumes exactly the stream and gives
- * exactly the result of the rules as stated there. Distances and norms
+ * exactly the result of the rules as stated there. A batch's trial
+ * streams are derived here, with numpy's SeedSequence and PCG64 seeding
+ * ported below, so trial t draws what sampling.trial_stream's Generator
+ * would. Distances and norms
  * are the square root of the squares summed in coordinate order; the
  * file must be compiled without floating-point contraction
  * (-ffp-contract=off) and without -ffast-math.
@@ -59,7 +62,7 @@ typedef struct {
 } rcm_outcome;
 
 /* The parameters of a batch of explorations; ball_mean is gamma times the
- * volume of a connection ball, and the n_extras points at `extras` start
+ * volume of a connection ball, and the n_extras points in `extras` start
  * every run unattached. */
 typedef struct {
     int dim;
@@ -67,8 +70,8 @@ typedef struct {
     double ball_mean;
     int64_t max_steps;
     int64_t max_generated;
-    const double *extras;
     int64_t n_extras;
+    double extras[];
 } rcm_params;
 
 /* Connection tests as (frontier id, tested id) pairs, grown by the kernel. */
@@ -77,6 +80,130 @@ typedef struct {
     int64_t n;
     int64_t cap;
 } rcm_pair_log;
+
+/* ------------------------------------------------------------------ */
+/* Trial streams: numpy's SeedSequence and the PCG64 it seeds, as       */
+/* np.random.PCG64(np.random.SeedSequence(entropy)) builds them. NEP 19 */
+/* freezes both; O'Neill (2014) defines PCG64 (XSL-RR 128/64).          */
+
+typedef __uint128_t rcm_u128; /* a GCC and Clang extension */
+
+typedef struct {
+    rcm_u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64;
+
+/* A seeded PCG64 and the bitgen_t that numpy's distribution functions draw through. */
+typedef struct {
+    pcg64 pcg;
+    bitgen_t bitgen;
+} rcm_stream;
+
+#define PCG64_MULT (((rcm_u128)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+static void pcg64_step(pcg64 *s)
+{
+    s->state = s->state * PCG64_MULT + s->inc;
+}
+
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64 *s = st;
+    pcg64_step(s);
+    uint64_t v = (uint64_t)(s->state >> 64) ^ (uint64_t)s->state;
+    unsigned rot = (unsigned)(s->state >> 122);
+    return (v >> rot) | (v << ((-rot) & 63));
+}
+
+/* numpy's rule: a 64-bit draw gives its low half now and its high half next time. */
+static uint32_t pcg64_next32(void *st)
+{
+    pcg64 *s = st;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    uint64_t next = pcg64_next64(s);
+    s->has_uint32 = 1;
+    s->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+#define SS_POOL 4
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = SS_MIX_L * x - SS_MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+/* SeedSequence(entropy).generate_state(4, np.uint64) into state, for the
+ * n_words 32-bit entropy words as numpy coerces them. */
+void rcm_seed_sequence(const uint32_t *entropy, int64_t n_words, uint64_t *state)
+{
+    uint32_t pool[SS_POOL], h = SS_INIT_A;
+    for (int i = 0; i < SS_POOL; i++)
+        pool[i] = hashmix(i < n_words ? entropy[i] : 0, &h);
+    for (int src = 0; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+    for (int64_t src = SS_POOL; src < n_words; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &h));
+    /* eight 32-bit words cycling over the pool, paired low word first */
+    h = SS_INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % SS_POOL] ^ h;
+        h *= SS_MULT_B;
+        v *= h;
+        v ^= v >> 16;
+        if (i % 2 == 0)
+            state[i / 2] = v;
+        else
+            state[i / 2] |= (uint64_t)v << 32;
+    }
+}
+
+/* Seeds s as np.random.PCG64(np.random.SeedSequence(entropy)) and returns
+ * its bit generator, valid while s lives. */
+bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_words)
+{
+    uint64_t w[4];
+    rcm_seed_sequence(entropy, n_words, w);
+    pcg64 *g = &s->pcg;
+    /* srandom: the first two words make the state, high word first, and
+     * the last two the stream, whose increment is 2 * seq + 1 */
+    g->state = 0;
+    g->inc = ((((rcm_u128)w[2] << 64) | w[3]) << 1) | 1u;
+    pcg64_step(g);
+    g->state += ((rcm_u128)w[0] << 64) | w[1];
+    pcg64_step(g);
+    g->has_uint32 = 0;
+    g->uinteger = 0;
+    s->bitgen = (bitgen_t){g, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+    return &s->bitgen;
+}
 
 /* ------------------------------------------------------------------ */
 /* Arithmetic of the float contract and the connection functions.      */
@@ -601,9 +728,11 @@ static int log_pair(rcm_pair_log *log, int64_t i, int64_t j)
 }
 
 /* One exploration of the origin's cluster, drawing from bg; extras_in
- * (room for n_extras) receives whether each extra point joined. */
-static int explore_one(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
-                       rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log)
+ * (room for n_extras) receives whether each extra point joined, and a
+ * non-NULL log every connection test, which the caller frees with
+ * rcm_free(log->ids). Returns RCM_OK or RCM_NO_MEMORY. */
+int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
+                rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log)
 {
     int dim = p->dim;
     int64_t n_extras = p->n_extras;
@@ -709,34 +838,51 @@ done:
 }
 
 /*
- * Explorations of the origin's cluster, trial first + k drawing from
- * bgs[k], in trial order. outs and extras_in (n_extras per trial) receive
- * the results, and a non-NULL log every connection test, which the caller
- * frees with rcm_free(log->ids). A non-NULL first_escape is shared by the
- * calls of a batch, which may run at once in other threads: it holds the
- * lowest escaping trial index found so far (the batch size while there is
- * none), a trial above it does not run, and an escaping trial lowers it
- * and ends the call. Returns the number of trials run, or RCM_NO_MEMORY.
+ * One thread's share of a batch of n_trials explorations. Trial t draws
+ * from the stream seeded by the n_words entropy words followed by the
+ * words of t (one, or two from 2^32 on), and its results go to outs[t]
+ * and to extras_in from t * n_extras. Every call of a batch may run at
+ * once in its own thread: each takes the next trial from the shared
+ * counter *next_trial until the counter passes n_trials. A non-NULL
+ * first_escape holds the lowest escaping trial index found so far
+ * (n_trials while there is none): a trial above it does not start, and
+ * an escaping trial lowers it. Returns the number of trials this call
+ * ran, or RCM_NO_MEMORY.
  */
-int64_t rcm_explore(bitgen_t *const *bgs, int64_t n_trials, int64_t first, int64_t *first_escape,
-                    const rcm_model *m, const rcm_params *p,
-                    rcm_outcome *outs, uint8_t *extras_in, rcm_pair_log *log)
+int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
+                       int64_t *next_trial, int64_t *first_escape,
+                       const rcm_model *m, const rcm_params *p,
+                       rcm_outcome *outs, uint8_t *extras_in)
 {
-    for (int64_t k = 0; k < n_trials; k++) {
-        int64_t t = first + k;
-        if (first_escape && t > __atomic_load_n(first_escape, __ATOMIC_RELAXED))
-            return k;
-        if (explore_one(bgs[k], m, p, outs + k, extras_in + k * p->n_extras, log) != RCM_OK)
-            return RCM_NO_MEMORY;
-        if (first_escape && outs[k].escaped) {
+    uint32_t *words = malloc(((size_t)n_words + 2) * sizeof(uint32_t));
+    if (!words)
+        return RCM_NO_MEMORY;
+    memcpy(words, entropy, (size_t)n_words * sizeof(uint32_t));
+    int64_t ran = 0;
+    for (;;) {
+        int64_t t = __atomic_fetch_add(next_trial, 1, __ATOMIC_RELAXED);
+        if (t >= n_trials || (first_escape && t > __atomic_load_n(first_escape, __ATOMIC_RELAXED)))
+            break;
+        int64_t n = n_words;
+        words[n++] = (uint32_t)t;
+        if ((uint64_t)t >> 32)
+            words[n++] = (uint32_t)((uint64_t)t >> 32);
+        rcm_stream s;
+        if (rcm_explore(rcm_stream_seed(&s, words, n), m, p, outs + t,
+                        extras_in + t * p->n_extras, NULL) != RCM_OK) {
+            ran = RCM_NO_MEMORY;
+            break;
+        }
+        ran++;
+        if (first_escape && outs[t].escaped) {
             int64_t seen = __atomic_load_n(first_escape, __ATOMIC_RELAXED);
             while (t < seen && !__atomic_compare_exchange_n(first_escape, &seen, t, 0,
                                                             __ATOMIC_RELAXED, __ATOMIC_RELAXED))
                 ;
-            return k + 1;
         }
     }
-    return n_trials;
+    free(words);
+    return ran;
 }
 
 void rcm_free(void *p)

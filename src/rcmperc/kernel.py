@@ -12,10 +12,11 @@ place, so an interrupted or concurrent build never leaves a partial file
 behind. A hit needs neither cffi's C parser nor a compiler. A failed
 build raises one ImportError that names the compiler and the C file.
 
-The kernel draws through the `bitgen_t` of a numpy Generator with the
-functions of numpy's `distributions.h`, linked in from `libnpyrandom.a`,
-so it consumes a Generator's stream exactly as numpy's own methods do.
-Calls into `lib` release the interpreter lock.
+The kernel draws through a numpy `bitgen_t` with the functions of
+numpy's `distributions.h`, linked in from `libnpyrandom.a`, so it
+consumes a stream exactly as numpy's Generator methods do: a
+Generator's own, or in a batch a trial's PCG64 that the kernel seeds
+itself (`rcm_stream_seed`). Calls into `lib` release the interpreter lock.
 """
 
 from __future__ import annotations
@@ -38,7 +39,15 @@ SOURCE = _HERE / "kernel.c"
 
 # The C interface, as cffi declares it; it must match kernel.c.
 CDEF = """
-typedef struct bitgen bitgen_t;
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+typedef struct { ...; } rcm_stream;
 
 typedef struct {
     int kind;
@@ -65,8 +74,8 @@ typedef struct {
     double ball_mean;
     int64_t max_steps;
     int64_t max_generated;
-    const double *extras;
     int64_t n_extras;
+    double extras[];
 } rcm_params;
 
 typedef struct {
@@ -80,10 +89,19 @@ int64_t rcm_place(bitgen_t *bg, int dim, const double *center, double radius,
                   const double *covered, int64_t n_covered, int64_t count, double *out);
 int64_t rcm_grid_query(double radius, int dim, const double *points, const uint8_t *states,
                        int64_t n, const double *q, int state, int64_t *ids, int *any);
-int64_t rcm_explore(bitgen_t *const *bgs, int64_t n_trials, int64_t first, int64_t *first_escape,
-                    const rcm_model *m, const rcm_params *p,
-                    rcm_outcome *outs, uint8_t *extras_in, rcm_pair_log *log);
+int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
+                rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log);
+int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
+                       int64_t *next_trial, int64_t *first_escape,
+                       const rcm_model *m, const rcm_params *p,
+                       rcm_outcome *outs, uint8_t *extras_in);
 void rcm_free(void *p);
+
+void rcm_seed_sequence(const uint32_t *entropy, int64_t n_words, uint64_t *state);
+bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_words);
+/* numpy's draws, for tests to drive a kernel stream as the kernel does */
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 """
 
 # No contraction into fused multiply-adds and no fast math: the kernel

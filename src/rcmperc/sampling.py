@@ -5,7 +5,10 @@ Reproducibility contract: every stochastic routine draws from a numpy
 master seed and an integer key. Equal (seed, key) pairs always produce
 identical draw sequences, and distinct keys give statistically
 independent streams, so trials can be dispatched in any order (or across
-threads) without changing results.
+threads) without changing results. A batch of trials builds no
+Generator: the kernel seeds trial t's PCG64 itself, with numpy's
+SeedSequence and PCG64 seeding ported to C, from `trial_entropy` and the
+words of t, so it draws exactly the stream of `trial_stream`.
 
 Draw order is part of the interface. `uniform_in_ball` consumes one
 standard-normal vector (the direction) followed by one uniform (the
@@ -53,9 +56,16 @@ DEFAULT_SEED = 1729
 
 
 def _entropy(master_seed: int, key: tuple[int, ...]) -> list[int]:
+    """The seed material (master_seed, len(key), *key), checked to be non-negative."""
+    master_seed = int(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be non-negative, got {master_seed}")
+    k = tuple(int(v) for v in key)
+    if any(v < 0 for v in k):
+        raise ValueError(f"stream key entries must be non-negative, got {k}")
     # The key length is part of the seed material: SeedSequence zero-pads
     # short entropy lists, so without it key (e,) would alias (e, 0).
-    return [master_seed, len(key), *key]
+    return [master_seed, len(k), *k]
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -65,13 +75,7 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     *key), so the same pair always reproduces the same draws and distinct
     keys, including keys of different lengths, are independent.
     """
-    master_seed = int(master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master seed must be non-negative, got {master_seed}")
-    k = tuple(int(v) for v in key)
-    if any(v < 0 for v in k):
-        raise ValueError(f"stream key entries must be non-negative, got {k}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(master_seed, k))))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(master_seed, key))))
 
 
 def trial_stream(master_seed: int, eval_index: int, trial_index: int) -> np.random.Generator:
@@ -84,6 +88,16 @@ def trial_stream(master_seed: int, eval_index: int, trial_index: int) -> np.rand
     return stream(master_seed, eval_index, trial_index)
 
 
+def trial_entropy(master_seed: int, eval_index: int) -> list[int]:
+    """The 32-bit words of (master_seed, 2, eval_index), which start the entropy of
+    every trial_stream(master_seed, eval_index, t); the kernel appends the words of t.
+
+    Values are coerced as SeedSequence coerces Python ints: low word first, 0 as one word.
+    """
+    return [v >> s & 0xFFFFFFFF for v in _entropy(master_seed, (eval_index, 0))[:-1]
+            for s in range(0, max(v.bit_length(), 1), 32)]
+
+
 def derive_seed(master_seed: int, *key: int) -> int:
     """A fresh 64-bit master seed derived deterministically from (master_seed, *key).
 
@@ -91,7 +105,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
     dimension): each gets its own derived master, so rows stay independent
     and running a subset reproduces the full run's rows exactly.
     """
-    seq = np.random.SeedSequence(_entropy(int(master_seed), tuple(int(k) for k in key)))
+    seq = np.random.SeedSequence(_entropy(master_seed, key))
     lo, hi = seq.generate_state(2, np.uint32)
     return int(lo) | (int(hi) << 32)
 

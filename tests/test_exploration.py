@@ -22,6 +22,8 @@ from rcmperc import (
 
 from rcmperc import exploration
 from rcmperc.exploration import run_trials
+from rcmperc.kernel import lib as KERNEL
+from rcmperc.sampling import trial_entropy
 
 from brute_force import brute_force_trial
 from support import majority_rule, two_sample_pvalue
@@ -135,7 +137,7 @@ class TestExploreCluster:
         def check(params, model, rng):
             nonlocal tested
             pairs: list[tuple[int, int]] = []
-            exploration._explore(params, model, [rng], pair_log=pairs)
+            exploration._explore(params, model, rng, pair_log=pairs)
             seen: set[tuple[int, int]] = set()
             for i, j in pairs:
                 key = (i, j) if i < j else (j, i)
@@ -158,7 +160,7 @@ class TestExploreCluster:
         params = SimParams(dim=2, gamma=0.45, system_size=15.0, extra_points=((1.0, 0.5),))
         for t in range(20):
             rng = trial_stream(109, 0, t)
-            [logged] = exploration._explore(params, GILBERT, [rng], pair_log=[])
+            logged = exploration._explore(params, GILBERT, rng, pair_log=[])
             after = rng.random()
             rng = trial_stream(109, 0, t)
             assert explore_cluster(params, GILBERT, rng) == logged
@@ -177,10 +179,8 @@ class TestExploreCluster:
 
 
 class TestRunTrials:
-    # first escapes at trial 0, at trial 10 (inside the first chunk), at
-    # trial 31 (the first trial of the second chunk at 2 threads) and at
-    # trial 33 (inside the second chunk at 2 threads, with later escapes
-    # there and, at 3 threads, in the third chunk)
+    # first escapes at trial 0, at trial 10, at trial 31 and at trial 33
+    # (with later escapes after it, which other threads may reach first)
     @pytest.mark.parametrize(
         "system_size,seed", [(25.0, 6), (25.0, 11), (40.0, 11), (60.0, 6)]
     )
@@ -196,81 +196,131 @@ class TestRunTrials:
             stopped = run_trials(params, GILBERT, seed, 0, 61, workers, stop_at_escape=True)
             assert stopped == serial[: first + 1]
 
-    def test_pool_ranges(self, monkeypatch):
-        # an inline stand-in for the pool records the chunk starts it is
-        # given; at 4 cores a batch goes in chunks of min(64, ceil(n /
-        # threads)) trials, one thread needs no pool, and gamma 0 never
-        # escapes, so every chunk runs in both modes
-        tasks: list[list[int]] = []
-        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(tasks, []))
+    def test_one_kernel_call_per_thread(self, monkeypatch):
+        # an inline stand-in for the pool records the pool sizes and the
+        # kernel calls; at 4 cores a batch makes one call per thread, and
+        # one thread needs no pool. The inline pool runs the calls one
+        # after another, so the first takes every trial from the shared
+        # counter; gamma 0 never escapes, so every trial runs in both modes
+        sizes: list[int] = []
+        calls: list[int] = []
+        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         want = {
-            (1, 61): [],
-            (2, 61): [[0, 31]],
-            (3, 61): [[0, 21, 42]],
-            (2, 200): [[0, 64, 128, 192]],
+            (1, 61): ([], [61]),
+            (2, 61): ([2], [61, 0]),
+            (3, 61): ([3], [61, 0, 0]),
+            (2, 200): ([2], [200, 0]),
         }
         serial = [explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(200)]
-        for (workers, n), starts in want.items():
+        for (workers, n), (pools, ran) in want.items():
             for stop in (False, True):
-                tasks.clear()
+                sizes.clear()
+                calls.clear()
                 assert run_trials(params, GILBERT, 5, 0, n, workers, stop) == serial[:n]
-                assert tasks == starts
+                assert (sizes, calls) == (pools, ran)
 
     def test_no_more_threads_than_cores(self, monkeypatch):
-        # 10,000 workers get a pool sized to the cores; the inline pool
-        # starts no thread
+        # 10,000 workers get a pool sized to the cores and one kernel call
+        # per core; the inline pool starts no thread
         sizes: list[int] = []
-        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool([], sizes))
+        calls: list[int] = []
+        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         serial = run_trials(params, GILBERT, 5, 0, 61)
+        calls.clear()
         assert run_trials(params, GILBERT, 5, 0, 61, 10_000) == serial
         assert sizes == [4]
+        assert calls == [61, 0, 0, 0]
 
     def test_shared_first_escape_index(self):
-        # seed 6 at this size first escapes at trial 33, and again at 37
+        # seed 6 at this size first escapes at trial 33, and again at 37;
+        # the kernel entry runs here with preset shared counters
         params = SimParams(dim=2, gamma=0.3, system_size=60.0)
         serial = [
             explore_cluster(params, GILBERT, trial_stream(6, 0, t)) for t in range(45)
         ]
+        entropy = trial_entropy(6, 0)
+        ffi, lib = exploration.ffi, exploration.lib
+        model, c_params = exploration._kernel_args(params, GILBERT)
+        outs = ffi.new("rcm_outcome[]", 45)
+        no_extras = ffi.new("uint8_t[]", 0)
+        next_trial = ffi.new("int64_t *")
+        first_escape = ffi.new("int64_t *")
 
-        def explore(start, end, first_escape):
-            rngs = [trial_stream(6, 0, t) for t in range(start, end)]
-            return exploration._explore(params, GILBERT, rngs, start, first_escape)
+        def run(start: int, index: int) -> int:
+            next_trial[0] = start
+            first_escape[0] = index
+            return lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, first_escape,
+                                      model, c_params, outs, no_extras)
 
-        # no trial above a preset index runs
-        first_escape = exploration.ffi.new("int64_t *", 32)
-        assert explore(20, 45, first_escape) == serial[20:33]
-        assert first_escape[0] == 32
-        # an escaping trial lowers the index and ends the call
-        first_escape[0] = 61
-        assert explore(30, 45, first_escape) == serial[30:34]
-        assert first_escape[0] == 33
-        # a chunk of earlier trials still runs in full, a later one not at all
-        assert explore(0, 34, first_escape) == serial[:34]
-        assert explore(34, 45, first_escape) == []
-        assert first_escape[0] == 33
+        def results(start: int, end: int) -> list:
+            return exploration._outcomes(outs, no_extras, 0, 45)[start:end]
 
-    def test_serial_batch_derives_no_stream_past_its_escaping_chunk(self, monkeypatch):
-        derived: list[int] = []
+        # no trial above a preset index starts, and its slot stays empty
+        assert run(20, 32) == 13
+        assert results(20, 33) == serial[20:33]
+        assert first_escape[0] == 32 and outs[33].steps == 0
+        # an escaping trial lowers the index; the trials after it do not start
+        assert run(30, 45) == 4
+        assert results(30, 34) == serial[30:34]
+        assert first_escape[0] == 33 and outs[34].steps == 0
+        # earlier trials still run in full, later ones not at all
+        assert run(0, 33) == 34
+        assert results(0, 34) == serial[:34]
+        assert run(34, 33) == 0
+        assert first_escape[0] == 33 and outs[34].steps == 0
+        # without an index every trial runs, escaping or not, until the
+        # counter passes the batch
+        next_trial[0] = 45
+        assert lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, ffi.NULL,
+                                  model, c_params, outs, no_extras) == 0
+        next_trial[0] = 0
+        assert lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, ffi.NULL,
+                                  model, c_params, outs, no_extras) == 45
+        assert results(0, 45) == serial
 
-        def counting_stream(seed, key, t):
-            derived.append(t)
-            return trial_stream(seed, key, t)
-
-        monkeypatch.setattr(exploration, "trial_stream", counting_stream)
-        # seed 1 at this size first escapes at trial 76, in the second 64-trial chunk
+    def test_serial_batch_starts_no_trial_past_its_first_escape(self, monkeypatch):
+        calls: list[int] = []
+        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
+        # seed 1 at this size first escapes at trial 76
         params = SimParams(dim=2, gamma=0.25, system_size=40.0)
         outcomes = run_trials(params, GILBERT, 1, 0, 300, stop_at_escape=True)
         assert len(outcomes) == 77 and outcomes[-1].escaped
-        assert derived == list(range(128))
+        assert calls == [77]
+
+    def test_negative_seed_or_key_fails_before_the_kernel(self, monkeypatch):
+        calls: list[int] = []
+        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
+        params = SimParams(dim=2, gamma=0.0, system_size=10.0)
+        with pytest.raises(ValueError, match=r"^master seed must be non-negative, got -1$"):
+            run_trials(params, GILBERT, -1, 0, 10)
+        with pytest.raises(ValueError, match=r"^stream key entries must be non-negative"):
+            run_trials(params, GILBERT, 5, -2, 10)
+        assert calls == []
 
 
-def _inline_pool(tasks: list, sizes: list):
-    """A ThreadPoolExecutor stand-in that runs tasks inline, recording the
-    pool size and the chunk starts of each map."""
+class _CountingKernel:
+    """The kernel library, with the trials each rcm_run_trials call ran recorded."""
+
+    def __init__(self, calls: list):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(KERNEL, name)
+
+    def rcm_run_trials(self, *args):
+        ran = KERNEL.rcm_run_trials(*args)
+        self._calls.append(ran)
+        return ran
+
+
+def _inline_pool(sizes: list):
+    """A ThreadPoolExecutor stand-in that runs tasks inline, recording the pool size."""
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -282,10 +332,8 @@ def _inline_pool(tasks: list, sizes: list):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, starts):
-            starts = list(starts)
-            tasks.append(starts)
-            return map(fn, starts)
+        def map(self, fn, items):
+            return map(fn, items)
 
     return InlinePool
 

@@ -1,7 +1,9 @@
-"""The compiled kernel: its phi against the Python models, and its build cache."""
+"""The compiled kernel: its phi against the Python models, its trial streams
+against numpy's, and its build cache."""
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import shutil
@@ -14,8 +16,13 @@ import numpy as np
 import pytest
 
 import rcmperc
-from rcmperc import Gilbert, PenetrableSphere, SoftSphere, TabulatedRadial
-from rcmperc.kernel import SOURCE, lib, model_struct
+from rcmperc import (
+    Gilbert, PenetrableSphere, SimParams, SoftSphere, TabulatedRadial, derive_seed,
+    explore_cluster, trial_stream,
+)
+from rcmperc.exploration import run_trials
+from rcmperc.kernel import SOURCE, ffi, lib, model_struct
+from rcmperc.sampling import trial_entropy
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(rcmperc.__file__).resolve().parent
@@ -52,16 +59,117 @@ def test_phi_matches_phi_at_bit_for_bit(name):
         assert _bits(lib.rcm_phi(m, r)) == _bits(model.phi_at(r)), (name, r)
 
 
+# numpy's reference vectors for SeedSequence and PCG64, shipped with numpy
+NUMPY_TESTS = Path(np.random.__file__).resolve().parent / "tests"
+SEED_SEQUENCE_TESTS = NUMPY_TESTS / "test_seed_sequence.py"
+PCG64_TESTSET = NUMPY_TESTS / "data" / "pcg64-testset-1.csv"
+
+MASK32 = 0xFFFFFFFF
+
+
+def _words(*values: int) -> list[int]:
+    """Python ints as SeedSequence coerces them: 32-bit words, low first, 0 as one word."""
+    out = []
+    for v in values:
+        out += [(v >> (32 * i)) & MASK32 for i in range(max(1, -(-v.bit_length() // 32)))]
+    return out
+
+
+def _kernel_stream(words: list[int]):
+    """A kernel-seeded PCG64 for the entropy words, as (owner, bitgen_t *)."""
+    owner = ffi.new("rcm_stream *")
+    return owner, lib.rcm_stream_seed(owner, words, len(words))
+
+
+def _numpy_reference(path: Path) -> str:
+    assert path.is_file(), f"numpy's reference file is missing: {path}"
+    return path.read_text()
+
+
+def _assigned_lists(source: str, function: str) -> dict[str, list]:
+    """The list literals assigned by name in one function of a test file."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {
+                stmt.targets[0].id: ast.literal_eval(stmt.value)
+                for stmt in node.body
+                if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
+                and isinstance(stmt.value, ast.List)
+            }
+    raise AssertionError(f"no function {function} in {SEED_SEQUENCE_TESTS}")
+
+
+class TestTrialStreams:
+    def test_seed_sequence_reference_vectors(self):
+        data = _assigned_lists(_numpy_reference(SEED_SEQUENCE_TESTS), "test_reference_data")
+        cases = list(zip(data["inputs"], data["outputs"], data["outputs64"]))
+        assert len(cases) == 10
+        state = ffi.new("uint64_t[4]")
+        for entropy, expected, expected64 in cases:
+            lib.rcm_seed_sequence(entropy, len(entropy), state)
+            assert list(state[0 : len(expected64)]) == expected64
+            halves = [w >> s & MASK32 for w in state for s in (0, 32)]
+            assert halves[: len(expected)] == expected
+
+    def test_pcg64_reference_draws(self):
+        rows = [line.split(",") for line in _numpy_reference(PCG64_TESTSET).splitlines()]
+        assert rows[0][0] == "seed" and len(rows) == 1001
+        seed = int(rows[0][1], 16)
+        _owner, bg = _kernel_stream(_words(seed))
+        for i, (index, value) in enumerate(rows[1:]):
+            assert int(index) == i
+            assert bg.next_uint64(bg.state) == int(value, 16), i
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, derive_seed(1729, 1, 2), derive_seed(7, 40)],
+    )
+    def test_trial_streams_match_numpy(self, seed):
+        # trial_entropy plus the words of t seed the kernel's stream; every
+        # kind of draw the kernel makes then matches trial_stream's Generator,
+        # and 32-bit draws follow numpy's rule of a buffered upper half
+        for key in (0, 3, 2**32, 2**32 + 3):
+            for t in (0, 1, 2**32 - 1, 2**32, 2**40 + 7):
+                rng = trial_stream(seed, key, t)
+                ref = rng.bit_generator.ctypes
+                _owner, bg = _kernel_stream(trial_entropy(seed, key) + _words(t))
+                for kind in (64, 32, 32, 32, 64, 32, 64, 64, 32, 32):
+                    if kind == 64:
+                        assert bg.next_uint64(bg.state) == ref.next_uint64(ref.state)
+                    else:
+                        assert bg.next_uint32(bg.state) == ref.next_uint32(ref.state)
+                normals = ffi.new("double[]", 9)
+                lib.random_standard_normal_fill(bg, 9, normals)
+                assert list(normals) == rng.standard_normal(9).tolist()
+                assert bg.next_double(bg.state) == rng.random()
+                assert lib.random_poisson(bg, 3.5) == rng.poisson(3.5)
+                assert lib.random_poisson(bg, 40.0) == rng.poisson(40.0)
+                assert bg.next_raw(bg.state) == rng.bit_generator.random_raw()
+
+    def test_batches_match_trial_streams(self):
+        params = SimParams(dim=2, gamma=0.3, system_size=25.0)
+        model = Gilbert(2.0)
+        for seed in (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, derive_seed(1729, 1, 2)):
+            for key in (0, 2**32 + 3):
+                serial = [explore_cluster(params, model, trial_stream(seed, key, t))
+                          for t in range(20)]
+                assert run_trials(params, model, seed, key, 20) == serial
+
+
+def _run_in_fresh_interpreter(code: str, path: Path, env: dict[str, str]) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(path), **env},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
 def _import_in_fresh_interpreter(path: Path, env: dict[str, str]) -> subprocess.CompletedProcess:
     code = (
         "import sys, rcmperc\n"
         "print(sorted(m for m in ('cffi', 'pycparser', 'setuptools', 'distutils')"
         " if m in sys.modules))\n"
     )
-    return subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(path), **env},
-        capture_output=True, text=True, timeout=300,
-    )
+    return _run_in_fresh_interpreter(code, path, env)
 
 
 def test_cache_hit_needs_no_parser_or_compiler():
@@ -70,6 +178,20 @@ def test_cache_hit_needs_no_parser_or_compiler():
     done = _import_in_fresh_interpreter(PACKAGE.parent, {"CC": "/nonexistent/cc"})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_gilbert_critical_needs_no_scipy():
+    # only connectivity_mass of a model without a closed form uses scipy
+    code = (
+        "import contextlib, io, sys, rcmperc\n"
+        "from rcmperc.cli import run_cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run_cli(['critical', '--system-size', '15', '--runs', '40', '--seed', '13'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = _run_in_fresh_interpreter(code, PACKAGE.parent, {})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"
 
 
 def test_missing_compiler_fails_with_one_import_error(tmp_path):

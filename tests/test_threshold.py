@@ -74,7 +74,7 @@ class TestPercolationVerdict:
             percolation_verdict(params2(), GILBERT, math.inf, runs=10, master_seed=1)
 
     def test_worker_count_invisible(self):
-        # 61 runs: at 2 and 3 threads the last chunk is shorter than the rest
+        # 61 runs: not a multiple of 2 or 3, so the threads' last trials differ in number
         for runs in (60, 61):
             for full in (False, True):
                 verdicts = [
