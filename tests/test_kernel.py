@@ -86,9 +86,9 @@ def _numpy_reference(path: Path) -> str:
     return path.read_text()
 
 
-def _assigned_lists(source: str, function: str) -> dict[str, list]:
+def _assigned_lists(path: Path, function: str) -> dict[str, list]:
     """The list literals assigned by name in one function of a test file."""
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(_numpy_reference(path))):
         if isinstance(node, ast.FunctionDef) and node.name == function:
             return {
                 stmt.targets[0].id: ast.literal_eval(stmt.value)
@@ -96,12 +96,12 @@ def _assigned_lists(source: str, function: str) -> dict[str, list]:
                 if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
                 and isinstance(stmt.value, ast.List)
             }
-    raise AssertionError(f"no function {function} in {SEED_SEQUENCE_TESTS}")
+    raise AssertionError(f"no function {function} in {path}")
 
 
 class TestTrialStreams:
     def test_seed_sequence_reference_vectors(self):
-        data = _assigned_lists(_numpy_reference(SEED_SEQUENCE_TESTS), "test_reference_data")
+        data = _assigned_lists(SEED_SEQUENCE_TESTS, "test_reference_data")
         cases = list(zip(data["inputs"], data["outputs"], data["outputs64"]))
         assert len(cases) == 10
         state = ffi.new("uint64_t[4]")
@@ -156,7 +156,9 @@ class TestTrialStreams:
                 assert run_trials(params, model, seed, key, 20) == serial
 
 
-def _run_in_fresh_interpreter(code: str, path: Path, env: dict[str, str]) -> subprocess.CompletedProcess:
+def _run_in_fresh_interpreter(
+    code: str, path: Path, env: dict[str, str]
+) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(path), **env},
         capture_output=True, text=True, timeout=300,
