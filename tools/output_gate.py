@@ -9,8 +9,10 @@ in json and csv at `--threads` 1, 2 and 3 (with d=3 cases for every
 non-Gilbert model, the tabulated ones reading `tools/gate_phi.csv`,
 explorations at d=1 and d=5, an early-exit verdict whose first escape
 lies past trial 30, `--full-runs` verdicts with seeds of two and three
-32-bit words, and a `--full-runs` verdict that hits both work caps and
-exits 2), one `--output-file` case, and every argv of
+32-bit words, a `--full-runs` verdict that hits both work caps and
+exits 2, and a `tau` estimate whose trials escape or hit the point cap
+with the probe joined or not, in all eight combinations, and exits 2),
+one `--output-file` case, and every argv of
 `tests/test_cli.py::TestUsageErrors::test_exit_one`. It runs from the
 checkout root, so the table's relative path in argv stays the same. For
 each case it records the exit code, stderr, and stdout or the output
@@ -71,6 +73,9 @@ MATRIX: dict[str, list[str]] = {
                    "--seed", "7"],
     "percolate-capped": ["percolate", "--gamma", "0.5", "--system-size", "40", "--runs", "12",
                          "--seed", "6", "--full-runs", "--max-points", "300", "--max-steps", "45"],
+    # every (joined, escaped, capped) combination; excluded_capped > 0
+    "tau-capped": ["tau", "--gamma", "0.3", "--r", "6", "--trials", "300", "--system-size", "12",
+                   "--max-points", "60"],
     "tau-tabulated": ["tau", "--model", "tabulated", "--phi-csv", PHI_TABLE, "--gamma", "0.1",
                       "--r", "1.5", "--trials", "300", "--system-size", "12"],
     "reproduce": ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "10",
