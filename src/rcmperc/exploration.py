@@ -37,17 +37,17 @@ cluster, checked as it joins, ending the run immediately. Capped: a
 work cap (generated points or processing steps) is hit first; capped
 runs are flagged and must not be read as containment.
 
-Batches of trials go through `run_trials`. Results never depend on the
-worker count: the kernel derives trial t's stream, the keyed stream
-(seed, key, t) of `trial_stream`, and writes trial t's outcome to slot
-t. Each worker thread makes one kernel call, which takes trials one at
-a time from a counter shared by the batch. An early-exit batch also
-shares the lowest escaping trial found so far: no trial above it starts,
-and the batch ends at the first escaping trial as a serial run does.
-Trials past it that other threads had started are discarded, so
-counters derived from the result match a serial run exactly. Kernel
-calls release the interpreter lock, so worker threads explore in
-parallel.
+Batches of trials go through `run_trials`, which returns the kernel's
+own arrays. Results never depend on the worker count: the kernel
+derives trial t's stream, the keyed stream (seed, key, t) of
+`trial_stream`, and writes trial t's record and flags to row t. Each
+worker thread makes one kernel call, which takes trials one at a time
+from a counter shared by the batch. An early-exit batch also shares the
+lowest escaping trial found so far: no trial above it starts, and the
+arrays end at the first escaping trial as a serial run does. Rows past
+it that other threads had filled are cut off, so counts taken from the
+arrays match a serial run exactly. Kernel calls release the interpreter
+lock, so worker threads explore in parallel.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 
 from .connection import ConnectionModel
 from .geometry import ball_volume
-from .kernel import bitgen, ffi, lib, model_struct
+from .kernel import OUTCOME, bitgen, ffi, lib, model_struct
 from .sampling import trial_entropy
 
 __all__ = [
@@ -178,23 +178,6 @@ def _kernel_args(params: SimParams, model: ConnectionModel):
     return model_struct(model), c_params
 
 
-def _outcomes(outs, extras_in, n_extras: int, n: int) -> list[ClusterOutcome]:
-    """The first n kernel outcomes, with their n_extras flags each."""
-    flags = ffi.unpack(extras_in, n * n_extras)
-    return [
-        ClusterOutcome(
-            escaped=bool(o.escaped),
-            cluster_size=o.cluster_size,
-            generated_points=o.generated,
-            steps=o.steps,
-            max_norm=o.max_norm,
-            capped=bool(o.capped),
-            extras_in_cluster=tuple(bool(b) for b in flags[k * n_extras : (k + 1) * n_extras]),
-        )
-        for k, o in enumerate(outs[0:n])
-    ]
-
-
 def _explore(
     params: SimParams,
     model: ConnectionModel,
@@ -211,7 +194,7 @@ def _explore(
     """
     m, c_params = _kernel_args(params, model)
     n_extras = len(params.extra_points)
-    out = ffi.new("rcm_outcome[]", 1)
+    out = ffi.new("rcm_outcome *")
     extras_in = ffi.new("uint8_t[]", n_extras)
     log = ffi.new("rcm_pair_log *") if pair_log is not None else ffi.NULL
     try:
@@ -223,7 +206,15 @@ def _explore(
     finally:
         if pair_log is not None:
             lib.rcm_free(log.ids)
-    return _outcomes(out, extras_in, n_extras, 1)[0]
+    return ClusterOutcome(
+        escaped=bool(out.escaped),
+        cluster_size=out.cluster_size,
+        generated_points=out.generated,
+        steps=out.steps,
+        max_norm=out.max_norm,
+        capped=bool(out.capped),
+        extras_in_cluster=tuple(bool(b) for b in ffi.unpack(extras_in, n_extras)),
+    )
 
 
 def run_trials(
@@ -234,23 +225,26 @@ def run_trials(
     n: int,
     workers: int = 1,
     stop_at_escape: bool = False,
-) -> list[ClusterOutcome]:
-    """Outcomes of trials 0..n-1, in trial order; trial t draws from (seed, key, t).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes, joined) of trials 0..n-1; trial t draws from (seed, key, t).
 
-    With stop_at_escape the list ends at the first escaping trial. The
-    batch runs as one kernel call per thread, threads being the smaller
-    of workers and the machine's cores: on a pool of that many threads,
-    or in this thread when that is one. The calls take the trials from
-    one shared counter and derive each trial's stream in C.
+    outcomes[t] is trial t's `kernel.OUTCOME` record, joined[t, k] whether
+    extra point k joined its cluster; with stop_at_escape both end at the
+    first escaping trial. The batch runs as one kernel call per thread,
+    threads being the smaller of workers and the machine's cores: on a
+    pool of that many threads, or in this thread when that is one. The
+    calls take the trials from one shared counter and derive each
+    trial's stream in C.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     entropy = trial_entropy(master_seed, eval_key)
     m, c_params = _kernel_args(params, model)
     threads = min(workers, os.cpu_count() or 1)
-    n_extras = len(params.extra_points)
-    outs = ffi.new("rcm_outcome[]", n)
-    extras_in = ffi.new("uint8_t[]", n * n_extras)
+    outcomes = np.zeros(n, OUTCOME)
+    joined = np.zeros((n, len(params.extra_points)), bool)
+    outs = ffi.from_buffer("rcm_outcome[]", outcomes)
+    extras_in = ffi.from_buffer("uint8_t[]", joined)
     next_trial = ffi.new("int64_t *", 0)
     first_escape = ffi.new("int64_t *", n) if stop_at_escape else ffi.NULL
 
@@ -266,7 +260,7 @@ def run_trials(
     if min(ran) < 0:
         raise MemoryError("the exploration kernel ran out of memory")
     done = min(first_escape[0] + 1, n) if stop_at_escape else n
-    return _outcomes(outs, extras_in, n_extras, done)
+    return outcomes[:done], joined[:done]
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -331,20 +325,16 @@ def estimate_pair_connectedness(
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     probe = (r,) + (0.0,) * (params.dim - 1)
-    outcomes = run_trials(
+    outcomes, joined = run_trials(
         replace(params, extra_points=(probe,)), model, master_seed, eval_key, trials, workers
     )
-
-    positives = 0
-    excluded_escaped = 0
-    excluded_capped = 0
-    for o in outcomes:
-        if o.extras_in_cluster[0]:
-            positives += 1
-        elif o.capped:
-            excluded_capped += 1
-        elif o.escaped:
-            excluded_escaped += 1
+    # a joined probe is positive even in a capped or escaped trial
+    positive = joined[:, 0]
+    capped = (outcomes["capped"] != 0) & ~positive
+    escaped = (outcomes["escaped"] != 0) & ~(positive | capped)
+    positives = int(positive.sum())
+    excluded_capped = int(capped.sum())
+    excluded_escaped = int(escaped.sum())
     excluded = excluded_escaped + excluded_capped
     resolved = trials - excluded
     tau_hat = positives / resolved if resolved > 0 else math.nan

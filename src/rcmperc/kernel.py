@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SOURCE", "ffi", "lib", "bitgen", "model_struct"]
+__all__ = ["SOURCE", "OUTCOME", "ffi", "lib", "bitgen", "model_struct"]
 
 _HERE = Path(__file__).resolve().parent
 SOURCE = _HERE / "kernel.c"
@@ -103,6 +103,10 @@ bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_word
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 """
+
+# rcm_outcome as a numpy record: aligned, fields in C order.
+OUTCOME = np.dtype([("escaped", "intc"), ("capped", "intc"), ("cluster_size", "i8"),
+                    ("generated", "i8"), ("steps", "i8"), ("max_norm", "f8")], align=True)
 
 # No contraction into fused multiply-adds and no fast math: the kernel
 # must round as the Python statement of the rules does.

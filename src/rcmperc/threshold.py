@@ -89,18 +89,19 @@ def percolation_verdict(
         raise ValueError(f"run count must be positive, got {runs}")
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"intensity must be finite and non-negative, got {gamma!r}")
-    outcomes = run_trials(
+    outcomes, _ = run_trials(
         replace(params, gamma=gamma), model, master_seed, eval_key, runs, workers,
         stop_at_escape=not full_runs,
     )
-    escapes = sum(1 for o in outcomes if o.escaped)
-    capped = sum(1 for o in outcomes if o.capped)
+    escaped = outcomes["escaped"] != 0
+    capped = outcomes["capped"] != 0
+    escapes = int(escaped.sum())
     return PercolationVerdict(
         gamma=gamma,
         runs=len(outcomes),
         escapes=escapes,
-        capped_runs=capped,
-        contained=sum(1 for o in outcomes if not (o.escaped or o.capped)),
+        capped_runs=int(capped.sum()),
+        contained=int((~(escaped | capped)).sum()),
         percolates=escapes >= 1,
     )
 

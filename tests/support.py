@@ -10,7 +10,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import stats
 
-from rcmperc import ball_volume, place_candidates, poisson_count
+from rcmperc import ClusterOutcome, ball_volume, place_candidates, poisson_count
+from rcmperc.kernel import OUTCOME
 
 
 def round_sig(x: float, digits: int = 5) -> float:
@@ -24,6 +25,19 @@ def assert_matches_reference(value: float, reference: float, digits: int = 5) ->
     """value, rounded to `digits` significant digits, equals the reference."""
     got = round_sig(value, digits)
     assert got == reference, f"{value!r} rounds to {got!r}, reference is {reference!r}"
+
+
+def as_batch(
+    outcomes: Sequence[ClusterOutcome], n_extras: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serial outcomes as `run_trials` returns a batch: records and joined flags."""
+    records = np.array(
+        [(o.escaped, o.capped, o.cluster_size, o.generated_points, o.steps, o.max_norm)
+         for o in outcomes],
+        OUTCOME,
+    )
+    joined = np.array([o.extras_in_cluster for o in outcomes], bool)
+    return records, joined.reshape(len(outcomes), n_extras)
 
 
 def covered_grid(*centers: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:

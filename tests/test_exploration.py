@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +24,12 @@ from rcmperc import (
 
 from rcmperc import exploration
 from rcmperc.exploration import run_trials
+from rcmperc.kernel import OUTCOME
 from rcmperc.kernel import lib as KERNEL
 from rcmperc.sampling import trial_entropy
 
 from brute_force import brute_force_trial
-from support import majority_rule, two_sample_pvalue
+from support import as_batch, majority_rule, two_sample_pvalue
 
 GILBERT = Gilbert(radius=2.0)
 
@@ -180,21 +183,33 @@ class TestExploreCluster:
 
 class TestRunTrials:
     # first escapes at trial 0, at trial 10, at trial 31 and at trial 33
-    # (with later escapes after it, which other threads may reach first)
+    # (with later escapes after it, which other threads may reach first),
+    # and at trial 7 with two extra points and capped trials
     @pytest.mark.parametrize(
-        "system_size,seed", [(25.0, 6), (25.0, 11), (40.0, 11), (60.0, 6)]
+        "params,seed",
+        [
+            pytest.param(SimParams(2, 0.3, 25.0), 6, id="25.0-6"),
+            pytest.param(SimParams(2, 0.3, 25.0), 11, id="25.0-11"),
+            pytest.param(SimParams(2, 0.3, 40.0), 11, id="40.0-11"),
+            pytest.param(SimParams(2, 0.3, 60.0), 6, id="60.0-6"),
+            pytest.param(SimParams(2, 0.3, 12.0, extra_points=((1.0, 0.5), (6.0, 0.0)),
+                                   max_generated_points=60), 0, id="12.0-0-extras"),
+        ],
     )
-    def test_ranges_match_serial_order(self, system_size, seed, monkeypatch):
+    def test_ranges_match_serial_order(self, params, seed, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        params = SimParams(dim=2, gamma=0.3, system_size=system_size)
         serial = [
             explore_cluster(params, GILBERT, trial_stream(seed, 0, t)) for t in range(61)
         ]
         first = next(t for t, o in enumerate(serial) if o.escaped)
+        n_extras = len(params.extra_points)
+        whole = as_batch(serial, n_extras)
+        early = as_batch(serial[: first + 1], n_extras)
         for workers in (1, 2, 3):
-            assert run_trials(params, GILBERT, seed, 0, 61, workers) == serial
+            batch = run_trials(params, GILBERT, seed, 0, 61, workers)
+            assert all(map(np.array_equal, batch, whole))
             stopped = run_trials(params, GILBERT, seed, 0, 61, workers, stop_at_escape=True)
-            assert stopped == serial[: first + 1]
+            assert all(map(np.array_equal, stopped, early))
 
     def test_one_kernel_call_per_thread(self, monkeypatch):
         # an inline stand-in for the pool records the pool sizes and the
@@ -219,7 +234,8 @@ class TestRunTrials:
             for stop in (False, True):
                 sizes.clear()
                 calls.clear()
-                assert run_trials(params, GILBERT, 5, 0, n, workers, stop) == serial[:n]
+                batch = run_trials(params, GILBERT, 5, 0, n, workers, stop)
+                assert all(map(np.array_equal, batch, as_batch(serial[:n], 0)))
                 assert (sizes, calls) == (pools, ran)
 
     def test_no_more_threads_than_cores(self, monkeypatch):
@@ -231,9 +247,9 @@ class TestRunTrials:
         monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
-        serial = run_trials(params, GILBERT, 5, 0, 61)
-        calls.clear()
-        assert run_trials(params, GILBERT, 5, 0, 61, 10_000) == serial
+        serial = [explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(61)]
+        batch = run_trials(params, GILBERT, 5, 0, 61, 10_000)
+        assert all(map(np.array_equal, batch, as_batch(serial, 0)))
         assert sizes == [4]
         assert calls == [61, 0, 0, 0]
 
@@ -244,11 +260,14 @@ class TestRunTrials:
         serial = [
             explore_cluster(params, GILBERT, trial_stream(6, 0, t)) for t in range(45)
         ]
+        want = as_batch(serial, 0)
         entropy = trial_entropy(6, 0)
         ffi, lib = exploration.ffi, exploration.lib
         model, c_params = exploration._kernel_args(params, GILBERT)
-        outs = ffi.new("rcm_outcome[]", 45)
-        no_extras = ffi.new("uint8_t[]", 0)
+        outcomes = np.zeros(45, OUTCOME)
+        joined = np.zeros((45, 0), bool)
+        outs = ffi.from_buffer("rcm_outcome[]", outcomes)
+        no_extras = ffi.from_buffer("uint8_t[]", joined)
         next_trial = ffi.new("int64_t *")
         first_escape = ffi.new("int64_t *")
 
@@ -258,22 +277,23 @@ class TestRunTrials:
             return lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, first_escape,
                                       model, c_params, outs, no_extras)
 
-        def results(start: int, end: int) -> list:
-            return exploration._outcomes(outs, no_extras, 0, 45)[start:end]
+        def matches(start: int, end: int) -> bool:
+            got = (outcomes[start:end], joined[start:end])
+            return all(np.array_equal(a, b[start:end]) for a, b in zip(got, want))
 
         # no trial above a preset index starts, and its slot stays empty
         assert run(20, 32) == 13
-        assert results(20, 33) == serial[20:33]
-        assert first_escape[0] == 32 and outs[33].steps == 0
+        assert matches(20, 33)
+        assert first_escape[0] == 32 and outcomes["steps"][33] == 0
         # an escaping trial lowers the index; the trials after it do not start
         assert run(30, 45) == 4
-        assert results(30, 34) == serial[30:34]
-        assert first_escape[0] == 33 and outs[34].steps == 0
+        assert matches(30, 34)
+        assert first_escape[0] == 33 and outcomes["steps"][34] == 0
         # earlier trials still run in full, later ones not at all
         assert run(0, 33) == 34
-        assert results(0, 34) == serial[:34]
+        assert matches(0, 34)
         assert run(34, 33) == 0
-        assert first_escape[0] == 33 and outs[34].steps == 0
+        assert first_escape[0] == 33 and outcomes["steps"][34] == 0
         # without an index every trial runs, escaping or not, until the
         # counter passes the batch
         next_trial[0] = 45
@@ -282,15 +302,17 @@ class TestRunTrials:
         next_trial[0] = 0
         assert lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, ffi.NULL,
                                   model, c_params, outs, no_extras) == 45
-        assert results(0, 45) == serial
+        assert matches(0, 45)
 
     def test_serial_batch_starts_no_trial_past_its_first_escape(self, monkeypatch):
         calls: list[int] = []
         monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
         # seed 1 at this size first escapes at trial 76
         params = SimParams(dim=2, gamma=0.25, system_size=40.0)
-        outcomes = run_trials(params, GILBERT, 1, 0, 300, stop_at_escape=True)
-        assert len(outcomes) == 77 and outcomes[-1].escaped
+        serial = [explore_cluster(params, GILBERT, trial_stream(1, 0, t)) for t in range(77)]
+        assert serial[-1].escaped and not any(o.escaped for o in serial[:-1])
+        batch = run_trials(params, GILBERT, 1, 0, 300, stop_at_escape=True)
+        assert all(map(np.array_equal, batch, as_batch(serial, 0)))
         assert calls == [77]
 
     def test_negative_seed_or_key_fails_before_the_kernel(self, monkeypatch):
@@ -496,6 +518,26 @@ class TestPairConnectedness:
         # the gap dwarfs 3 sigma at these sample sizes
         assert near.tau_hat - far.tau_hat > 0.05
         assert near.ci_low > far.ci_high
+
+    def test_joined_probe_counts_before_cap_and_escape(self):
+        # under a 60-point cap these trials end joined or not, escaped or
+        # not, capped or not, in all eight combinations: a joined probe is
+        # a positive, else a capped trial is excluded before an escaped one
+        params = SimParams(dim=2, gamma=0.3, system_size=12.0, max_generated_points=60)
+        probed = replace(params, extra_points=((6.0, 0.0),))
+        serial = [
+            explore_cluster(probed, GILBERT, trial_stream(1729, 0, t)) for t in range(300)
+        ]
+        kinds = Counter((o.extras_in_cluster[0], o.escaped, o.capped) for o in serial)
+        assert len(kinds) == 8
+        est = estimate_pair_connectedness(params, GILBERT, r=6.0, trials=300, master_seed=1729)
+        counts = (est.positives, est.excluded_capped, est.excluded_escaped)
+        assert counts == (
+            sum(n for (joined, _, _), n in kinds.items() if joined),
+            sum(n for (joined, _, capped), n in kinds.items() if capped and not joined),
+            kinds[False, True, False],
+        ) == (51, 98, 87)
+        assert all(type(c) is int for c in counts)
 
     def test_r_validation(self):
         params = SimParams(dim=2, gamma=0.1, system_size=10.0)

@@ -21,8 +21,10 @@ from rcmperc import (
     explore_cluster, trial_stream,
 )
 from rcmperc.exploration import run_trials
-from rcmperc.kernel import SOURCE, ffi, lib, model_struct
+from rcmperc.kernel import OUTCOME, SOURCE, ffi, lib, model_struct
 from rcmperc.sampling import trial_entropy
+
+from support import as_batch
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(rcmperc.__file__).resolve().parent
@@ -57,6 +59,16 @@ def test_phi_matches_phi_at_bit_for_bit(name):
     m = model_struct(model)
     for r in _probe_radii(model):
         assert _bits(lib.rcm_phi(m, r)) == _bits(model.phi_at(r)), (name, r)
+
+
+def test_outcome_dtype_matches_the_c_record():
+    fields = ffi.typeof("rcm_outcome").fields
+    assert OUTCOME.names == tuple(name for name, _ in fields)
+    assert [OUTCOME.fields[name][1] for name in OUTCOME.names] == [f.offset for _, f in fields]
+    assert [OUTCOME[name].itemsize for name in OUTCOME.names] == [
+        ffi.sizeof(f.type) for _, f in fields
+    ]
+    assert OUTCOME.itemsize == ffi.sizeof("rcm_outcome")
 
 
 # numpy's reference vectors for SeedSequence and PCG64, shipped with numpy
@@ -153,7 +165,8 @@ class TestTrialStreams:
             for key in (0, 2**32 + 3):
                 serial = [explore_cluster(params, model, trial_stream(seed, key, t))
                           for t in range(20)]
-                assert run_trials(params, model, seed, key, 20) == serial
+                batch = run_trials(params, model, seed, key, 20)
+                assert all(map(np.array_equal, batch, as_batch(serial, 0)))
 
 
 def _run_in_fresh_interpreter(

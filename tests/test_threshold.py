@@ -60,6 +60,7 @@ class TestPercolationVerdict:
         params = params2(40.0, max_generated_points=300, max_steps=45)
         v = percolation_verdict(params, GILBERT, 0.5, runs=12, master_seed=6, full_runs=True)
         assert (v.runs, v.escapes, v.capped_runs, v.contained) == (12, 9, 4, 0)
+        assert all(type(c) is int for c in (v.runs, v.escapes, v.capped_runs, v.contained))
 
     def test_gamma_overrides_params(self):
         v = percolation_verdict(params2(), GILBERT, 0.0, runs=10, master_seed=5)
