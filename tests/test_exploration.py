@@ -278,8 +278,8 @@ class TestRunTrials:
                                       model, c_params, outs, no_extras)
 
         def matches(start: int, end: int) -> bool:
-            got = (outcomes[start:end], joined[start:end])
-            return all(np.array_equal(a, b[start:end]) for a, b in zip(got, want))
+            return all(np.array_equal(got[start:end], w[start:end])
+                       for got, w in zip((outcomes, joined), want))
 
         # no trial above a preset index starts, and its slot stays empty
         assert run(20, 32) == 13

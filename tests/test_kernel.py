@@ -62,11 +62,10 @@ def test_phi_matches_phi_at_bit_for_bit(name):
 
 
 def test_outcome_dtype_matches_the_c_record():
-    fields = ffi.typeof("rcm_outcome").fields
-    assert OUTCOME.names == tuple(name for name, _ in fields)
-    assert [OUTCOME.fields[name][1] for name in OUTCOME.names] == [f.offset for _, f in fields]
-    assert [OUTCOME[name].itemsize for name in OUTCOME.names] == [
-        ffi.sizeof(f.type) for _, f in fields
+    numpy_of = {"int": np.intc, "int64_t": np.int64, "double": np.float64}
+    assert [(name, *OUTCOME.fields[name]) for name in OUTCOME.names] == [
+        (name, np.dtype(numpy_of[f.type.cname]), f.offset)
+        for name, f in ffi.typeof("rcm_outcome").fields
     ]
     assert OUTCOME.itemsize == ffi.sizeof("rcm_outcome")
 
