@@ -11,10 +11,14 @@ explorations at d=1 and d=5, an early-exit verdict whose first escape
 lies past trial 30, `--full-runs` verdicts with seeds of two and three
 32-bit words, a `--full-runs` verdict that hits both work caps and
 exits 2, and a `tau` estimate whose trials escape or hit the point cap
-with the probe joined or not, in all eight combinations, and exits 2),
-one `--output-file` case, and every argv of
+with the probe joined or not, in all eight combinations, and exits 2,
+`percolate` and `critical` reading `tools/gate.conf` through `--config`
+and `--config=`, with a flag overriding a file value, and `bound`
+without `--gamma` for the soft-sphere and tabulated models), one
+`--output-file` case, and every argv of
 `tests/test_cli.py::TestUsageErrors::test_exit_one`. It runs from the
-checkout root, so the table's relative path in argv stays the same. For
+checkout root, so the relative paths of the table and the config file
+in argv stay the same. For
 each case it records the exit code, stderr, and stdout or the output
 file's bytes, with the `wall_ms` and `wall_seconds` values blanked,
 since only they depend on the clock. `compare` lists the cases whose
@@ -80,6 +84,12 @@ MATRIX: dict[str, list[str]] = {
                       "--r", "1.5", "--trials", "300", "--system-size", "12"],
     "reproduce": ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "10",
                   "--refine", "1"],
+    # a flag overrides a file value
+    "percolate-config": ["percolate", "--config", "tools/gate.conf", "--gamma", "0.3", "--seed", "11"],
+    "critical-config": ["critical", "--config=tools/gate.conf"],
+    # bound without --gamma: mass and branching bound only
+    "bound-soft-sphere": ["bound", "--dim", "3", "--model", "soft-sphere", "--hardness", "12"],
+    "bound-tabulated": ["bound", "--model", "tabulated", "--phi-csv", PHI_TABLE],
 }
 OUTPUT_FILE_CASE = ["critical", "--system-size", "15", "--runs", "40", "--seed", "13",
                     "--output", "csv", "--threads", "2"]
