@@ -22,6 +22,7 @@ RCM_PERC_THREADS, else 1); results never depend on the worker count.
 --output picks json or csv, --output-file a destination path (default
 stdout). --config FILE loads `key = value` lines named after the long
 flags; explicit flags win over the file, the file over defaults.
+argparse finds --config, so it can be abbreviated like any other flag.
 
 Exit codes: 0 success, 1 invalid configuration, 2 result unreliable
 because some explorations hit a work cap.
@@ -30,14 +31,17 @@ Layout
 ------
 Each subcommand is one row of `_COMMANDS`: its name, help text, handler,
 whether the model flags apply, and its extra arguments; the parser is
-built from that table. `run_cli` resolves the worker count once, then
-calls the handler. Handlers write nothing: each returns an `_Output`
-holding its JSON document, its CSV rows and header, its stderr notes and
-its exit code. `_emit` is the only code that writes a result, chooses
-between JSON and CSV, or opens --output-file; `_csv_cell` is the one
-CSV cell format, with floats by round-trip repr. Invalid input raises
-ValueError, failed numerics raise RuntimeError, and `run_cli` reports
-either, or an OSError, as one `error:` line with exit code 1.
+built from that table, with `_CONFIG`, which knows only --config, as
+each subcommand's parent. `_apply_config` parses with `_CONFIG` first
+and splices the file's flags in after the subcommand. `run_cli` resolves
+the worker count once, then calls the handler. Handlers write nothing:
+each returns an `_Output` holding its JSON document, its CSV rows and
+header, its stderr notes and its exit code. `_emit` is the only code
+that writes a result, chooses between JSON and CSV, or opens
+--output-file; `_csv_cell` is the one CSV cell format, with floats by
+round-trip repr. Invalid input raises ValueError; failed numerics
+raise RuntimeError or an ArithmeticError such as an overflow. `run_cli`
+reports any of them, or an OSError, as one `error:` line, exit code 1.
 
 Examples
 --------
@@ -135,14 +139,13 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("output")
     g.add_argument("--output", choices=("json", "csv"), default="json", help="output format")
     g.add_argument("--output-file", default=None, help="write to this path instead of stdout")
-    g.add_argument("--config", default=None, help="file of `key = value` flag defaults")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rcmperc", description="critical intensities of random connection models")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _COMMANDS.values():
-        p = sub.add_parser(cmd.name, help=cmd.help)
+        p = sub.add_parser(cmd.name, help=cmd.help, parents=[_CONFIG])
         if cmd.model_flags:
             _add_model_flags(p)
         _add_sim_flags(p)
@@ -153,6 +156,10 @@ def _build_parser() -> _Parser:
 
 
 # --- config file -----------------------------------------------------------
+
+
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument("--config", default=None, help="file of `key = value` flag defaults")
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -188,28 +195,12 @@ def _config_tokens(path: str) -> list[str]:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Splice config-file tokens in after the subcommand, before user flags."""
-    path = None
-    cleaned: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config expects a path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        cleaned.append(tok)
-        i += 1
-    if path is None:
-        return cleaned
-    if not cleaned or cleaned[0] not in _COMMANDS:
+    found, rest = _CONFIG.parse_known_args(argv)
+    if found.config is None:
+        return rest
+    if not rest or rest[0] not in _COMMANDS:
         raise ValueError("--config requires a subcommand")
-    return [cleaned[0], *_config_tokens(path), *cleaned[1:]]
+    return [rest[0], *_config_tokens(found.config), *rest[1:]]
 
 
 # --- shared builders --------------------------------------------------------
@@ -425,16 +416,10 @@ def _cmd_bound(args) -> _Output:
         return _Output({"command": "bound", "tables": rows}, rows)
 
     model = _build_model(args)
+    gamma = 0.0 if args.gamma is None else args.gamma
+    result = constant_g_certificate(model, args.dim, gamma, args.quad_tol).to_dict()
     if args.gamma is None:
-        mass = model.connectivity_mass(args.dim, args.quad_tol)
-        result: dict[str, Any] = {
-            "model": model.describe(),
-            "dim": args.dim,
-            "connectivity_mass": mass,
-            "branching_bound": 1.0 / mass,
-        }
-    else:
-        result = constant_g_certificate(model, args.dim, args.gamma, args.quad_tol).to_dict()
+        result = {k: result[k] for k in ("model", "dim", "connectivity_mass", "branching_bound")}
     return _Output(_document(args, model, None, result), [result])
 
 
@@ -589,7 +574,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return _emit(args, _COMMANDS[args.command].handler(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -195,9 +195,12 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 def bitgen(rng: np.random.Generator):
     """The `bitgen_t *` behind a Generator; valid while the Generator lives.
 
-    Read from the bit generator's capsule: numpy builds a new cffi
-    interface object for each `bit_generator.cffi` access, which costs
-    far more than a whole small exploration.
+    Read from the bit generator's capsule. numpy caches the `.cffi` and
+    `.ctypes` interfaces per bit generator but builds them on first
+    access, and each `explore_cluster` call brings a fresh Generator. A
+    first `.cffi` access builds a cffi interface, which costs far more
+    than a whole small exploration; a first `.ctypes` access costs
+    several times the capsule read.
     """
     return ffi.cast("bitgen_t *", _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"))
 

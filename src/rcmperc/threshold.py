@@ -14,7 +14,6 @@ verdicts are identical for any worker count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -87,8 +86,6 @@ def percolation_verdict(
     """
     if runs < 1:
         raise ValueError(f"run count must be positive, got {runs}")
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"intensity must be finite and non-negative, got {gamma!r}")
     outcomes, _ = run_trials(
         replace(params, gamma=gamma), model, master_seed, eval_key, runs, workers,
         stop_at_escape=not full_runs,

@@ -71,6 +71,24 @@ class TestUsageErrors:
         assert run_cli(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--model", "tabulated", "--phi-csv", "{zeros}"],
+            ["bound", "--model", "tabulated", "--phi-csv", "{zeros}", "--gamma", "0.1"],
+            ["bound", "--dim", "400"],
+            ["percolate", "--dim", "400", "--gamma", "0.1", "--system-size", "5", "--runs", "1"],
+        ],
+        ids=["zero-mass", "zero-mass-gamma", "bound-d400", "percolate-d400"],
+    )
+    def test_failure_is_one_error_line(self, capsys, tmp_path, argv):
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("r,phi\n0.0,0.0\n1.0,0.0\n2.0,0.0\n")
+        assert run_cli([a.format(zeros=zeros) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "rcmperc" in capsys.readouterr().out
@@ -389,6 +407,16 @@ class TestConfigFile:
         conf.write_text("gamma = 0.0\n")
         out = run_ok(capsys, ["percolate", f"--config={conf}", "--runs", "5"])
         assert json.loads(out.out)["result"]["runs"] == 5
+
+    def test_config_flag_abbreviated(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("runs = 3\nseed = 50\n")
+        out = run_ok(capsys, [
+            "percolate", "--gamma", "0", "--system-size", "10", "--conf", str(conf),
+        ])
+        doc = json.loads(out.out)
+        assert doc["config"]["seed"] == 50
+        assert doc["result"]["runs"] == 3
 
     def test_config_requires_subcommand(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
