@@ -4,25 +4,24 @@
     python3 tools/output_gate.py compare A.json B.json
 
 `capture` imports `rcmperc` from the `src/` directory SRC and runs every
-case of the matrix in this process through `run_cli`: each subcommand
-in json and csv at `--threads` 1, 2 and 3 (with d=3 cases for every
+case of the matrix in this process through `run_cli`: each subcommand in
+json and csv at `--threads` 1, 2 and 3 (with d=3 cases for every
 non-Gilbert model, the tabulated ones reading `tools/gate_phi.csv`,
 explorations at d=1 and d=5, an early-exit verdict whose first escape
 lies past trial 30, `--full-runs` verdicts with seeds of two and three
-32-bit words, a `--full-runs` verdict that hits both work caps and
-exits 2, and a `tau` estimate whose trials escape or hit the point cap
-with the probe joined or not, in all eight combinations, and exits 2,
+32-bit words, a `--full-runs` verdict that hits both work caps and exits
+2, and a `tau` estimate whose trials escape or hit the point cap with
+the probe joined or not, in all eight combinations, and exits 2,
 `percolate` and `critical` reading `tools/gate.conf` through `--config`
 and `--config=`, with a flag overriding a file value, and `bound`
 without `--gamma` for the soft-sphere and tabulated models), one
 `--output-file` case, and every argv of
 `tests/test_cli.py::TestUsageErrors::test_exit_one`. It runs from the
-checkout root, so the relative paths of the table and the config file
-in argv stay the same. For
-each case it records the exit code, stderr, and stdout or the output
-file's bytes, with the `wall_ms` and `wall_seconds` values blanked,
-since only they depend on the clock. `compare` lists the cases whose
-records differ and exits 1 if there are any.
+checkout root, so the relative paths of the table and the config file in
+argv stay the same. For each case it records the exit code, stderr, and
+stdout or the output file's bytes, with the `wall_ms` and `wall_seconds`
+values blanked, since only they depend on the clock. `compare` lists the
+cases whose records differ and exits 1 if there are any.
 
 Capture a refactor's parent and its change into files outside the
 checkout, then compare them: identical records mean identical output.
