@@ -10,8 +10,10 @@ non-Gilbert model, the tabulated ones reading `tools/gate_phi.csv`,
 explorations at d=1 and d=5, an early-exit verdict whose first escape
 lies past trial 30, `--full-runs` verdicts with seeds of two and three
 32-bit words, a `--full-runs` verdict that hits both work caps and exits
-2, and a `tau` estimate whose trials escape or hit the point cap with
-the probe joined or not, in all eight combinations, and exits 2,
+2, a d=3 `--full-runs` verdict whose point cap stops large trials
+between tiny ones in the same kernel call, a `tau` estimate whose
+trials escape or hit the point cap with the probe joined or not, in all
+eight combinations, and exits 2,
 `percolate` and `critical` reading `tools/gate.conf` through `--config`
 and `--config=`, with a flag overriding a file value, and `bound`
 without `--gamma` for the soft-sphere and tabulated models), one
@@ -76,6 +78,9 @@ MATRIX: dict[str, list[str]] = {
                    "--seed", "7"],
     "percolate-capped": ["percolate", "--gamma", "0.5", "--system-size", "40", "--runs", "12",
                          "--seed", "6", "--full-runs", "--max-points", "300", "--max-steps", "45"],
+    # capped trials of 100+ points between tiny ones, within each kernel call
+    "percolate-capped-d3": ["percolate", "--dim", "3", "--gamma", "0.07", "--system-size", "40",
+                            "--runs", "40", "--seed", "5", "--full-runs", "--max-points", "200"],
     # every (joined, escaped, capped) combination; excluded_capped > 0
     "tau-capped": ["tau", "--gamma", "0.3", "--r", "6", "--trials", "300", "--system-size", "12",
                    "--max-points", "60"],
