@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from .connection import DEFAULT_QUAD_TOL, ConnectionModel
+from .connection import DEFAULT_QUAD_TOL, ConnectionModel, check_quad_tol
 
 __all__ = ["BranchingReport", "branching_bound", "constant_g_certificate"]
 
@@ -53,6 +53,8 @@ class BranchingReport:
 
 
 def _positive_mass(model: ConnectionModel, dim: int, quad_tol: float) -> float:
+    # closed-form models ignore quad_tol, which must still be valid
+    check_quad_tol(quad_tol)
     mass = model.connectivity_mass(dim, quad_tol)
     if mass <= 0.0:
         raise ValueError(

@@ -51,6 +51,16 @@ __all__ = [
 DEFAULT_QUAD_TOL = 1e-10
 
 
+def check_quad_tol(quad_tol: float) -> None:
+    """Refuse a quadrature tolerance that is not finite and positive.
+
+    A NaN would pass every `err > quad_tol` test and so switch the
+    quadrature check off.
+    """
+    if not (math.isfinite(quad_tol) and quad_tol > 0.0):
+        raise ValueError(f"quadrature tolerance must be finite and positive, got {quad_tol!r}")
+
+
 class QuadratureError(RuntimeError):
     """Raised when the radial quadrature cannot reach the requested tolerance."""
 
@@ -74,12 +84,13 @@ class ConnectionModel(ABC):
         """Integral of phi over R^d, via adaptive radial quadrature.
 
         Subclasses with a closed form override this. The quadrature is
-        required to reach absolute tolerance `quad_tol` on the radial
-        integral; otherwise QuadratureError is raised with the achieved
-        error attached.
+        required to reach absolute tolerance `quad_tol`, finite and
+        positive, on the radial integral; otherwise QuadratureError is
+        raised with the achieved error attached.
         """
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+        check_quad_tol(quad_tol)
         from scipy import integrate  # here: models with a closed form never need scipy
 
         radius = self.radius

@@ -42,12 +42,16 @@ own arrays. Results never depend on the worker count: the kernel
 derives trial t's stream, the keyed stream (seed, key, t) of
 `trial_stream`, and writes trial t's record and flags to row t. Each
 worker thread makes one kernel call, which takes trials one at a time
-from a counter shared by the batch. An early-exit batch also shares the
-lowest escaping trial found so far: no trial above it starts, and the
-arrays end at the first escaping trial as a serial run does. Rows past
-it that other threads had filled are cut off, so counts taken from the
-arrays match a serial run exactly. Kernel calls release the interpreter
-lock, so worker threads explore in parallel.
+from a counter shared by the batch. A call sets up one workspace (the
+grid, the frontier and scratch buffers) and empties it before each
+trial, so a trial's results do not depend on which trials the same call
+ran before it; the call frees the workspace before it returns. An
+early-exit batch also shares the lowest escaping trial found so far: no
+trial above it starts, and the arrays end at the first escaping trial
+as a serial run does. Rows past it that other threads had filled are
+cut off, so counts taken from the arrays match a serial run exactly.
+Kernel calls release the interpreter lock, so worker threads explore in
+parallel.
 """
 
 from __future__ import annotations

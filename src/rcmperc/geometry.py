@@ -44,12 +44,21 @@ def ball_volume(dim: int, radius: float) -> float:
 
     Returns:
         pi^(d/2) * radius^d / Gamma(d/2 + 1).
+
+    Raises:
+        OverflowError: naming the dimension and the radius, when radius^d
+        or Gamma(d/2 + 1) overflows a float.
     """
     if not isinstance(dim, int) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
-    return math.pi ** (dim / 2.0) * radius**dim / math.gamma(dim / 2.0 + 1.0)
+    try:
+        return math.pi ** (dim / 2.0) * radius**dim / math.gamma(dim / 2.0 + 1.0)
+    except OverflowError:
+        raise OverflowError(
+            f"the volume of a ball of radius {radius!r} in dimension {dim} overflows"
+        ) from None
 
 
 def sphere_surface(dim: int) -> float:

@@ -16,7 +16,10 @@
  *
  * No function here touches a Python object, so callers may release the
  * interpreter lock around every entry point. Each call owns all the
- * memory it allocates and frees it before it returns.
+ * memory it allocates and frees it before it returns; no state outlives
+ * a call. A batch call (rcm_run_trials) sets up one exploration
+ * workspace, a grid, a frontier and scratch, and reuses it for every
+ * trial it runs, emptying it before each.
  */
 
 #include <math.h>
@@ -308,6 +311,7 @@ typedef struct {
     uint64_t *slot_hash;
     int64_t *slot_cell;     /* dim indices per slot */
     int64_t *slot_head;     /* the last id filed in the cell, -1 marks a free slot */
+    int64_t *live;          /* the `used` slots in use, room for slots / 2 */
     /* per-grid constants and scratch */
     uint64_t *mult;         /* an odd hash multiplier per coordinate */
     int64_t *scan;          /* 3 * dim: base cell, current cell, offset digits */
@@ -351,6 +355,7 @@ static void grid_free(grid *g)
     free(g->slot_hash);
     free(g->slot_cell);
     free(g->slot_head);
+    free(g->live);
     free(g->mult);
     free(g->scan);
     free(g->gauss);
@@ -363,7 +368,8 @@ static int alloc_slots(grid *g, int64_t slots)
     g->slot_hash = malloc((size_t)slots * sizeof(uint64_t));
     g->slot_cell = malloc((size_t)slots * (size_t)g->dim * sizeof(int64_t));
     g->slot_head = malloc((size_t)slots * sizeof(int64_t));
-    if (!g->slot_hash || !g->slot_cell || !g->slot_head)
+    g->live = malloc((size_t)slots / 2 * sizeof(int64_t));
+    if (!g->slot_hash || !g->slot_cell || !g->slot_head || !g->live)
         return RCM_NO_MEMORY;
     for (int64_t s = 0; s < slots; s++)
         g->slot_head[s] = -1;
@@ -411,29 +417,40 @@ static int64_t find_slot(const grid *g, uint64_t h, const int64_t *cell)
 static int grow_slots(grid *g)
 {
     uint64_t *hash = g->slot_hash;
-    int64_t *cell = g->slot_cell, *head = g->slot_head, slots = g->slots;
+    int64_t *cell = g->slot_cell, *head = g->slot_head, *live = g->live, slots = g->slots;
     if (alloc_slots(g, 2 * slots) != RCM_OK) {
         free(g->slot_hash);
         free(g->slot_cell);
         free(g->slot_head);
+        free(g->live);
         g->slot_hash = hash;
         g->slot_cell = cell;
         g->slot_head = head;
+        g->live = live;
         g->slots = slots;
         return RCM_NO_MEMORY;
     }
-    for (int64_t s = 0; s < slots; s++) {
-        if (head[s] < 0)
-            continue;
-        int64_t t = -find_slot(g, hash[s], cell + s * g->dim) - 1;
+    for (int64_t u = 0; u < g->used; u++) {
+        int64_t s = live[u], t = -find_slot(g, hash[s], cell + s * g->dim) - 1;
         g->slot_hash[t] = hash[s];
         memcpy(g->slot_cell + t * g->dim, cell + s * g->dim, (size_t)g->dim * sizeof(int64_t));
         g->slot_head[t] = head[s];
+        g->live[u] = t;
     }
     free(hash);
     free(cell);
     free(head);
+    free(live);
     return RCM_OK;
+}
+
+/* Empties the grid in time proportional to its cells in use, keeping its memory. */
+static void grid_reset(grid *g)
+{
+    for (int64_t u = 0; u < g->used; u++)
+        g->slot_head[g->live[u]] = -1;
+    g->used = 0;
+    g->n = 0;
 }
 
 static int grow_points(grid *g)
@@ -475,7 +492,7 @@ static int64_t grid_insert(grid *g, const double *p, uint8_t state)
         s = -s - 1;
         g->slot_hash[s] = h;
         memcpy(g->slot_cell + s * dim, cell, (size_t)dim * sizeof(int64_t));
-        g->used++;
+        g->live[g->used++] = s;
     }
     g->next[i] = g->slot_head[s];
     g->slot_head[s] = i;
@@ -630,16 +647,54 @@ done:
 /* ------------------------------------------------------------------ */
 /* Exploration: explore_cluster in exploration.py.                     */
 
+/* An exploration's workspace: set up once, emptied before each trial. */
 typedef struct {
     grid g;
     /* the frontier: a binary heap, farthest from the origin first, ties by smaller id */
     double *key;
     int64_t *id;
     int64_t heap_n, heap_cap;
+    double *x;              /* dim: the frontier point being processed */
     double system_size;
     double max_norm;
     int escaped;
 } explorer;
+
+static void explorer_free(explorer *e)
+{
+    free(e->x);
+    free(e->key);
+    free(e->id);
+    grid_free(&e->g);
+}
+
+/* Allocates e for runs of p under m; frees what it took when memory runs out. */
+static int explorer_init(explorer *e, const rcm_model *m, const rcm_params *p)
+{
+    memset(e, 0, sizeof *e);
+    if (grid_init(&e->g, m->radius, p->dim) != RCM_OK)
+        return RCM_NO_MEMORY;
+    e->system_size = p->system_size;
+    e->heap_cap = 64;
+    e->key = malloc((size_t)e->heap_cap * sizeof(double));
+    e->id = malloc((size_t)e->heap_cap * sizeof(int64_t));
+    e->x = malloc((size_t)p->dim * sizeof(double));
+    if (!e->key || !e->id || !e->x) {
+        explorer_free(e);
+        return RCM_NO_MEMORY;
+    }
+    return RCM_OK;
+}
+
+/* Empties e for the next trial in time proportional to the last one. */
+static void explorer_reset(explorer *e)
+{
+    grid_reset(&e->g);
+    memset(e->x, 0, (size_t)e->g.dim * sizeof(double));
+    e->heap_n = 0;
+    e->max_norm = 0.0;
+    e->escaped = 0;
+}
 
 static int heap_before(const explorer *e, int64_t a, int64_t b)
 {
@@ -727,60 +782,50 @@ static int log_pair(rcm_pair_log *log, int64_t i, int64_t j)
     return RCM_OK;
 }
 
-/* One exploration of the origin's cluster, drawing from bg; extras_in
- * (room for n_extras) receives whether each extra point joined, and a
- * non-NULL log every connection test, which the caller frees with
- * rcm_free(log->ids). Returns RCM_OK or RCM_NO_MEMORY. */
-int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
-                rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log)
+/* The one exploration loop: empties e, then explores the origin's
+ * cluster, drawing from bg. extras_in (room for n_extras) receives
+ * whether each extra point joined, and a non-NULL log every connection
+ * test. Returns RCM_OK or RCM_NO_MEMORY. */
+static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_params *p,
+                   rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log)
 {
     int dim = p->dim;
     int64_t n_extras = p->n_extras;
-    double ball_mean = p->ball_mean;
-    explorer e;
-    memset(&e, 0, sizeof e);
-    if (grid_init(&e.g, m->radius, dim) != RCM_OK)
-        return RCM_NO_MEMORY;
-    grid *g = &e.g;
-    e.system_size = p->system_size;
-    e.heap_cap = 64;
-    e.key = malloc((size_t)e.heap_cap * sizeof(double));
-    e.id = malloc((size_t)e.heap_cap * sizeof(int64_t));
-    double *x = calloc((size_t)dim, sizeof(double));
-    int status = RCM_NO_MEMORY, capped = 0;
+    double ball_mean = p->ball_mean, *x = e->x;
+    grid *g = &e->g;
+    int capped = 0;
     int64_t steps = 0, generated = 0, candidates = 0;
-    if (!e.key || !e.id || !x)
-        goto done;
+    explorer_reset(e);
 
     /* x is all zeros here: the origin is point 0, then the extras */
-    if (grid_insert(g, x, RCM_CLUSTER) < 0 || heap_push(&e, 0.0, 0) != RCM_OK)
-        goto done;
+    if (grid_insert(g, x, RCM_CLUSTER) < 0 || heap_push(e, 0.0, 0) != RCM_OK)
+        return RCM_NO_MEMORY;
     for (int64_t k = 0; k < n_extras; k++)
         if (grid_insert(g, p->extras + k * dim, RCM_UNATTACHED) < 0)
-            goto done;
+            return RCM_NO_MEMORY;
 
-    while (e.heap_n > 0) {
+    while (e->heap_n > 0) {
         if (steps >= p->max_steps) {
             capped = 1;
             break;
         }
-        int64_t i = heap_pop(&e);
+        int64_t i = heap_pop(e);
         memcpy(x, g->coords + i * dim, (size_t)dim * sizeof(double));
         steps++;
 
         /* (a) the unattached points within range, ascending id */
         int64_t found = grid_scan(g, x, RCM_UNATTACHED, 1);
         if (found < 0)
-            goto done;
-        for (int64_t f = 0; f < found && !e.escaped; f++) {
+            return RCM_NO_MEMORY;
+        for (int64_t f = 0; f < found && !e->escaped; f++) {
             int64_t j = g->found[f];
             double u = next_double(bg);
             if (log && log_pair(log, i, j) != RCM_OK)
-                goto done;
-            if (connects(m, x, g->coords + j * dim, dim, u) && adopt(&e, j) != RCM_OK)
-                goto done;
+                return RCM_NO_MEMORY;
+            if (connects(m, x, g->coords + j * dim, dim, u) && adopt(e, j) != RCM_OK)
+                return RCM_NO_MEMORY;
         }
-        if (e.escaped)
+        if (e->escaped)
             break;
 
         /* (b) the Poisson intake of the ball, clamped to the remaining
@@ -800,40 +845,48 @@ int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
         candidates += count;
         int64_t first = g->n;
         if (place(bg, g, x, count) != RCM_OK)
-            goto done;
+            return RCM_NO_MEMORY;
 
         /* (c) the new points, in generation order */
         for (int64_t j = first; j < g->n; j++) {
             generated++;
             double u = next_double(bg);
             if (log && log_pair(log, i, j) != RCM_OK)
-                goto done;
+                return RCM_NO_MEMORY;
             if (connects(m, x, g->coords + j * dim, dim, u)) {
-                if (adopt(&e, j) != RCM_OK)
-                    goto done;
-                if (e.escaped)
+                if (adopt(e, j) != RCM_OK)
+                    return RCM_NO_MEMORY;
+                if (e->escaped)
                     break;
             }
         }
         g->state[i] = RCM_COVERED;
-        if (e.escaped || capped)
+        if (e->escaped || capped)
             break;
     }
 
-    out->escaped = e.escaped;
+    out->escaped = e->escaped;
     out->capped = capped;
-    out->cluster_size = steps + e.heap_n;
+    out->cluster_size = steps + e->heap_n;
     out->generated = generated;
     out->steps = steps;
-    out->max_norm = e.max_norm;
+    out->max_norm = e->max_norm;
     for (int64_t k = 0; k < n_extras; k++)
         extras_in[k] = g->state[1 + k] != RCM_UNATTACHED;
-    status = RCM_OK;
-done:
-    free(x);
-    free(e.key);
-    free(e.id);
-    grid_free(g);
+    return RCM_OK;
+}
+
+/* One exploration in a workspace of its own, freed before it returns; a
+ * non-NULL log is grown here, and the caller frees it with
+ * rcm_free(log->ids). */
+int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
+                rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log)
+{
+    explorer e;
+    if (explorer_init(&e, m, p) != RCM_OK)
+        return RCM_NO_MEMORY;
+    int status = explore(&e, bg, m, p, out, extras_in, log);
+    explorer_free(&e);
     return status;
 }
 
@@ -846,8 +899,9 @@ done:
  * counter *next_trial until the counter passes n_trials. A non-NULL
  * first_escape holds the lowest escaping trial index found so far
  * (n_trials while there is none): a trial above it does not start, and
- * an escaping trial lowers it. Returns the number of trials this call
- * ran, or RCM_NO_MEMORY.
+ * an escaping trial lowers it. The call sets up one explorer, which
+ * every trial it runs reuses after emptying it, and frees it before it
+ * returns. Returns the number of trials this call ran, or RCM_NO_MEMORY.
  */
 int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
                        int64_t *next_trial, int64_t *first_escape,
@@ -857,6 +911,11 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
     uint32_t *words = malloc(((size_t)n_words + 2) * sizeof(uint32_t));
     if (!words)
         return RCM_NO_MEMORY;
+    explorer e;
+    if (explorer_init(&e, m, p) != RCM_OK) {
+        free(words);
+        return RCM_NO_MEMORY;
+    }
     memcpy(words, entropy, (size_t)n_words * sizeof(uint32_t));
     int64_t ran = 0;
     for (;;) {
@@ -868,8 +927,8 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
         if ((uint64_t)t >> 32)
             words[n++] = (uint32_t)((uint64_t)t >> 32);
         rcm_stream s;
-        if (rcm_explore(rcm_stream_seed(&s, words, n), m, p, outs + t,
-                        extras_in + t * p->n_extras, NULL) != RCM_OK) {
+        if (explore(&e, rcm_stream_seed(&s, words, n), m, p, outs + t,
+                    extras_in + t * p->n_extras, NULL) != RCM_OK) {
             ran = RCM_NO_MEMORY;
             break;
         }
@@ -881,6 +940,7 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
                 ;
         }
     }
+    explorer_free(&e);
     free(words);
     return ran;
 }

@@ -30,6 +30,9 @@ def run_ok(capsys, argv):
     return out
 
 
+_ZERO_MASS = "connection function has zero mass; the branching bound is infinite"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -72,22 +75,46 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["bound", "--model", "tabulated", "--phi-csv", "{zeros}"],
-            ["bound", "--model", "tabulated", "--phi-csv", "{zeros}", "--gamma", "0.1"],
-            ["bound", "--dim", "400"],
-            ["percolate", "--dim", "400", "--gamma", "0.1", "--system-size", "5", "--runs", "1"],
+            (["bound", "--model", "tabulated", "--phi-csv", "{zeros}"], _ZERO_MASS),
+            (["bound", "--model", "tabulated", "--phi-csv", "{zeros}", "--gamma", "0.1"],
+             _ZERO_MASS),
+            (["bound", "--dim", "400"],
+             "the volume of a ball of radius 2.0 in dimension 400 overflows"),
+            (["percolate", "--dim", "400", "--gamma", "0.1", "--system-size", "5", "--runs", "1"],
+             "the volume of a ball of radius 2.0 in dimension 400 overflows"),
+            (["bound", "--range", "1e308", "--dim", "3"],
+             "the volume of a ball of radius 1e+308 in dimension 3 overflows"),
+            (["bound", "--model", "soft-sphere", "--quad-tol", "nan"],
+             "quadrature tolerance must be finite and positive, got nan"),
+            (["bound", "--model", "soft-sphere", "--quad-tol", "1e-30"],
+             "radial quadrature achieved absolute error "),
         ],
-        ids=["zero-mass", "zero-mass-gamma", "bound-d400", "percolate-d400"],
+        ids=["zero-mass", "zero-mass-gamma", "bound-d400", "percolate-d400", "bound-range-1e308",
+             "quad-tol-nan", "quad-tol-1e-30"],
     )
-    def test_failure_is_one_error_line(self, capsys, tmp_path, argv):
+    def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
         zeros = tmp_path / "zeros.csv"
         zeros.write_text("r,phi\n0.0,0.0\n1.0,0.0\n2.0,0.0\n")
         assert run_cli([a.format(zeros=zeros) for a in argv]) == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and err.startswith("error: " + message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model", ["gilbert", "soft-sphere"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
+    def test_bad_quad_tol_fails_before_integration(self, capsys, monkeypatch, model, tol):
+        from scipy import integrate
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr(integrate, "quad", no_quad)
+        assert run_cli(["bound", "--model", model, "--quad-tol", tol]) == 1
+        assert capsys.readouterr().err == (
+            f"error: quadrature tolerance must be finite and positive, got {float(tol)!r}\n"
+        )
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
@@ -417,6 +444,19 @@ class TestConfigFile:
         doc = json.loads(out.out)
         assert doc["config"]["seed"] == 50
         assert doc["result"]["runs"] == 3
+
+    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        # the parser is built once per process; a config file's values
+        # must not become the next call's defaults
+        conf = tmp_path / "r.conf"
+        conf.write_text("seed = 50\nruns = 3\n")
+        argv = ["percolate", "--gamma", "0", "--system-size", "10"]
+        first = json.loads(run_ok(capsys, [*argv, "--config", str(conf)]).out)
+        assert (first["config"]["seed"], first["result"]["runs"]) == (50, 3)
+        second = json.loads(run_ok(capsys, argv).out)
+        assert (second["config"]["seed"], second["result"]["runs"]) == (1729, 500)
+        assert run_cli(["--help"]) == 0
+        assert "rcmperc" in capsys.readouterr().out
 
     def test_config_requires_subcommand(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

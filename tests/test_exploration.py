@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
@@ -19,6 +20,7 @@ from rcmperc import (
     percolation_verdict,
     stream,
     trial_stream,
+    ball_volume,
     wilson_interval,
 )
 
@@ -324,6 +326,54 @@ class TestRunTrials:
         with pytest.raises(ValueError, match=r"^stream key entries must be non-negative"):
             run_trials(params, GILBERT, 5, -2, 10)
         assert calls == []
+
+
+class TestWorkspaceReuse:
+    """A kernel call reuses one workspace for all its trials; no trial may see it."""
+
+    # Penetrable spheres with p = 0.0125 and 200 candidates per ball. At
+    # these seeds trials 0 and 1 are one escape and one capped run, and
+    # trials 2-4 take at most 3 steps each.
+    @pytest.mark.parametrize(
+        "dim, radius, system_size, max_steps, seed",
+        [(1, 0.5, 17.0, 100, 824), (2, 2.0, 28.0, 50, 1984), (5, 2.0, 24.0, 50, 6873)],
+    )
+    def test_large_then_tiny_trials_match_serial_runs(
+        self, monkeypatch, dim, radius, system_size, max_steps, seed
+    ):
+        calls: list[int] = []
+        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
+        model = PenetrableSphere(radius, 0.0125)
+        extras = ((1.0,) + (0.0,) * (dim - 1), (-1.5,) + (0.5,) * (dim - 1))
+        params = SimParams(dim, 200.0 / ball_volume(dim, radius), system_size,
+                           extra_points=extras, max_steps=max_steps)
+        batch = run_trials(params, model, seed, 0, 5)
+        assert calls == [5]
+        serial = [explore_cluster(params, model, trial_stream(seed, 0, t)) for t in range(5)]
+        assert all(map(np.array_equal, batch, as_batch(serial, 2)))
+        # the large trials take the point arrays, the frontier heap and the
+        # query results well past their first 64 entries (and the cells in
+        # use past the first table's 32) before the tiny ones run
+        large, tiny = serial[:2], serial[2:]
+        assert {(o.escaped, o.capped) for o in large} == {(True, False), (False, True)}
+        assert min(o.generated_points for o in large) > 1000
+        assert max(o.cluster_size - o.steps for o in large) > 64
+        assert min(_most_retests(params, model, trial_stream(seed, 0, t)) for t in (0, 1)) > 128
+        assert max(o.steps for o in tiny) <= 3
+
+
+def _most_retests(params: SimParams, model, rng) -> int:
+    """The most unattached points one frontier point tested in step (a)."""
+    log: list[tuple[int, int]] = []
+    exploration._explore(params, model, rng, log)
+    known, most = 1 + len(params.extra_points), 0
+    # a step tests the known points it retests, ascending, then every point it kept
+    for _, step in itertools.groupby(log, key=lambda pair: pair[0]):
+        ids = [j for _, j in step]
+        retests = sum(j < known for j in ids)
+        most = max(most, retests)
+        known += len(ids) - retests
+    return most
 
 
 class _CountingKernel:
