@@ -34,8 +34,8 @@ whether the model flags apply, and its extra arguments; the parser is
 built from that table once per process, with `_CONFIG`, which knows
 only --config, as each subcommand's parent. Parsing leaves both as they
 were. `_apply_config` parses with `_CONFIG` first and splices the
-file's flags in after the subcommand. `run_cli` resolves
-the worker count once, then calls the handler. Handlers write nothing:
+file's flags in after the subcommand. `run_cli` resolves the worker
+count once, then calls the handler. Handlers write nothing:
 each returns an `_Output` holding its JSON document, its CSV rows and
 header, its stderr notes and its exit code. `_emit` is the only code
 that writes a result, chooses between JSON and CSV, or opens

@@ -13,6 +13,7 @@ from rcmperc import (
     Gilbert,
     PenetrableSphere,
     SimParams,
+    ball_volume,
     branching_bound,
     constant_g_certificate,
     estimate_pair_connectedness,
@@ -20,7 +21,6 @@ from rcmperc import (
     percolation_verdict,
     stream,
     trial_stream,
-    ball_volume,
     wilson_interval,
 )
 
