@@ -31,11 +31,10 @@ Layout
 ------
 Each subcommand is one row of `_COMMANDS`: its name, help text, handler,
 whether the model flags apply, and its extra arguments; the parser is
-built from that table once per process, with `_CONFIG`, which knows
-only --config, as each subcommand's parent. Parsing leaves both as they
-were. `_apply_config` parses with `_CONFIG` first and splices the
-file's flags in after the subcommand. `run_cli` resolves the worker
-count once, then calls the handler. Handlers write nothing:
+built from that table, with `_CONFIG`, which knows only --config, as
+each subcommand's parent. `_apply_config` parses with `_CONFIG` first
+and splices the file's flags in after the subcommand. `run_cli` resolves
+the worker count once, then calls the handler. Handlers write nothing:
 each returns an `_Output` holding its JSON document, its CSV rows and
 header, its stderr notes and its exit code. `_emit` is the only code
 that writes a result, chooses between JSON and CSV, or opens
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -143,7 +141,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--output-file", default=None, help="write to this path instead of stdout")
 
 
-@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rcmperc", description="critical intensities of random connection models")
     sub = parser.add_subparsers(dest="command", required=True)

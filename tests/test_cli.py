@@ -445,19 +445,6 @@ class TestConfigFile:
         assert doc["config"]["seed"] == 50
         assert doc["result"]["runs"] == 3
 
-    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
-        # the parser is built once per process; a config file's values
-        # must not become the next call's defaults
-        conf = tmp_path / "r.conf"
-        conf.write_text("seed = 50\nruns = 3\n")
-        argv = ["percolate", "--gamma", "0", "--system-size", "10"]
-        first = json.loads(run_ok(capsys, [*argv, "--config", str(conf)]).out)
-        assert (first["config"]["seed"], first["result"]["runs"]) == (50, 3)
-        second = json.loads(run_ok(capsys, argv).out)
-        assert (second["config"]["seed"], second["result"]["runs"]) == (1729, 500)
-        assert run_cli(["--help"]) == 0
-        assert "rcmperc" in capsys.readouterr().out
-
     def test_config_requires_subcommand(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("gamma = 0.0\n")

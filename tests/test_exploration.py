@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 import os
+import resource
 from collections import Counter
 from dataclasses import replace
 
@@ -347,7 +349,9 @@ class TestWorkspaceReuse:
         extras = ((1.0,) + (0.0,) * (dim - 1), (-1.5,) + (0.5,) * (dim - 1))
         params = SimParams(dim, 200.0 / ball_volume(dim, radius), system_size,
                            extra_points=extras, max_steps=max_steps)
-        batch = run_trials(params, model, seed, 0, 5)
+        # a grid that kept stale cells could chain its points into a cycle
+        # and collect without end, so the batch runs in a bounded child
+        batch, calls = _in_bounded_child(lambda: (run_trials(params, model, seed, 0, 5), calls))
         assert calls == [5]
         serial = [explore_cluster(params, model, trial_stream(seed, 0, t)) for t in range(5)]
         assert all(map(np.array_equal, batch, as_batch(serial, 2)))
@@ -360,6 +364,39 @@ class TestWorkspaceReuse:
         assert max(o.cluster_size - o.steps for o in large) > 64
         assert min(_most_retests(params, model, trial_stream(seed, 0, t)) for t in (0, 1)) > 128
         assert max(o.steps for o in tiny) <= 3
+
+
+def _in_bounded_child(fn, seconds: float = 60.0, extra_bytes: int = 1 << 30):
+    """fn() in a forked child that may run `seconds` and map `extra_bytes`
+    more than it started with. A runaway kernel then fails the test with a
+    MemoryError or a timeout instead of exhausting the machine's memory."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        with open("/proc/self/statm") as f:
+            mapped = int(f.read().split()[0]) * resource.getpagesize()
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = mapped + extra_bytes
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        try:
+            send.send((True, fn()))
+        except BaseException as exc:
+            send.send((False, repr(exc)))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        if not recv.poll(seconds):
+            pytest.fail(f"the child did not finish within {seconds} s")
+        ok, value = recv.recv()
+    finally:
+        proc.kill()
+        proc.join()
+    assert ok, value
+    return value
 
 
 def _most_retests(params: SimParams, model, rng) -> int:
