@@ -56,6 +56,8 @@ def _positive_mass(model: ConnectionModel, dim: int, quad_tol: float) -> float:
     # closed-form models ignore quad_tol, which must still be valid
     check_quad_tol(quad_tol)
     mass = model.connectivity_mass(dim, quad_tol)
+    if not math.isfinite(mass):
+        raise ValueError(f"connection function mass must be finite, got {mass!r}")
     if mass <= 0.0:
         raise ValueError(
             "connection function has zero mass; the branching bound is infinite"

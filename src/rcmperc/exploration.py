@@ -41,8 +41,9 @@ Batches of trials go through `run_trials`, which returns the kernel's
 own arrays. Results never depend on the worker count: the kernel
 derives trial t's stream, the keyed stream (seed, key, t) of
 `trial_stream`, and writes trial t's record and flags to row t. Each
-worker thread makes one kernel call, which takes trials one at a time
-from a counter shared by the batch. A call sets up one workspace (the
+thread makes one kernel call, the calling thread as well as the helpers
+it starts, and takes trials one at a time from a counter shared by the
+batch. A call sets up one workspace (the
 grid, the frontier and scratch buffers) and empties it before each
 trial, so a trial's results do not depend on which trials the same call
 ran before it; the call frees the workspace before it returns. An
@@ -50,7 +51,7 @@ early-exit batch also shares the lowest escaping trial found so far: no
 trial above it starts, and the arrays end at the first escaping trial
 as a serial run does. Rows past it that other threads had filled are
 cut off, so counts taken from the arrays match a serial run exactly.
-Kernel calls release the interpreter lock, so worker threads explore in
+Kernel calls release the interpreter lock, so the threads explore in
 parallel.
 """
 
@@ -58,8 +59,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from threading import Thread
 
 import numpy as np
 
@@ -235,10 +236,11 @@ def run_trials(
     outcomes[t] is trial t's `kernel.OUTCOME` record, joined[t, k] whether
     extra point k joined its cluster; with stop_at_escape both end at the
     first escaping trial. The batch runs as one kernel call per thread,
-    threads being the smaller of workers and the machine's cores: on a
-    pool of that many threads, or in this thread when that is one. The
-    calls take the trials from one shared counter and derive each
-    trial's stream in C.
+    threads being the smaller of workers and the machine's cores: this
+    thread makes one call and takes its share of the trials, and
+    threads - 1 helper threads, joined before this returns, make the
+    others. The calls take the trials from one shared counter and
+    derive each trial's stream in C.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
@@ -252,15 +254,22 @@ def run_trials(
     next_trial = ffi.new("int64_t *", 0)
     first_escape = ffi.new("int64_t *", n) if stop_at_escape else ffi.NULL
 
-    def run(_: int = 0) -> int:
-        return lib.rcm_run_trials(entropy, len(entropy), n, next_trial, first_escape,
-                                  m, c_params, outs, extras_in)
+    ran = [0] * threads
 
-    if threads == 1:
-        ran = [run()]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ran = list(pool.map(run, range(threads)))
+    def run(k: int) -> None:
+        ran[k] = lib.rcm_run_trials(entropy, len(entropy), n, next_trial, first_escape,
+                                    m, c_params, outs, extras_in)
+
+    helpers = []
+    try:
+        for k in range(1, threads):
+            helper = Thread(target=run, args=(k,))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
     if min(ran) < 0:
         raise MemoryError("the exploration kernel ran out of memory")
     done = min(first_escape[0] + 1, n) if stop_at_escape else n

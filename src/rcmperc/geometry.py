@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from .kernel import lib
+
 __all__ = [
     "UNATTACHED",
     "CLUSTER",
@@ -26,13 +28,13 @@ __all__ = [
     "sphere_surface",
 ]
 
-# The state of a point in an exploration's grid, as kernel.c numbers
+# The state of a point in an exploration's grid, as kernel.h numbers
 # them. A point changes state in place, never leaving the grid:
 # generated points start unattached, join the cluster when a connection
 # succeeds, and become covered once their ball has been processed.
-UNATTACHED = 0
-CLUSTER = 1
-COVERED = 2
+UNATTACHED = lib.RCM_UNATTACHED
+CLUSTER = lib.RCM_CLUSTER
+COVERED = lib.RCM_COVERED
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -47,18 +49,21 @@ def ball_volume(dim: int, radius: float) -> float:
 
     Raises:
         OverflowError: naming the dimension and the radius, when radius^d
-        or Gamma(d/2 + 1) overflows a float.
+        or Gamma(d/2 + 1) overflows a float, or the volume is not finite.
     """
     if not isinstance(dim, int) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius!r}")
     try:
-        return math.pi ** (dim / 2.0) * radius**dim / math.gamma(dim / 2.0 + 1.0)
+        volume = math.pi ** (dim / 2.0) * radius**dim / math.gamma(dim / 2.0 + 1.0)
     except OverflowError:
+        volume = math.inf
+    if not math.isfinite(volume):
         raise OverflowError(
             f"the volume of a ball of radius {radius!r} in dimension {dim} overflows"
-        ) from None
+        )
+    return volume
 
 
 def sphere_surface(dim: int) -> float:

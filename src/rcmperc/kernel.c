@@ -14,6 +14,9 @@
  * file must be compiled without floating-point contraction
  * (-ffp-contract=off) and without -ffast-math.
  *
+ * kernel.h declares the interface: states, kinds, status codes, records
+ * and the rcm_* entry points.
+ *
  * No function here touches a Python object, so callers may release the
  * interpreter lock around every entry point. Each call owns all the
  * memory it allocates and frees it before it returns; no state outlives
@@ -28,61 +31,7 @@
 #include <string.h>
 
 #include "numpy/random/distributions.h"
-
-/* Point states; geometry.py defines the same values. */
-#define RCM_UNATTACHED 0
-#define RCM_CLUSTER 1
-#define RCM_COVERED 2
-
-/* Model kinds, numbered as kernel.py numbers them. */
-#define RCM_GILBERT 0
-#define RCM_PENETRABLE 1
-#define RCM_SOFT_SPHERE 2
-#define RCM_TABULATED 3
-
-/* Entry point status codes. */
-#define RCM_OK 0
-#define RCM_NO_MEMORY -1
-#define RCM_BAD_GRID -2
-
-typedef struct {
-    int kind;
-    double radius;
-    double prob;          /* penetrable */
-    double hardness;      /* soft sphere */
-    double energy;        /* soft sphere */
-    int64_t n_knots;      /* tabulated */
-    double knots[];       /* tabulated: n_knots radii, then n_knots values */
-} rcm_model;
-
-typedef struct {
-    int escaped;
-    int capped;
-    int64_t cluster_size;
-    int64_t generated;
-    int64_t steps;
-    double max_norm;
-} rcm_outcome;
-
-/* The parameters of a batch of explorations; ball_mean is gamma times the
- * volume of a connection ball, and the n_extras points in `extras` start
- * every run unattached. */
-typedef struct {
-    int dim;
-    double system_size;
-    double ball_mean;
-    int64_t max_steps;
-    int64_t max_generated;
-    int64_t n_extras;
-    double extras[];
-} rcm_params;
-
-/* Connection tests as (frontier id, tested id) pairs, grown by the kernel. */
-typedef struct {
-    int64_t *ids;
-    int64_t n;
-    int64_t cap;
-} rcm_pair_log;
+#include "kernel.h"
 
 /* ------------------------------------------------------------------ */
 /* Trial streams: numpy's SeedSequence and the PCG64 it seeds, as       */

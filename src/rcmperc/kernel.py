@@ -1,16 +1,20 @@
 """The compiled exploration kernel: built once per source, loaded from a cache.
 
 `kernel.c` holds the exploration loop, ball placement with thinning and
-phi for the four connection models. Importing this module loads the
-compiled extension from this package's `__pycache__/`, under a name
-keyed by a hash of the C source, the C declarations below, the compiler
-flags, the numpy version and the interpreter's extension suffix, which
-carries its ABI tag. On a miss a child interpreter first builds the
-extension with cffi and the C compiler (`CC`, else the compiler Python
-was built with) into a temporary directory, then moves the file into
-place, so an interrupted or concurrent build never leaves a partial file
-behind. A hit needs neither cffi's C parser nor a compiler. A failed
-build raises one ImportError that names the compiler and the C file.
+phi for the four connection models. `kernel.h` declares its interface
+once: the point states, model kinds and status codes, the records and
+the `rcm_*` entry points. kernel.c includes it, and `CDEF` below ends
+with its text, so cffi and the compiler read the same declarations.
+Importing this module loads the compiled extension from this package's
+`__pycache__/`, under a name keyed by a hash of the C source, `CDEF`
+(and with it kernel.h), the compiler flags, the numpy version and the
+interpreter's extension suffix, which carries its ABI tag. On a miss a
+child interpreter first builds the extension with cffi and the C
+compiler (`CC`, else the compiler Python was built with) into a
+temporary directory, then moves the file into place, so an interrupted
+or concurrent build never leaves a partial file behind. A hit needs
+neither cffi's C parser nor a compiler. A failed build raises one
+ImportError that names the compiler and the C file.
 
 The kernel draws through a numpy `bitgen_t` with the functions of
 numpy's `distributions.h`, linked in from `libnpyrandom.a`, so it
@@ -37,7 +41,9 @@ __all__ = ["SOURCE", "OUTCOME", "ffi", "lib", "bitgen", "model_struct"]
 _HERE = Path(__file__).resolve().parent
 SOURCE = _HERE / "kernel.c"
 
-# The C interface, as cffi declares it; it must match kernel.c.
+# What cffi reads beside kernel.h: numpy's bit generator, the draws tests
+# drive a kernel stream with, and the stream (a PCG64 in kernel.c) and its
+# seeding, which use types only kernel.c and numpy's headers define.
 CDEF = """
 typedef struct bitgen {
     void *state;
@@ -46,63 +52,12 @@ typedef struct bitgen {
     double (*next_double)(void *st);
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
-
-typedef struct { ...; } rcm_stream;
-
-typedef struct {
-    int kind;
-    double radius;
-    double prob;
-    double hardness;
-    double energy;
-    int64_t n_knots;
-    double knots[];
-} rcm_model;
-
-typedef struct {
-    int escaped;
-    int capped;
-    int64_t cluster_size;
-    int64_t generated;
-    int64_t steps;
-    double max_norm;
-} rcm_outcome;
-
-typedef struct {
-    int dim;
-    double system_size;
-    double ball_mean;
-    int64_t max_steps;
-    int64_t max_generated;
-    int64_t n_extras;
-    double extras[];
-} rcm_params;
-
-typedef struct {
-    int64_t *ids;
-    int64_t n;
-    int64_t cap;
-} rcm_pair_log;
-
-double rcm_phi(const rcm_model *m, double r);
-int64_t rcm_place(bitgen_t *bg, int dim, const double *center, double radius,
-                  const double *covered, int64_t n_covered, int64_t count, double *out);
-int64_t rcm_grid_query(double radius, int dim, const double *points, const uint8_t *states,
-                       int64_t n, const double *q, int state, int64_t *ids, int *any);
-int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
-                rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log);
-int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
-                       int64_t *next_trial, int64_t *first_escape,
-                       const rcm_model *m, const rcm_params *p,
-                       rcm_outcome *outs, uint8_t *extras_in);
-void rcm_free(void *p);
-
-void rcm_seed_sequence(const uint32_t *entropy, int64_t n_words, uint64_t *state);
-bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_words);
-/* numpy's draws, for tests to drive a kernel stream as the kernel does */
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
-"""
+
+typedef struct { ...; } rcm_stream;
+bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_words);
+""" + (_HERE / "kernel.h").read_text()
 
 # rcm_outcome as a numpy record: aligned, fields in C order.
 OUTCOME = np.dtype([("escaped", "intc"), ("capped", "intc"), ("cluster_size", "i8"),
@@ -111,9 +66,6 @@ OUTCOME = np.dtype([("escaped", "intc"), ("capped", "intc"), ("cluster_size", "i
 # No contraction into fused multiply-adds and no fast math: the kernel
 # must round as the Python statement of the rules does.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")
-
-# Model kinds as kernel.c numbers them.
-_KINDS = {"gilbert": 0, "penetrable": 1, "soft-sphere": 2, "tabulated": 3}
 
 
 # The build runs in a child interpreter, so that cffi's C parser, the
@@ -203,6 +155,11 @@ def bitgen(rng: np.random.Generator):
     several times the capsule read.
     """
     return ffi.cast("bitgen_t *", _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"))
+
+
+# Model kinds as kernel.h numbers them.
+_KINDS = {"gilbert": lib.RCM_GILBERT, "penetrable": lib.RCM_PENETRABLE,
+          "soft-sphere": lib.RCM_SOFT_SPHERE, "tabulated": lib.RCM_TABULATED}
 
 
 def model_struct(model):

@@ -86,13 +86,19 @@ class TestUsageErrors:
              "the volume of a ball of radius 2.0 in dimension 400 overflows"),
             (["bound", "--range", "1e308", "--dim", "3"],
              "the volume of a ball of radius 1e+308 in dimension 3 overflows"),
+            # pi * 1e308 overflows in the product, not in a power
+            (["bound", "--range", "1e154", "--dim", "2"],
+             "the volume of a ball of radius 1e+154 in dimension 2 overflows"),
+            (["percolate", "--range", "1e154", "--dim", "2", "--gamma", "0", "--system-size",
+              "1e155", "--runs", "1"],
+             "the volume of a ball of radius 1e+154 in dimension 2 overflows"),
             (["bound", "--model", "soft-sphere", "--quad-tol", "nan"],
              "quadrature tolerance must be finite and positive, got nan"),
             (["bound", "--model", "soft-sphere", "--quad-tol", "1e-30"],
              "radial quadrature achieved absolute error "),
         ],
         ids=["zero-mass", "zero-mass-gamma", "bound-d400", "percolate-d400", "bound-range-1e308",
-             "quad-tol-nan", "quad-tol-1e-30"],
+             "bound-range-1e154", "percolate-range-1e154", "quad-tol-nan", "quad-tol-1e-30"],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
         zeros = tmp_path / "zeros.csv"

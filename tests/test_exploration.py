@@ -216,45 +216,46 @@ class TestRunTrials:
             assert all(map(np.array_equal, stopped, early))
 
     def test_one_kernel_call_per_thread(self, monkeypatch):
-        # an inline stand-in for the pool records the pool sizes and the
-        # kernel calls; at 4 cores a batch makes one call per thread, and
-        # one thread needs no pool. The inline pool runs the calls one
-        # after another, so the first takes every trial from the shared
-        # counter; gamma 0 never escapes, so every trial runs in both modes
-        sizes: list[int] = []
+        # an inline stand-in for Thread records helper starts and joins,
+        # and the kernel calls; at 4 cores a batch makes one call per
+        # thread, the calling thread's last, and one thread starts no
+        # helper. A helper runs its call when started, so the first call
+        # takes every trial from the shared counter; gamma 0 never
+        # escapes, so every trial runs in both modes
+        events: list[str] = []
         calls: list[int] = []
-        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(exploration, "Thread", _inline_thread(events))
         monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         want = {
-            (1, 61): ([], [61]),
-            (2, 61): ([2], [61, 0]),
-            (3, 61): ([3], [61, 0, 0]),
-            (2, 200): ([2], [200, 0]),
+            (1, 61): (0, [61]),
+            (2, 61): (1, [61, 0]),
+            (3, 61): (2, [61, 0, 0]),
+            (2, 200): (1, [200, 0]),
         }
         serial = [explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(200)]
-        for (workers, n), (pools, ran) in want.items():
+        for (workers, n), (helpers, ran) in want.items():
             for stop in (False, True):
-                sizes.clear()
+                events.clear()
                 calls.clear()
                 batch = run_trials(params, GILBERT, 5, 0, n, workers, stop)
                 assert all(map(np.array_equal, batch, as_batch(serial[:n], 0)))
-                assert (sizes, calls) == (pools, ran)
+                assert (events, calls) == (["start"] * helpers + ["join"] * helpers, ran)
 
     def test_no_more_threads_than_cores(self, monkeypatch):
-        # 10,000 workers get a pool sized to the cores and one kernel call
-        # per core; the inline pool starts no thread
-        sizes: list[int] = []
+        # 10,000 workers start a helper for each core but the calling
+        # thread's, and make one kernel call per core
+        events: list[str] = []
         calls: list[int] = []
-        monkeypatch.setattr(exploration, "ThreadPoolExecutor", _inline_pool(sizes))
+        monkeypatch.setattr(exploration, "Thread", _inline_thread(events))
         monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         serial = [explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(61)]
         batch = run_trials(params, GILBERT, 5, 0, 61, 10_000)
         assert all(map(np.array_equal, batch, as_batch(serial, 0)))
-        assert sizes == [4]
+        assert events == ["start"] * 3 + ["join"] * 3
         assert calls == [61, 0, 0, 0]
 
     def test_shared_first_escape_index(self):
@@ -428,23 +429,21 @@ class _CountingKernel:
         return ran
 
 
-def _inline_pool(sizes: list):
-    """A ThreadPoolExecutor stand-in that runs tasks inline, recording the pool size."""
+def _inline_thread(events: list):
+    """A Thread stand-in that runs its target when started, recording starts and joins."""
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InlineThread:
+        def __init__(self, target, args=()):
+            self._target, self._args = target, args
 
-        def __enter__(self):
-            return self
+        def start(self):
+            events.append("start")
+            self._target(*self._args)
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            events.append("join")
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return InlinePool
+    return InlineThread
 
 
 class TestEscapeMonotone:

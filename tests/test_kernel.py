@@ -217,3 +217,18 @@ def test_missing_compiler_fails_with_one_import_error(tmp_path):
     assert last.startswith("ImportError: cannot build the rcmperc kernel")
     assert missing in last and str(tmp_path / "rcmperc" / SOURCE.name) in last
     assert not list((tmp_path / "rcmperc" / "__pycache__").glob("_rcmperc_kernel_*"))
+
+
+def test_header_edit_rebuilds_the_kernel(tmp_path):
+    # the cache key covers kernel.h: a copy that carries the built kernel
+    # loads it with no compiler, and after an edit to kernel.h must build
+    shutil.copytree(PACKAGE, tmp_path / "rcmperc")
+    missing = {"CC": "/nonexistent/cc"}
+    done = _import_in_fresh_interpreter(tmp_path, missing)
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "rcmperc" / "kernel.h", "a") as header:
+        header.write("/* edited */\n")
+    done = _import_in_fresh_interpreter(tmp_path, missing)
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: cannot build the rcmperc kernel")
