@@ -11,29 +11,39 @@ bound       Analytic branching bound / subcriticality certificate, or
 tau         Estimate the two-point connection probability at distance r.
 reproduce   Re-run a reference table at desk or full scale.
 
-Common flags
-------------
---model {gilbert,penetrable,soft-sphere,tabulated} with model parameters
---range, --p, --beta, --hardness, --phi-csv; geometry via --dim and
---system-size (defaults to the desk window for the dimension); runs via
---runs / --trials; reproducibility via --seed (fixed default 1729, never
-wall clock). --threads selects worker threads (default from
-RCM_PERC_THREADS, else 1); results never depend on the worker count.
---output picks json or csv, --output-file a destination path (default
-stdout). --config FILE loads `key = value` lines named after the long
-flags; explicit flags win over the file, the file over defaults.
-argparse finds --config, so it can be abbreviated like any other flag.
+Flags
+-----
+Each command takes only the flags its handler reads; any other is an
+unrecognized argument:
+
+explore, percolate, tau   model flags, --dim, --system-size, --seed, caps
+critical                  the same and --quad-tol
+bound                     model flags, --dim, --quad-tol
+reproduce                 --seed, caps, --quad-tol
+
+beside its own (--gamma, --runs, ...). The model flags are --model
+{gilbert,penetrable,soft-sphere,tabulated}, --range, --p, --beta,
+--hardness and --phi-csv; the caps are --max-points and --max-steps.
+--system-size defaults to the desk window for the dimension, --seed to
+1729, never the wall clock. Every command also takes the execution
+flags, which choose how it runs and where its output goes, never its
+numbers: --threads (default from RCM_PERC_THREADS, else 1), --output
+json|csv and --output-file PATH (default stdout). --config FILE loads
+`key = value` lines named after the long flags; explicit flags win over
+the file, the file over defaults, and a key the command does not take
+is an error. argparse finds --config, so it can be abbreviated too.
 
 Exit codes: 0 success, 1 invalid configuration, 2 result unreliable
 because some explorations hit a work cap.
 
 Layout
 ------
-Each subcommand is one row of `_COMMANDS`: its name, help text, handler,
-whether the model flags apply, and its extra arguments; the parser is
-built from that table, with `_CONFIG`, which knows only --config, as
-each subcommand's parent. `_apply_config` parses with `_CONFIG` first
-and splices the file's flags in after the subcommand. `run_cli` resolves
+Each flag is one `_arg` constant, and each subcommand one row of
+`_COMMANDS`: its name, help text, handler and the flags it takes. The
+parser is built from that table, with the `_EXECUTION` flags added to
+every row and `_CONFIG`, which knows only --config, as each
+subcommand's parent. `_apply_config` parses with `_CONFIG` first and
+splices the file's flags in after the subcommand. `run_cli` resolves
 the worker count once, then calls the handler. Handlers write nothing:
 each returns an `_Output` holding its JSON document, its CSV rows and
 header, its stderr notes and its exit code. `_emit` is the only code
@@ -89,68 +99,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("model")
-    g.add_argument(
-        "--model",
-        choices=tuple(MODEL_KINDS),
-        default="gilbert",
-        help="connection model (default gilbert)",
-    )
-    g.add_argument("--range", type=float, default=2.0, help="connection radius (default 2)")
-    g.add_argument("--p", type=float, default=0.5, help="penetrable connection probability")
-    g.add_argument("--beta", type=float, default=1.0, help="soft-sphere energy scale")
-    g.add_argument("--hardness", type=int, default=6, help="soft-sphere hardness exponent")
-    g.add_argument("--phi-csv", default=None, help="CSV table (r, phi) for --model tabulated")
-
-
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("simulation")
-    g.add_argument("--dim", type=int, default=2, help="dimension (default 2)")
-    g.add_argument(
-        "--system-size",
-        type=float,
-        default=None,
-        help="escape radius; defaults to the desk window for the dimension",
-    )
-    g.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"master seed (default {DEFAULT_SEED})",
-    )
-    g.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads (default RCM_PERC_THREADS, else 1)",
-    )
-    g.add_argument(
-        "--max-points", type=int, default=DEFAULT_MAX_GENERATED,
-        help="cap on generated points per exploration",
-    )
-    g.add_argument(
-        "--max-steps", type=int, default=DEFAULT_MAX_STEPS,
-        help="cap on processed frontier points per exploration",
-    )
-    g.add_argument(
-        "--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
-        help="absolute tolerance of the radial quadrature",
-    )
-
-
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("output")
-    g.add_argument("--output", choices=("json", "csv"), default="json", help="output format")
-    g.add_argument("--output-file", default=None, help="write to this path instead of stdout")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rcmperc", description="critical intensities of random connection models")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _COMMANDS.values():
         p = sub.add_parser(cmd.name, help=cmd.help, parents=[_CONFIG])
-        if cmd.model_flags:
-            _add_model_flags(p)
-        _add_sim_flags(p)
-        _add_output_flags(p)
-        for flags, kwargs in cmd.args:
+        for flags, kwargs in (*cmd.args, *_EXECUTION):
             p.add_argument(*flags, **kwargs)
     return parser
 
@@ -257,22 +211,25 @@ def _build_params(args, gamma: float) -> SimParams:
 
 
 def _document(
-    args, model: ConnectionModel, params: SimParams | None, result: dict[str, Any], **config: Any
+    args, model: ConnectionModel, params: SimParams, result: dict[str, Any], **config: Any
 ) -> dict[str, Any]:
-    """A command's JSON document: its name, the configuration it ran, its result.
+    """A simulating command's JSON document: its name, the configuration it ran, its result.
 
-    The configuration echoes what can affect results. Execution details
-    (worker count, output destination) are left out on purpose: they
-    cannot affect results, and documents stay byte-identical across them.
+    The configuration echoes what can affect results: the seed, the
+    model, the simulation params, then the command's own keys. Execution
+    flags (worker count, output format and destination) are left out on
+    purpose: they cannot affect results, and documents stay
+    byte-identical across them. `bound` simulates nothing, so its
+    document, built in `_cmd_bound`, echoes the model alone.
     """
-    echo: dict[str, Any] = {"seed": args.seed, "model": model.to_config()}
-    if params is not None:
-        echo.update(
-            dim=params.dim,
-            system_size=params.system_size,
-            max_points=params.max_generated_points,
-            max_steps=params.max_steps,
-        )
+    echo = {
+        "seed": args.seed,
+        "model": model.to_config(),
+        "dim": params.dim,
+        "system_size": params.system_size,
+        "max_points": params.max_generated_points,
+        "max_steps": params.max_steps,
+    }
     return {"command": args.command, "config": {**echo, **config}, "result": result}
 
 
@@ -420,7 +377,8 @@ def _cmd_bound(args) -> _Output:
     result = constant_g_certificate(model, args.dim, gamma, args.quad_tol).to_dict()
     if args.gamma is None:
         result = {k: result[k] for k in ("model", "dim", "connectivity_mass", "branching_bound")}
-    return _Output(_document(args, model, None, result), [result])
+    return _Output({"command": "bound", "config": {"model": model.to_config()}, "result": result},
+                   [result])
 
 
 def _cmd_tau(args) -> _Output:
@@ -484,7 +442,6 @@ class _Command(NamedTuple):
     name: str
     help: str
     handler: Callable[[argparse.Namespace], _Output]
-    model_flags: bool
     args: tuple[tuple[tuple[str, ...], dict[str, Any]], ...]
 
 
@@ -492,6 +449,38 @@ def _arg(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
     return flags, kwargs
 
 
+_MODEL = (
+    _arg("--model", choices=tuple(MODEL_KINDS), default="gilbert",
+         help="connection model (default gilbert)"),
+    _arg("--range", type=float, default=2.0, help="connection radius (default 2)"),
+    _arg("--p", type=float, default=0.5, help="penetrable connection probability"),
+    _arg("--beta", type=float, default=1.0, help="soft-sphere energy scale"),
+    _arg("--hardness", type=int, default=6, help="soft-sphere hardness exponent"),
+    _arg("--phi-csv", default=None, help="CSV table (r, phi) for --model tabulated"),
+)
+_DIM = _arg("--dim", type=int, default=2, help="dimension (default 2)")
+_SEED = _arg("--seed", type=int, default=DEFAULT_SEED, help=f"master seed (default {DEFAULT_SEED})")
+_CAPS = (
+    _arg("--max-points", type=int, default=DEFAULT_MAX_GENERATED,
+         help="cap on generated points per exploration"),
+    _arg("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
+         help="cap on processed frontier points per exploration"),
+)
+_QUAD_TOL = _arg("--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
+                 help="absolute tolerance of the radial quadrature")
+# a simulating command's flags: the model, the window, the seed and the caps
+_SIM = (
+    *_MODEL, _DIM,
+    _arg("--system-size", type=float, default=None,
+         help="escape radius; defaults to the desk window for the dimension"),
+    _SEED, *_CAPS,
+)
+# how a command runs and where its output goes, never its numbers; every command takes them
+_EXECUTION = (
+    _arg("--threads", type=int, default=None, help="worker threads (default RCM_PERC_THREADS, else 1)"),
+    _arg("--output", choices=("json", "csv"), default="json", help="output format"),
+    _arg("--output-file", default=None, help="write to this path instead of stdout"),
+)
 _GAMMA = _arg("--gamma", type=float, required=True, help="point process intensity")
 _FULL_RUNS = _arg(
     "--full-runs", action="store_true",
@@ -506,21 +495,23 @@ _COMMANDS: dict[str, _Command] = {
     c.name: c
     for c in (
         _Command(
-            "explore", "independent cluster explorations, one record per trial",
-            _cmd_explore, True,
-            (_GAMMA, _arg("--runs", type=int, default=1, help="number of trials (default 1)")),
+            "explore", "independent cluster explorations, one record per trial", _cmd_explore,
+            (*_SIM, _GAMMA, _arg("--runs", type=int, default=1, help="number of trials (default 1)")),
         ),
         _Command(
-            "percolate", "percolation verdict at one intensity", _cmd_percolate, True,
+            "percolate", "percolation verdict at one intensity", _cmd_percolate,
             (
+                *_SIM,
                 _GAMMA,
                 _arg("--runs", type=int, default=DESK_RUNS, help=f"trials (default {DESK_RUNS})"),
                 _FULL_RUNS,
             ),
         ),
         _Command(
-            "critical", "bracket the critical intensity", _cmd_critical, True,
+            "critical", "bracket the critical intensity", _cmd_critical,
             (
+                *_SIM,
+                _QUAD_TOL,
                 _arg("--runs", type=int, default=DESK_RUNS,
                      help=f"trials per verdict (default {DESK_RUNS})"),
                 _RAMP,
@@ -529,8 +520,11 @@ _COMMANDS: dict[str, _Command] = {
             ),
         ),
         _Command(
-            "bound", "branching bound, certificate, or reference columns", _cmd_bound, True,
+            "bound", "branching bound, certificate, or reference columns", _cmd_bound,
             (
+                *_MODEL,
+                _DIM,
+                _QUAD_TOL,
                 _arg("--gamma", type=float, default=None,
                      help="also emit the certificate at this intensity"),
                 _arg("--table", type=int, nargs="?", const=0, default=None, metavar="N",
@@ -538,15 +532,16 @@ _COMMANDS: dict[str, _Command] = {
             ),
         ),
         _Command(
-            "tau", "two-point connection probability at distance r", _cmd_tau, True,
+            "tau", "two-point connection probability at distance r", _cmd_tau,
             (
+                *_SIM,
                 _GAMMA,
                 _arg("--r", type=float, required=True, help="probe distance from the origin"),
                 _arg("--trials", type=int, default=10_000, help="trials (default 10000)"),
             ),
         ),
         _Command(
-            "reproduce", "re-run a reference table", _cmd_reproduce, False,
+            "reproduce", "re-run a reference table", _cmd_reproduce,
             (
                 _arg("--table", type=int, required=True, choices=sorted(REFERENCE_TABLES),
                      help="reference table number"),
@@ -557,6 +552,9 @@ _COMMANDS: dict[str, _Command] = {
                 _arg("--runs", type=int, default=None, help="override trials per verdict"),
                 _RAMP,
                 _REFINE,
+                _SEED,
+                *_CAPS,
+                _QUAD_TOL,
             ),
         ),
     )

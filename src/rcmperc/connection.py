@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar
@@ -86,7 +87,9 @@ class ConnectionModel(ABC):
         Subclasses with a closed form override this. The quadrature is
         required to reach absolute tolerance `quad_tol`, finite and
         positive, on the radial integral; otherwise QuadratureError is
-        raised with the achieved error attached.
+        raised with the achieved error attached. scipy's IntegrationWarning
+        is kept off stderr: this check and the callers' finiteness check
+        decide and report.
         """
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
@@ -94,14 +97,16 @@ class ConnectionModel(ABC):
         from scipy import integrate  # here: models with a closed form never need scipy
 
         radius = self.radius
-        value, err = integrate.quad(
-            lambda r: self.phi_at(r) * r ** (dim - 1),
-            0.0,
-            radius,
-            epsabs=quad_tol,
-            epsrel=1e-12,
-            limit=200,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            value, err = integrate.quad(
+                lambda r: self.phi_at(r) * r ** (dim - 1),
+                0.0,
+                radius,
+                epsabs=quad_tol,
+                epsrel=1e-12,
+                limit=200,
+            )
         if err > quad_tol:
             raise QuadratureError(
                 f"radial quadrature achieved absolute error {err:.3e}, "

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib
 import io
@@ -8,6 +9,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -96,17 +98,45 @@ class TestUsageErrors:
              "quadrature tolerance must be finite and positive, got nan"),
             (["bound", "--model", "soft-sphere", "--quad-tol", "1e-30"],
              "radial quadrature achieved absolute error "),
+            # the quadrature gives up and returns nan
+            (["bound", "--model", "soft-sphere", "--range", "1e200", "--dim", "2"],
+             "connection function mass must be finite, got nan"),
         ],
         ids=["zero-mass", "zero-mass-gamma", "bound-d400", "percolate-d400", "bound-range-1e308",
-             "bound-range-1e154", "percolate-range-1e154", "quad-tol-nan", "quad-tol-1e-30"],
+             "bound-range-1e154", "percolate-range-1e154", "quad-tol-nan", "quad-tol-1e-30",
+             "quad-gives-up"],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
         zeros = tmp_path / "zeros.csv"
         zeros.write_text("r,phi\n0.0,0.0\n1.0,0.0\n2.0,0.0\n")
-        assert run_cli([a.format(zeros=zeros) for a in argv]) == 1
+        # pytest captures warnings before capsys sees them, so record them here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli([a.format(zeros=zeros) for a in argv]) == 1
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: " + message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--seed", "99"],
+            ["bound", "--max-points", "5"],
+            ["bound", "--max-steps", "5"],
+            ["bound", "--system-size", "3"],
+            ["explore", "--gamma", "0.1", "--quad-tol", "nan"],
+            ["percolate", "--gamma", "0.1", "--quad-tol", "nan"],
+            ["tau", "--gamma", "0.1", "--r", "1.5", "--quad-tol", "nan"],
+            ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "20",
+             "--system-size", "7"],
+        ],
+    )
+    def test_flag_the_command_never_reads_is_refused(self, capsys, argv):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: unrecognized arguments: " + " ".join(argv[-2:]))
 
     @pytest.mark.parametrize("model", ["gilbert", "soft-sphere"])
     @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
@@ -141,6 +171,50 @@ class TestUsageErrors:
     def test_env_threads_used(self, capsys, monkeypatch):
         monkeypatch.setenv("RCM_PERC_THREADS", "2")
         run_ok(capsys, ["percolate", "--gamma", "0.0", "--runs", "5"])
+
+
+class TestFlagTable:
+    """Each subcommand defines only flags that its handler, `run_cli` or `_emit` reads."""
+
+    TABULATED = ["--model", "tabulated", "--phi-csv", "{phi}"]
+    # small valid runs that together take every branch that reads a flag
+    RUNS = {
+        "explore": [["explore", "--gamma", "0", "--system-size", "10"],
+                    ["explore", *TABULATED, "--gamma", "0", "--system-size", "10"]],
+        "percolate": [["percolate", "--gamma", "0", "--system-size", "10", "--runs", "2"],
+                      ["percolate", *TABULATED, "--gamma", "0", "--system-size", "10", "--runs", "2"]],
+        "critical": [["critical", "--system-size", "10", "--runs", "10", "--refine", "1"],
+                     ["critical", *TABULATED, "--system-size", "10", "--runs", "10", "--refine", "1"]],
+        "bound": [["bound"], ["bound", *TABULATED, "--gamma", "0.01"], ["bound", "--table", "1"]],
+        "tau": [["tau", "--gamma", "0", "--r", "1.5", "--trials", "5", "--system-size", "10"],
+                ["tau", *TABULATED, "--gamma", "0", "--r", "1.5", "--trials", "5",
+                 "--system-size", "10"]],
+        "reproduce": [["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "10",
+                       "--refine", "1"]],
+    }
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_flag_is_read(self, capsys, monkeypatch, tmp_path, command):
+        reads: set[str] = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        parse = cli._Parser.parse_args
+        monkeypatch.setattr(
+            cli._Parser, "parse_args", lambda self, *a, **k: Recording(**vars(parse(self, *a, **k)))
+        )
+        phi = tmp_path / "phi.csv"
+        phi.write_text("r,phi\n0.0,1.0\n1.0,1.0\n2.0,0.0\n")
+        for argv in self.RUNS[command]:
+            run_ok(capsys, [a.format(phi=phi) for a in argv])
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        # --config is consumed by `_apply_config` before the parse
+        defined = {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+        assert sorted(defined - reads) == []
 
 
 class TestExplore:
@@ -329,6 +403,10 @@ class TestBound:
         assert round_sig(r["branching_bound"]) == 0.029842
         assert r["branching_bound"] == pytest.approx(1.0 / r["connectivity_mass"], rel=1e-15)
         assert r["connectivity_mass"] == pytest.approx(32.0 * math.pi / 3.0, rel=1e-10)
+
+    def test_config_echoes_only_the_model(self, capsys):
+        doc = json.loads(run_ok(capsys, ["bound", "--dim", "3", "--gamma", "0.05"]).out)
+        assert doc["config"] == {"model": {"kind": "gilbert", "radius": 2.0}}  # no seed
 
     def test_certificate_mode(self, capsys):
         out = run_ok(capsys, ["bound", "--dim", "2", "--gamma", "0.02"])
