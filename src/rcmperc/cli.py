@@ -44,14 +44,18 @@ parser is built from that table, with the `_EXECUTION` flags added to
 every row and `_CONFIG`, which knows only --config, as each
 subcommand's parent. `_apply_config` parses with `_CONFIG` first and
 splices the file's flags in after the subcommand. `run_cli` resolves
-the worker count once, then calls the handler. Handlers write nothing:
-each returns an `_Output` holding its JSON document, its CSV rows and
-header, its stderr notes and its exit code. `_emit` is the only code
-that writes a result, chooses between JSON and CSV, or opens
---output-file; `_csv_cell` is the one CSV cell format, with floats by
-round-trip repr. Invalid input raises ValueError; failed numerics
-raise RuntimeError or an ArithmeticError such as an overflow. `run_cli`
-reports any of them, or an OSError, as one `error:` line, exit code 1.
+the worker count once, then calls the handler. Every command but
+`bound` runs its trials as `exploration.run_trials` batches on that
+many threads; `explore` is one batch, its rows the batch's records in
+trial order. Handlers write nothing: each returns an `_Output` holding
+its JSON document, its CSV rows and header, its stderr notes and its
+exit code. No document holds a clock value, so output depends only on
+the flags that set the numbers. `_emit` is the only code that writes a
+result, chooses between JSON and CSV, or opens --output-file;
+`_csv_cell` is the one CSV cell format, with floats by round-trip repr.
+Invalid input raises ValueError; failed numerics raise RuntimeError or
+an ArithmeticError such as an overflow. `run_cli` reports any of them,
+an OSError or a MemoryError as one `error:` line, exit code 1.
 
 Examples
 --------
@@ -73,18 +77,16 @@ import io
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .bounds import branching_bound, constant_g_certificate
 from .connection import DEFAULT_QUAD_TOL, MODEL_KINDS, ConnectionModel, TabulatedRadial
 from .exploration import (
-    DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, SimParams, estimate_pair_connectedness,
-    explore_cluster,
+    DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, SimParams, estimate_pair_connectedness, run_trials,
 )
 from .reference import DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, SCALES, reproduce_preset
-from .sampling import DEFAULT_SEED, trial_stream
+from .sampling import DEFAULT_SEED
 from .threshold import DEFAULT_RAMP_FACTOR, DEFAULT_REFINEMENTS, estimate_critical, percolation_verdict
 
 __all__ = ["run_cli", "main"]
@@ -300,16 +302,13 @@ def _cmd_explore(args) -> _Output:
     params = _build_params(args, args.gamma)
     if args.runs < 1:
         raise ValueError(f"--runs must be positive, got {args.runs}")
-    rows: list[dict[str, Any]] = []
-    for t in range(args.runs):
-        t0 = time.perf_counter()
-        o = explore_cluster(params, model, trial_stream(args.seed, 0, t))
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        rows.append({
-            "trial": t, "seed": args.seed, "gamma": args.gamma, "escaped": o.escaped,
-            "cluster_size": o.cluster_size, "generated_points": o.generated_points,
-            "steps": o.steps, "max_norm": o.max_norm, "capped": o.capped, "wall_ms": wall_ms,
-        })
+    outcomes, _ = run_trials(params, model, args.seed, 0, args.runs, args.threads)
+    rows = [
+        {"trial": t, "seed": args.seed, "gamma": args.gamma, "escaped": bool(escaped),
+         "cluster_size": size, "generated_points": generated, "steps": steps,
+         "max_norm": max_norm, "capped": bool(capped)}
+        for t, (escaped, capped, size, generated, steps, max_norm) in enumerate(outcomes.tolist())
+    ]
     return _Output(rows, rows, code=2 if any(r["capped"] for r in rows) else 0)
 
 
@@ -430,7 +429,7 @@ def _cmd_reproduce(args) -> _Output:
     header = (
         "dim", "system_size", "runs", "lower", "upper", "midpoint", "width",
         "reference_estimate", "reference_branching_bound", "branching_bound",
-        "literature_value", "wall_seconds",
+        "literature_value",
     )
     return _Output(doc, rows, header, code=2 if doc["capped"] else 0)
 
@@ -572,7 +571,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return _emit(args, _COMMANDS[args.command].handler(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,11 +18,12 @@
  * and the rcm_* entry points.
  *
  * No function here touches a Python object, so callers may release the
- * interpreter lock around every entry point. Each call owns all the
- * memory it allocates and frees it before it returns; no state outlives
- * a call. A batch call (rcm_run_trials) sets up one exploration
- * workspace, a grid, a frontier and scratch, and reuses it for every
- * trial it runs, emptying it before each.
+ * interpreter lock around every entry point. Each call frees the
+ * memory it allocates before it returns, but for the pair log that
+ * rcm_explore grows for its caller, who frees it with rcm_free; no
+ * other state outlives a call. A batch call (rcm_run_trials) sets up
+ * one exploration workspace, a grid, a frontier and scratch, and reuses
+ * it for every trial it runs, emptying it before each.
  */
 
 #include <math.h>

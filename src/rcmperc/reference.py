@@ -18,7 +18,6 @@ full-scale values because escapes come easier in a small window.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -190,13 +189,11 @@ def reproduce_preset(
             max_generated_points=max_points, max_steps=max_steps,
         )
         seed_d = derive_seed(master_seed, table_number, d)
-        t0 = time.perf_counter()
         est = estimate_critical(
             params, model, n_runs, seed_d,
             ramp_factor=ramp_factor, refinements=refinements, workers=workers,
             quad_tol=quad_tol,
         )
-        wall_s = time.perf_counter() - t0
         capped = capped or any(v.capped_runs > 0 for v in est.history)
         rows.append(
             {
@@ -218,7 +215,6 @@ def reproduce_preset(
                     "literature_value": ref.literature_value,
                 },
                 "branching_bound": branching_bound(model, d, quad_tol),
-                "wall_seconds": wall_s,
             }
         )
 

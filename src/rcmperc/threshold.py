@@ -14,6 +14,7 @@ verdicts are identical for any worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -168,8 +169,8 @@ def estimate_critical(
     recorded. A window that no trial can leave within the step cap
     raises RuntimeError before any verdict runs.
     """
-    if ramp_factor <= 1.0:
-        raise ValueError(f"ramp factor must exceed 1, got {ramp_factor!r}")
+    if not (math.isfinite(ramp_factor) and ramp_factor > 1.0):
+        raise ValueError(f"ramp factor must be finite and exceed 1, got {ramp_factor!r}")
     if refinements < 0:
         raise ValueError(f"refinement count must be non-negative, got {refinements}")
     # after k processing steps no cluster point lies beyond k * range

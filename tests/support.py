@@ -1,17 +1,22 @@
-"""Shared helpers for the test suite: tolerances, histogram tests, re-judging."""
+"""Shared helpers for the test suite: tolerances, histogram tests, re-judging,
+a counting kernel and a memory-bounded child process."""
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import resource
 import sys
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from rcmperc import ClusterOutcome, ball_volume, place_candidates, poisson_count
 from rcmperc.kernel import OUTCOME
+from rcmperc.kernel import lib as KERNEL
 
 
 def round_sig(x: float, digits: int = 5) -> float:
@@ -182,3 +187,51 @@ def assert_bracket_invariants(estimate) -> None:
     if len(ramp) >= 2:
         post_ramp = ramp[-1].gamma - ramp[-2].gamma
         assert estimate.width == post_ramp / 2.0**estimate.refinements
+
+
+class CountingKernel:
+    """The kernel library, with the trials each rcm_run_trials call ran recorded."""
+
+    def __init__(self, calls: list):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(KERNEL, name)
+
+    def rcm_run_trials(self, *args):
+        ran = KERNEL.rcm_run_trials(*args)
+        self._calls.append(ran)
+        return ran
+
+
+def in_bounded_child(fn, seconds: float = 60.0, extra_bytes: int = 1 << 30):
+    """fn() in a forked child that may run `seconds` and map `extra_bytes`
+    more than it started with. A runaway kernel then fails the test with a
+    MemoryError or a timeout instead of exhausting the machine's memory."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        with open("/proc/self/statm") as f:
+            mapped = int(f.read().split()[0]) * resource.getpagesize()
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = mapped + extra_bytes
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        try:
+            send.send((True, fn()))
+        except BaseException as exc:
+            send.send((False, repr(exc)))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        if not recv.poll(seconds):
+            pytest.fail(f"the child did not finish within {seconds} s")
+        ok, value = recv.recv()
+    finally:
+        proc.kill()
+        proc.join()
+    assert ok, value
+    return value

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -19,10 +21,10 @@ from hypothesis import strategies as st
 from rcmperc import (
     Gilbert, SimParams, branching_bound, explore_cluster, reproduce_preset, trial_stream,
 )
-from rcmperc import cli
+from rcmperc import cli, exploration
 from rcmperc.cli import run_cli
 
-from support import round_sig
+from support import CountingKernel, in_bounded_child, round_sig
 
 
 def run_ok(capsys, argv):
@@ -101,10 +103,12 @@ class TestUsageErrors:
             # the quadrature gives up and returns nan
             (["bound", "--model", "soft-sphere", "--range", "1e200", "--dim", "2"],
              "connection function mass must be finite, got nan"),
+            (["critical", "--ramp", "nan"], "ramp factor must be finite and exceed 1, got nan"),
+            (["critical", "--ramp", "inf"], "ramp factor must be finite and exceed 1, got inf"),
         ],
         ids=["zero-mass", "zero-mass-gamma", "bound-d400", "percolate-d400", "bound-range-1e308",
              "bound-range-1e154", "percolate-range-1e154", "quad-tol-nan", "quad-tol-1e-30",
-             "quad-gives-up"],
+             "quad-gives-up", "ramp-nan", "ramp-inf"],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
         zeros = tmp_path / "zeros.csv"
@@ -117,6 +121,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: " + message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["percolate", "explore"])
+    def test_out_of_memory_is_one_error_line(self, command):
+        # the batch's outcome array alone would take 3.64 TiB
+        argv = [command, "--gamma", "0", "--system-size", "10", "--runs", "100000000000"]
+
+        def run():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            return code, err.getvalue()
+
+        code, err = in_bounded_child(run)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -225,10 +244,7 @@ class TestExplore:
         ])
         lines = out.out.strip().splitlines()
         assert len(lines) == 1
-        doc = json.loads(lines[0])
-        wall = doc.pop("wall_ms")
-        assert wall >= 0.0
-        assert doc == {
+        assert json.loads(lines[0]) == {
             "trial": 0, "seed": 7, "gamma": 0.0, "escaped": False,
             "cluster_size": 1, "generated_points": 0, "steps": 1,
             "max_norm": 0.0, "capped": False,
@@ -250,10 +266,8 @@ class TestExplore:
         ])
         params = SimParams(dim=2, gamma=0.3, system_size=15.0)
         for t, line in enumerate(out.out.strip().splitlines()):
-            row = json.loads(line)
-            assert row.pop("wall_ms") >= 0.0
             o = explore_cluster(params, Gilbert(radius=2.0), trial_stream(5, 0, t))
-            assert row == {
+            assert json.loads(line) == {
                 "trial": t, "seed": 5, "gamma": 0.3, "escaped": o.escaped,
                 "cluster_size": o.cluster_size, "generated_points": o.generated_points,
                 "steps": o.steps, "max_norm": o.max_norm, "capped": o.capped,
@@ -267,7 +281,7 @@ class TestExplore:
         reader = csv.reader(io.StringIO(out.out))
         assert next(reader) == [
             "trial", "seed", "gamma", "escaped", "cluster_size", "generated_points",
-            "steps", "max_norm", "capped", "wall_ms",
+            "steps", "max_norm", "capped",
         ]
         rows = list(reader)
         assert len(rows) == 4
@@ -286,8 +300,7 @@ class TestExplore:
         for j, c in zip(jrows, crows):
             assert list(j) == list(c)
             for key in j:
-                if key != "wall_ms":
-                    assert cli._csv_cell(j[key]) == c[key], key
+                assert cli._csv_cell(j[key]) == c[key], key
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -309,11 +322,34 @@ class TestExplore:
     def test_deterministic_output(self, capsys):
         argv = ["explore", "--gamma", "0.3", "--dim", "2", "--system-size", "15",
                 "--runs", "5", "--seed", "21"]
-        a = [json.loads(l) for l in run_ok(capsys, argv).out.strip().splitlines()]
-        b = [json.loads(l) for l in run_ok(capsys, argv).out.strip().splitlines()]
-        for ra, rb in zip(a, b):
-            ra.pop("wall_ms"); rb.pop("wall_ms")
-            assert ra == rb
+        assert run_ok(capsys, argv).out == run_ok(capsys, argv).out
+
+    def test_one_kernel_call_per_thread(self, capsys, monkeypatch):
+        calls: list[int] = []
+        monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_ok(capsys, ["explore", "--gamma", "0.3", "--system-size", "15", "--runs", "8",
+                        "--threads", "2"])
+        assert len(calls) == 2 and sum(calls) == 8
+
+
+class TestNoClock:
+    """No document holds a clock value: output bytes repeat across runs and worker counts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explore", "--gamma", "0.3", "--system-size", "15", "--runs", "5", "--seed", "7"],
+            ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "10",
+             "--refine", "1"],
+        ],
+        ids=["explore", "reproduce"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bytes_repeat_across_runs_and_threads(self, capsys, argv, fmt):
+        outs = [run_ok(capsys, [*argv, "--output", fmt, "--threads", t]).out
+                for t in ("1", "1", "2")]
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestPercolate:

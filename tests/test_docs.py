@@ -1,4 +1,5 @@
-"""The demos and the README's Python example import only names the package exports.
+"""The demos and the README's Python example import only names the package exports,
+and the README's `explore` example shows that command's real output.
 
 The scripts are parsed, not run: running all the demos takes over half a
 minute, and a removed name would otherwise break one silently.
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import rcmperc
+from rcmperc.cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [*sorted(ROOT.glob("demos/*.py")), ROOT / "README.md"]
@@ -50,3 +52,13 @@ def test_imported_names_are_exported(path):
         )
     ]
     assert not missing, missing
+
+
+def test_readme_explore_example_is_real_output(capsys):
+    # the ```sh block with the command, then the ``` block with its first lines
+    command, shown = re.search(
+        r"```sh\nrcmperc (explore [^\n]*)\n```\n\n```\n(.*?)```", (ROOT / "README.md").read_text(),
+        re.S,
+    ).groups()
+    assert run_cli(command.split()) == 0
+    assert capsys.readouterr().out.startswith(shown)

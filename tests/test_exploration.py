@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
-import resource
 from collections import Counter
 from dataclasses import replace
 
@@ -29,11 +27,10 @@ from rcmperc import (
 from rcmperc import exploration
 from rcmperc.exploration import run_trials
 from rcmperc.kernel import OUTCOME
-from rcmperc.kernel import lib as KERNEL
 from rcmperc.sampling import trial_entropy
 
 from brute_force import brute_force_trial
-from support import as_batch, majority_rule, two_sample_pvalue
+from support import CountingKernel, as_batch, in_bounded_child, majority_rule, two_sample_pvalue
 
 GILBERT = Gilbert(radius=2.0)
 
@@ -225,7 +222,7 @@ class TestRunTrials:
         events: list[str] = []
         calls: list[int] = []
         monkeypatch.setattr(exploration, "Thread", _inline_thread(events))
-        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
+        monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         want = {
@@ -249,7 +246,7 @@ class TestRunTrials:
         events: list[str] = []
         calls: list[int] = []
         monkeypatch.setattr(exploration, "Thread", _inline_thread(events))
-        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
+        monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         serial = [explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(61)]
@@ -311,7 +308,7 @@ class TestRunTrials:
 
     def test_serial_batch_starts_no_trial_past_its_first_escape(self, monkeypatch):
         calls: list[int] = []
-        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
+        monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         # seed 1 at this size first escapes at trial 76
         params = SimParams(dim=2, gamma=0.25, system_size=40.0)
         serial = [explore_cluster(params, GILBERT, trial_stream(1, 0, t)) for t in range(77)]
@@ -322,7 +319,7 @@ class TestRunTrials:
 
     def test_negative_seed_or_key_fails_before_the_kernel(self, monkeypatch):
         calls: list[int] = []
-        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
+        monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         with pytest.raises(ValueError, match=r"^master seed must be non-negative, got -1$"):
             run_trials(params, GILBERT, -1, 0, 10)
@@ -345,14 +342,14 @@ class TestWorkspaceReuse:
         self, monkeypatch, dim, radius, system_size, max_steps, seed
     ):
         calls: list[int] = []
-        monkeypatch.setattr(exploration, "lib", _CountingKernel(calls))
+        monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         model = PenetrableSphere(radius, 0.0125)
         extras = ((1.0,) + (0.0,) * (dim - 1), (-1.5,) + (0.5,) * (dim - 1))
         params = SimParams(dim, 200.0 / ball_volume(dim, radius), system_size,
                            extra_points=extras, max_steps=max_steps)
         # a grid that kept stale cells could chain its points into a cycle
         # and collect without end, so the batch runs in a bounded child
-        batch, calls = _in_bounded_child(lambda: (run_trials(params, model, seed, 0, 5), calls))
+        batch, calls = in_bounded_child(lambda: (run_trials(params, model, seed, 0, 5), calls))
         assert calls == [5]
         serial = [explore_cluster(params, model, trial_stream(seed, 0, t)) for t in range(5)]
         assert all(map(np.array_equal, batch, as_batch(serial, 2)))
@@ -367,39 +364,6 @@ class TestWorkspaceReuse:
         assert max(o.steps for o in tiny) <= 3
 
 
-def _in_bounded_child(fn, seconds: float = 60.0, extra_bytes: int = 1 << 30):
-    """fn() in a forked child that may run `seconds` and map `extra_bytes`
-    more than it started with. A runaway kernel then fails the test with a
-    MemoryError or a timeout instead of exhausting the machine's memory."""
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-
-    def child():
-        with open("/proc/self/statm") as f:
-            mapped = int(f.read().split()[0]) * resource.getpagesize()
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        soft = mapped + extra_bytes
-        if hard != resource.RLIM_INFINITY:
-            soft = min(soft, hard)
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-        try:
-            send.send((True, fn()))
-        except BaseException as exc:
-            send.send((False, repr(exc)))
-
-    proc = ctx.Process(target=child)
-    proc.start()
-    try:
-        if not recv.poll(seconds):
-            pytest.fail(f"the child did not finish within {seconds} s")
-        ok, value = recv.recv()
-    finally:
-        proc.kill()
-        proc.join()
-    assert ok, value
-    return value
-
-
 def _most_retests(params: SimParams, model, rng) -> int:
     """The most unattached points one frontier point tested in step (a)."""
     log: list[tuple[int, int]] = []
@@ -412,21 +376,6 @@ def _most_retests(params: SimParams, model, rng) -> int:
         most = max(most, retests)
         known += len(ids) - retests
     return most
-
-
-class _CountingKernel:
-    """The kernel library, with the trials each rcm_run_trials call ran recorded."""
-
-    def __init__(self, calls: list):
-        self._calls = calls
-
-    def __getattr__(self, name):
-        return getattr(KERNEL, name)
-
-    def rcm_run_trials(self, *args):
-        ran = KERNEL.rcm_run_trials(*args)
-        self._calls.append(ran)
-        return ran
 
 
 def _inline_thread(events: list):

@@ -21,9 +21,9 @@ without `--gamma` for the soft-sphere and tabulated models), one
 `tests/test_cli.py::TestUsageErrors::test_exit_one`. It runs from the
 checkout root, so the relative paths of the table and the config file in
 argv stay the same. For each case it records the exit code, stderr, and
-stdout or the output file's bytes, with the `wall_ms` and `wall_seconds`
-values blanked, since only they depend on the clock. `compare` lists the
-cases whose records differ and exits 1 if there are any.
+stdout or the output file's bytes, as they are: no output holds a clock
+value, so nothing is blanked. `compare` lists the cases whose records
+differ and exits 1 if there are any.
 
 Capture a refactor's parent and its change into files outside the
 checkout, then compare them: identical records mean identical output.
@@ -33,11 +33,9 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import csv
 import io
 import json
 import os
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -98,9 +96,6 @@ MATRIX: dict[str, list[str]] = {
 OUTPUT_FILE_CASE = ["critical", "--system-size", "15", "--runs", "40", "--seed", "13",
                     "--output", "csv", "--threads", "2"]
 
-_WALL_KEYS = ("wall_ms", "wall_seconds")
-_WALL_JSON = re.compile(r'("wall_(?:ms|seconds)": )[^,\n}]+')
-
 
 def exit_one_argvs() -> list[list[str]]:
     """The argvs `test_exit_one` is parametrized with, read from the test file."""
@@ -125,24 +120,8 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def blank_wall(text: str) -> str:
-    """Blank the wall-clock values of a JSON document or a CSV table."""
-    text = _WALL_JSON.sub(r"\1null", text)
-    rows = list(csv.reader(io.StringIO(text)))
-    cols = [i for i, c in enumerate(rows[0]) if c in _WALL_KEYS] if rows else []
-    if not cols:
-        return text
-    for row in rows[1:]:
-        for i in cols:
-            if i < len(row):
-                row[i] = ""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def run_case(run_cli, argv: list[str], out_file: Path | None) -> dict:
-    """One CLI run's exit code, stderr and output, wall-clock values blanked."""
+    """One CLI run's exit code, stderr and output."""
     extra = ["--output-file", str(out_file)] if out_file is not None else []
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -150,9 +129,9 @@ def run_case(run_cli, argv: list[str], out_file: Path | None) -> dict:
     return {
         "argv": argv,
         "code": code,
-        "stderr": blank_wall(err.getvalue()),
-        "stdout": blank_wall(out.getvalue()),
-        "file": blank_wall(out_file.read_text()) if out_file is not None else None,
+        "stderr": err.getvalue(),
+        "stdout": out.getvalue(),
+        "file": out_file.read_text() if out_file is not None else None,
     }
 
 
