@@ -27,11 +27,11 @@ beside its own (--gamma, --runs, ...). The model flags are --model
 --system-size defaults to the desk window for the dimension, --seed to
 1729, never the wall clock. Every command also takes the execution
 flags, which choose how it runs and where its output goes, never its
-numbers: --threads (default from RCM_PERC_THREADS, else 1), --output
-json|csv and --output-file PATH (default stdout). --config FILE loads
-`key = value` lines named after the long flags; explicit flags win over
-the file, the file over defaults, and a key the command does not take
-is an error. argparse finds --config, so it can be abbreviated too.
+numbers: --threads (default 1), --output json|csv and --output-file
+PATH (default stdout). --config FILE loads `key = value` lines named
+after the long flags; explicit flags win over the file, the file over
+defaults, and a key the command does not take is an error. argparse
+finds --config, so it can be abbreviated too.
 
 Exit codes: 0 success, 1 invalid configuration, 2 result unreliable
 because some explorations hit a work cap.
@@ -43,11 +43,11 @@ Each flag is one `_arg` constant, and each subcommand one row of
 parser is built from that table, with the `_EXECUTION` flags added to
 every row and `_CONFIG`, which knows only --config, as each
 subcommand's parent. `_apply_config` parses with `_CONFIG` first and
-splices the file's flags in after the subcommand. `run_cli` resolves
-the worker count once, then calls the handler. Every command but
-`bound` runs its trials as `exploration.run_trials` batches on that
-many threads; `explore` is one batch, its rows the batch's records in
-trial order. Handlers write nothing: each returns an `_Output` holding
+splices the file's flags in after the subcommand. `run_cli` checks
+the worker count, then calls the handler. Every command but `bound`
+runs its trials as `exploration.run_trials` batches on that many
+threads; `explore` is one batch, its rows the batch's records in trial
+order. Handlers write nothing: each returns an `_Output` holding
 its JSON document, its CSV rows and header, its stderr notes and its
 exit code. No document holds a clock value, so output depends only on
 the flags that set the numbers. `_emit` is the only code that writes a
@@ -75,15 +75,15 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .bounds import branching_bound, constant_g_certificate
 from .connection import DEFAULT_QUAD_TOL, MODEL_KINDS, ConnectionModel, TabulatedRadial
 from .exploration import (
-    DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, SimParams, estimate_pair_connectedness, run_trials,
+    DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, ClusterOutcome, SimParams,
+    estimate_pair_connectedness, run_trials,
 )
 from .reference import DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, SCALES, reproduce_preset
 from .sampling import DEFAULT_SEED
@@ -160,24 +160,6 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 
 # --- shared builders --------------------------------------------------------
-
-
-def _threads(args) -> int:
-    """Worker count: --threads, else RCM_PERC_THREADS, else 1."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be positive, got {args.threads}")
-        return args.threads
-    raw = os.environ.get("RCM_PERC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"RCM_PERC_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"RCM_PERC_THREADS must be positive, got {value}")
-    return value
 
 
 def _build_model(args) -> ConnectionModel:
@@ -303,12 +285,11 @@ def _cmd_explore(args) -> _Output:
     if args.runs < 1:
         raise ValueError(f"--runs must be positive, got {args.runs}")
     outcomes, _ = run_trials(params, model, args.seed, 0, args.runs, args.threads)
-    rows = [
-        {"trial": t, "seed": args.seed, "gamma": args.gamma, "escaped": bool(escaped),
-         "cluster_size": size, "generated_points": generated, "steps": steps,
-         "max_norm": max_norm, "capped": bool(capped)}
-        for t, (escaped, capped, size, generated, steps, max_norm) in enumerate(outcomes.tolist())
-    ]
+    rows = []
+    for t, record in enumerate(outcomes):
+        outcome = asdict(ClusterOutcome.from_record(record))
+        del outcome["extras_in_cluster"]  # explore places no extra points
+        rows.append({"trial": t, "seed": args.seed, "gamma": args.gamma, **outcome})
     return _Output(rows, rows, code=2 if any(r["capped"] for r in rows) else 0)
 
 
@@ -476,7 +457,7 @@ _SIM = (
 )
 # how a command runs and where its output goes, never its numbers; every command takes them
 _EXECUTION = (
-    _arg("--threads", type=int, default=None, help="worker threads (default RCM_PERC_THREADS, else 1)"),
+    _arg("--threads", type=int, default=1, help="worker threads (default 1)"),
     _arg("--output", choices=("json", "csv"), default="json", help="output format"),
     _arg("--output-file", default=None, help="write to this path instead of stdout"),
 )
@@ -567,7 +548,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(_apply_config(argv))
-        args.threads = _threads(args)
+        if args.threads < 1:
+            raise ValueError(f"--threads must be positive, got {args.threads}")
         return _emit(args, _COMMANDS[args.command].handler(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -59,8 +59,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from threading import Thread
+from typing import Sequence
 
 import numpy as np
 
@@ -134,7 +135,8 @@ class ClusterOutcome:
     partial count for escaped or capped runs. generated_points counts
     points kept after thinning; steps counts processed frontier points.
     extras_in_cluster flags, per SimParams.extra_points entry, whether
-    that point had joined the cluster by the end of the run.
+    that point had joined the cluster by the end of the run. The kernel
+    reports the other fields in one `rcm_outcome` record (kernel.h).
     """
 
     escaped: bool
@@ -144,6 +146,13 @@ class ClusterOutcome:
     max_norm: float
     capped: bool
     extras_in_cluster: tuple[bool, ...] = ()
+
+    @classmethod
+    def from_record(cls, record: np.void, joined: Sequence[bool] = ()) -> ClusterOutcome:
+        """The outcome in a `kernel.OUTCOME` record; joined[k] says whether extra point k joined."""
+        names = record.dtype.names
+        return cls(**{f.name: record[f.name].item() for f in fields(cls) if f.name in names},
+                   extras_in_cluster=tuple(bool(b) for b in joined))
 
 
 def explore_cluster(
@@ -198,12 +207,11 @@ def _explore(
     generated points in generation order.
     """
     m, c_params = _kernel_args(params, model)
-    n_extras = len(params.extra_points)
-    out = ffi.new("rcm_outcome *")
-    extras_in = ffi.new("uint8_t[]", n_extras)
+    outcomes, joined = _batch_arrays(1, len(params.extra_points))
     log = ffi.new("rcm_pair_log *") if pair_log is not None else ffi.NULL
     try:
-        if lib.rcm_explore(bitgen(rng), m, c_params, out, extras_in, log) < 0:
+        if lib.rcm_explore(bitgen(rng), m, c_params, ffi.from_buffer("rcm_outcome[]", outcomes),
+                           ffi.from_buffer("uint8_t[]", joined), log) < 0:
             raise MemoryError("the exploration kernel ran out of memory")
         if pair_log is not None and log.n:
             ids = ffi.unpack(log.ids, 2 * log.n)
@@ -211,15 +219,15 @@ def _explore(
     finally:
         if pair_log is not None:
             lib.rcm_free(log.ids)
-    return ClusterOutcome(
-        escaped=bool(out.escaped),
-        cluster_size=out.cluster_size,
-        generated_points=out.generated,
-        steps=out.steps,
-        max_norm=out.max_norm,
-        capped=bool(out.capped),
-        extras_in_cluster=tuple(bool(b) for b in ffi.unpack(extras_in, n_extras)),
-    )
+    return ClusterOutcome.from_record(outcomes[0], joined[0])
+
+
+def _batch_arrays(n: int, n_extras: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed outcome records and joined flags for n trials, for the kernel to fill."""
+    try:
+        return np.zeros(n, OUTCOME), np.zeros((n, n_extras), bool)
+    except MemoryError:
+        raise MemoryError(f"cannot hold the outcomes of {n} trials in memory") from None
 
 
 def run_trials(
@@ -247,8 +255,7 @@ def run_trials(
     entropy = trial_entropy(master_seed, eval_key)
     m, c_params = _kernel_args(params, model)
     threads = min(workers, os.cpu_count() or 1)
-    outcomes = np.zeros(n, OUTCOME)
-    joined = np.zeros((n, len(params.extra_points)), bool)
+    outcomes, joined = _batch_arrays(n, len(params.extra_points))
     outs = ffi.from_buffer("rcm_outcome[]", outcomes)
     extras_in = ffi.from_buffer("uint8_t[]", joined)
     next_trial = ffi.new("int64_t *", 0)
@@ -343,8 +350,8 @@ def estimate_pair_connectedness(
     )
     # a joined probe is positive even in a capped or escaped trial
     positive = joined[:, 0]
-    capped = (outcomes["capped"] != 0) & ~positive
-    escaped = (outcomes["escaped"] != 0) & ~(positive | capped)
+    capped = outcomes["capped"] & ~positive
+    escaped = outcomes["escaped"] & ~(positive | capped)
     positives = int(positive.sum())
     excluded_capped = int(capped.sum())
     excluded_escaped = int(escaped.sum())

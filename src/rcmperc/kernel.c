@@ -818,7 +818,7 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
     out->escaped = e->escaped;
     out->capped = capped;
     out->cluster_size = steps + e->heap_n;
-    out->generated = generated;
+    out->generated_points = generated;
     out->steps = steps;
     out->max_norm = e->max_norm;
     for (int64_t k = 0; k < n_extras; k++)

@@ -31,12 +31,12 @@ typedef struct {
     double knots[];       /* tabulated: n_knots radii, then n_knots values */
 } rcm_model;
 
-/* kernel.OUTCOME is this record as a numpy dtype. */
+/* A trial's outcome, declared only here: kernel.OUTCOME and ClusterOutcome read it by name. */
 typedef struct {
-    int escaped;
-    int capped;
+    _Bool escaped;
+    _Bool capped;
     int64_t cluster_size;
-    int64_t generated;
+    int64_t generated_points;
     int64_t steps;
     double max_norm;
 } rcm_outcome;

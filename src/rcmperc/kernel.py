@@ -59,10 +59,6 @@ typedef struct { ...; } rcm_stream;
 bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_words);
 """ + (_HERE / "kernel.h").read_text()
 
-# rcm_outcome as a numpy record: aligned, fields in C order.
-OUTCOME = np.dtype([("escaped", "intc"), ("capped", "intc"), ("cluster_size", "i8"),
-                    ("generated", "i8"), ("steps", "i8"), ("max_norm", "f8")], align=True)
-
 # No contraction into fused multiply-adds and no fast math: the kernel
 # must round as the Python statement of the rules does.
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")
@@ -137,6 +133,17 @@ def _load():
 
 ffi, lib = _load()
 
+# kernel.h's rcm_outcome as a numpy record: its field names, types and
+# offsets, and its size, as the compiler laid it out.
+_NUMPY_TYPES = {"_Bool": np.bool_, "int64_t": np.int64, "double": np.float64}
+_OUTCOME_FIELDS = ffi.typeof("rcm_outcome").fields
+OUTCOME = np.dtype({
+    "names": [name for name, _ in _OUTCOME_FIELDS],
+    "formats": [_NUMPY_TYPES[f.type.cname] for _, f in _OUTCOME_FIELDS],
+    "offsets": [f.offset for _, f in _OUTCOME_FIELDS],
+    "itemsize": ffi.sizeof("rcm_outcome"),
+})
+
 # PyCapsule_GetPointer with a prototype of its own, leaving the shared
 # ctypes.pythonapi entry as other code set it.
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -163,18 +170,14 @@ _KINDS = {"gilbert": lib.RCM_GILBERT, "penetrable": lib.RCM_PENETRABLE,
 
 
 def model_struct(model):
-    """The kernel's `rcm_model` for a connection model, owned by the returned object."""
-    kind = model.kind
-    if kind == "tabulated":
-        m = ffi.new("rcm_model *", {"n_knots": len(model.radii),
-                                    "knots": model.radii + model.values})
-    else:
-        m = ffi.new("rcm_model *")
-    m.kind = _KINDS[kind]
-    m.radius = model.radius
-    if kind == "penetrable":
-        m.prob = model.prob
-    elif kind == "soft-sphere":
-        m.hardness = model.hardness
-        m.energy = model.energy
-    return m
+    """The kernel's `rcm_model` for a connection model, owned by the returned object.
+
+    Each field takes the model's attribute of the same name; the kind
+    is numbered as kernel.h numbers it, and a tabulated model's radii
+    and values fill the knots.
+    """
+    fields = {name: getattr(model, name)
+              for name, _ in ffi.typeof("rcm_model").fields if hasattr(model, name)}
+    knots = model.radii + model.values if model.kind == "tabulated" else ()
+    return ffi.new("rcm_model *", {**fields, "kind": _KINDS[model.kind],
+                                   "n_knots": len(knots) // 2, "knots": knots})

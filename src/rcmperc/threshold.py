@@ -15,7 +15,7 @@ verdicts are identical for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from .bounds import branching_bound
@@ -27,6 +27,11 @@ __all__ = ["PercolationVerdict", "CriticalEstimate", "percolation_verdict", "est
 _MAX_RAMP_STEPS = 500
 DEFAULT_RAMP_FACTOR = 1.1
 DEFAULT_REFINEMENTS = 2
+
+
+def _given(items: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A result document's fields in declaration order, leaving out those that are None."""
+    return {name: value for name, value in items if value is not None}
 
 
 @dataclass(frozen=True)
@@ -55,17 +60,7 @@ class PercolationVerdict:
         return self.capped_runs == 0
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "gamma": self.gamma,
-            "runs": self.runs,
-            "escapes": self.escapes,
-            "capped_runs": self.capped_runs,
-            "contained": self.contained,
-            "percolates": self.percolates,
-        }
-        if self.step_kind is not None:
-            out["step_kind"] = self.step_kind
-        return out
+        return asdict(self, dict_factory=_given)
 
 
 def percolation_verdict(
@@ -91,8 +86,8 @@ def percolation_verdict(
         replace(params, gamma=gamma), model, master_seed, eval_key, runs, workers,
         stop_at_escape=not full_runs,
     )
-    escaped = outcomes["escaped"] != 0
-    capped = outcomes["capped"] != 0
+    escaped = outcomes["escaped"]
+    capped = outcomes["capped"]
     escapes = int(escaped.sum())
     return PercolationVerdict(
         gamma=gamma,
@@ -121,7 +116,6 @@ class CriticalEstimate:
     upper: float
     midpoint: float
     width: float
-    history: tuple[PercolationVerdict, ...]
     dim: int
     system_size: float
     runs: int
@@ -130,23 +124,10 @@ class CriticalEstimate:
     seed: int
     model: str
     warnings: tuple[str, ...] = ()
+    history: tuple[PercolationVerdict, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "midpoint": self.midpoint,
-            "width": self.width,
-            "dim": self.dim,
-            "system_size": self.system_size,
-            "runs": self.runs,
-            "ramp_factor": self.ramp_factor,
-            "refinements": self.refinements,
-            "seed": self.seed,
-            "model": self.model,
-            "warnings": list(self.warnings),
-            "history": [v.to_dict() for v in self.history],
-        }
+        return asdict(self, dict_factory=_given)
 
 
 def estimate_critical(

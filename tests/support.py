@@ -15,7 +15,6 @@ import pytest
 from scipy import stats
 
 from rcmperc import ClusterOutcome, ball_volume, place_candidates, poisson_count
-from rcmperc.kernel import OUTCOME
 from rcmperc.kernel import lib as KERNEL
 
 
@@ -32,17 +31,10 @@ def assert_matches_reference(value: float, reference: float, digits: int = 5) ->
     assert got == reference, f"{value!r} rounds to {got!r}, reference is {reference!r}"
 
 
-def as_batch(
-    outcomes: Sequence[ClusterOutcome], n_extras: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Serial outcomes as `run_trials` returns a batch: records and joined flags."""
-    records = np.array(
-        [(o.escaped, o.capped, o.cluster_size, o.generated_points, o.steps, o.max_norm)
-         for o in outcomes],
-        OUTCOME,
-    )
-    joined = np.array([o.extras_in_cluster for o in outcomes], bool)
-    return records, joined.reshape(len(outcomes), n_extras)
+def as_outcomes(batch: tuple[np.ndarray, np.ndarray]) -> list[ClusterOutcome]:
+    """A `run_trials` batch, its records and joined flags, as serial outcomes."""
+    outcomes, joined = batch
+    return [ClusterOutcome.from_record(r, j) for r, j in zip(outcomes, joined)]
 
 
 def covered_grid(*centers: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:

@@ -135,7 +135,8 @@ class TestUsageErrors:
 
         code, err = in_bounded_child(run)
         assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate ")
+        # one line that names the trial count, not the record dtype
+        assert err == "error: cannot hold the outcomes of 100000000000 trials in memory\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -178,18 +179,6 @@ class TestUsageErrors:
     def test_subcommand_help(self, capsys):
         assert run_cli(["critical", "--help"]) == 0
         assert "--ramp" in capsys.readouterr().out
-
-    def test_bad_env_threads(self, capsys, monkeypatch):
-        for command in ("percolate", "explore"):
-            monkeypatch.setenv("RCM_PERC_THREADS", "abc")
-            assert run_cli([command, "--gamma", "0.0", "--runs", "5"]) == 1
-            monkeypatch.setenv("RCM_PERC_THREADS", "0")
-            assert run_cli([command, "--gamma", "0.0", "--runs", "5"]) == 1
-        capsys.readouterr()
-
-    def test_env_threads_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("RCM_PERC_THREADS", "2")
-        run_ok(capsys, ["percolate", "--gamma", "0.0", "--runs", "5"])
 
 
 class TestFlagTable:

@@ -137,32 +137,21 @@ class TestDecideConnection:
         assert decide_connection(m, a, b, 0.0) is False
 
     def test_in_range_threshold(self):
-        m = PenetrableSphere(radius=2.0, prob=0.6)
+        # u connects exactly when u <= phi(r), so a uniform u connects with
+        # probability phi(r): checked at 10 random radii for two models
         a = (0.0, 0.0)
-        b = (1.0, 0.0)
-        assert decide_connection(m, a, b, 0.6) is True    # u <= phi connects
-        assert decide_connection(m, a, b, 0.6000001) is False
-
-    def test_frequency_matches_phi(self):
-        # 10^6 decisions per radius for 20 random radii, 3 sigma binomial
-        gen = np.random.default_rng(424242)
-        n = 1_000_000
-        a = (0.0, 0.0)
-        models = [
-            PenetrableSphere(radius=2.0, prob=0.75),
-            SoftSphere(radius=2.0, hardness=6),
-        ]
-        radii = gen.uniform(0.05, 2.0, size=10)
+        models = [PenetrableSphere(radius=2.0, prob=0.75), SoftSphere(radius=2.0, hardness=6)]
         for model in models:
-            for r in radii:
-                b = (float(r), 0.0)
-                phi = model.phi_at(float(r))
-                uniforms = gen.random(n)
-                hits = sum(decide_connection(model, a, b, float(u)) for u in uniforms)
-                sigma = math.sqrt(max(phi * (1.0 - phi), 1e-12) / n)
-                assert abs(hits / n - phi) <= 3.0 * sigma + 1e-9, (
-                    f"{model.describe()} at r={r}: {hits / n} vs {phi}"
-                )
+            beyond = (math.nextafter(model.radius, math.inf), 0.0)
+            assert decide_connection(model, a, beyond, 0.0) is False
+            for r in np.random.default_rng(424242).uniform(0.05, 2.0, size=10).tolist():
+                b = (r, 0.0)
+                phi = model.phi_at(r)
+                assert decide_connection(model, a, b, 0.0) is True, (model, r)
+                assert decide_connection(model, a, b, phi) is True, (model, r)
+                if phi < 1.0:
+                    above = math.nextafter(phi, 1.0)
+                    assert decide_connection(model, a, b, above) is False, (model, r)
 
 
 class TestConnectivityMass:

@@ -26,11 +26,10 @@ from rcmperc import (
 
 from rcmperc import exploration
 from rcmperc.exploration import run_trials
-from rcmperc.kernel import OUTCOME
 from rcmperc.sampling import trial_entropy
 
 from brute_force import brute_force_trial
-from support import CountingKernel, as_batch, in_bounded_child, majority_rule, two_sample_pvalue
+from support import CountingKernel, as_outcomes, in_bounded_child, majority_rule, two_sample_pvalue
 
 GILBERT = Gilbert(radius=2.0)
 
@@ -203,14 +202,11 @@ class TestRunTrials:
             explore_cluster(params, GILBERT, trial_stream(seed, 0, t)) for t in range(61)
         ]
         first = next(t for t, o in enumerate(serial) if o.escaped)
-        n_extras = len(params.extra_points)
-        whole = as_batch(serial, n_extras)
-        early = as_batch(serial[: first + 1], n_extras)
         for workers in (1, 2, 3):
             batch = run_trials(params, GILBERT, seed, 0, 61, workers)
-            assert all(map(np.array_equal, batch, whole))
+            assert as_outcomes(batch) == serial
             stopped = run_trials(params, GILBERT, seed, 0, 61, workers, stop_at_escape=True)
-            assert all(map(np.array_equal, stopped, early))
+            assert as_outcomes(stopped) == serial[: first + 1]
 
     def test_one_kernel_call_per_thread(self, monkeypatch):
         # an inline stand-in for Thread records helper starts and joins,
@@ -237,7 +233,7 @@ class TestRunTrials:
                 events.clear()
                 calls.clear()
                 batch = run_trials(params, GILBERT, 5, 0, n, workers, stop)
-                assert all(map(np.array_equal, batch, as_batch(serial[:n], 0)))
+                assert as_outcomes(batch) == serial[:n]
                 assert (events, calls) == (["start"] * helpers + ["join"] * helpers, ran)
 
     def test_no_more_threads_than_cores(self, monkeypatch):
@@ -251,7 +247,7 @@ class TestRunTrials:
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         serial = [explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(61)]
         batch = run_trials(params, GILBERT, 5, 0, 61, 10_000)
-        assert all(map(np.array_equal, batch, as_batch(serial, 0)))
+        assert as_outcomes(batch) == serial
         assert events == ["start"] * 3 + ["join"] * 3
         assert calls == [61, 0, 0, 0]
 
@@ -262,12 +258,10 @@ class TestRunTrials:
         serial = [
             explore_cluster(params, GILBERT, trial_stream(6, 0, t)) for t in range(45)
         ]
-        want = as_batch(serial, 0)
         entropy = trial_entropy(6, 0)
         ffi, lib = exploration.ffi, exploration.lib
         model, c_params = exploration._kernel_args(params, GILBERT)
-        outcomes = np.zeros(45, OUTCOME)
-        joined = np.zeros((45, 0), bool)
+        outcomes, joined = exploration._batch_arrays(45, 0)
         outs = ffi.from_buffer("rcm_outcome[]", outcomes)
         no_extras = ffi.from_buffer("uint8_t[]", joined)
         next_trial = ffi.new("int64_t *")
@@ -280,8 +274,7 @@ class TestRunTrials:
                                       model, c_params, outs, no_extras)
 
         def matches(start: int, end: int) -> bool:
-            return all(np.array_equal(got[start:end], w[start:end])
-                       for got, w in zip((outcomes, joined), want))
+            return as_outcomes((outcomes[start:end], joined[start:end])) == serial[start:end]
 
         # no trial above a preset index starts, and its slot stays empty
         assert run(20, 32) == 13
@@ -314,7 +307,7 @@ class TestRunTrials:
         serial = [explore_cluster(params, GILBERT, trial_stream(1, 0, t)) for t in range(77)]
         assert serial[-1].escaped and not any(o.escaped for o in serial[:-1])
         batch = run_trials(params, GILBERT, 1, 0, 300, stop_at_escape=True)
-        assert all(map(np.array_equal, batch, as_batch(serial, 0)))
+        assert as_outcomes(batch) == serial
         assert calls == [77]
 
     def test_negative_seed_or_key_fails_before_the_kernel(self, monkeypatch):
@@ -352,7 +345,7 @@ class TestWorkspaceReuse:
         batch, calls = in_bounded_child(lambda: (run_trials(params, model, seed, 0, 5), calls))
         assert calls == [5]
         serial = [explore_cluster(params, model, trial_stream(seed, 0, t)) for t in range(5)]
-        assert all(map(np.array_equal, batch, as_batch(serial, 2)))
+        assert as_outcomes(batch) == serial
         # the large trials take the point arrays, the frontier heap and the
         # query results well past their first 64 entries (and the cells in
         # use past the first table's 32) before the tiny ones run

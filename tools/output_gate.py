@@ -139,7 +139,6 @@ def capture(src: str, dest: str) -> int:
     sys.path.insert(0, str(Path(src).resolve()))
     dest_path = Path(dest).resolve()
     os.chdir(ROOT)
-    os.environ.pop("RCM_PERC_THREADS", None)
     from rcmperc.cli import run_cli
 
     records = {}
