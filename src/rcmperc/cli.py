@@ -303,7 +303,7 @@ def _cmd_percolate(args) -> _Output:
     result = verdict.to_dict()
     doc = _document(args, model, params, result, gamma=args.gamma,
                     runs_requested=args.runs, full_runs=args.full_runs)
-    return _Output(doc, [result], code=2 if verdict.capped_runs > 0 else 0)
+    return _Output(doc, [result], code=2 if not verdict.reliable else 0)
 
 
 def _cmd_critical(args) -> _Output:
@@ -322,7 +322,7 @@ def _cmd_critical(args) -> _Output:
         doc,
         result["history"],
         ("step_kind", "gamma", "runs", "escapes", "capped_runs", "percolates"),
-        code=2 if any(v.capped_runs > 0 for v in estimate.history) else 0,
+        code=2 if not all(v.reliable for v in estimate.history) else 0,
         notes=[f"warning: {w}" for w in estimate.warnings],
         csv_notes=[
             f"bracket: lower={estimate.lower!r} upper={estimate.upper!r} "

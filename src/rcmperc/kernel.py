@@ -9,12 +9,12 @@ Importing this module loads the compiled extension from this package's
 `__pycache__/`, under a name keyed by a hash of the C source, `CDEF`
 (and with it kernel.h), the compiler flags, the numpy version and the
 interpreter's extension suffix, which carries its ABI tag. On a miss a
-child interpreter first builds the extension with cffi and the C
-compiler (`CC`, else the compiler Python was built with) into a
-temporary directory, then moves the file into place, so an interrupted
-or concurrent build never leaves a partial file behind. A hit needs
-neither cffi's C parser nor a compiler. A failed build raises one
-ImportError that names the compiler and the C file.
+child interpreter builds the extension with cffi and the C compiler
+(`CC`, else the compiler Python was built with) in a temporary directory
+and moves it into place, so an interrupted or concurrent build leaves no
+partial file; the earlier builds with the same suffix are then removed.
+A hit removes nothing and needs neither cffi's C parser nor a compiler.
+A failed build raises one ImportError naming the compiler and C file.
 
 The kernel draws through a numpy `bitgen_t` with the functions of
 numpy's `distributions.h`, linked in from `libnpyrandom.a`, so it
@@ -125,6 +125,8 @@ def _load():
     path = _HERE / "__pycache__" / f"{name}{suffix}"
     if not path.exists():
         _build(name, path)
+        for old in set(path.parent.glob(f"_rcmperc_kernel_*{suffix}")) - {path}:
+            old.unlink(missing_ok=True)
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
     module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
     loader.exec_module(module)

@@ -194,7 +194,7 @@ def reproduce_preset(
             ramp_factor=ramp_factor, refinements=refinements, workers=workers,
             quad_tol=quad_tol,
         )
-        capped = capped or any(v.capped_runs > 0 for v in est.history)
+        capped = capped or not all(v.reliable for v in est.history)
         rows.append(
             {
                 "dim": d,

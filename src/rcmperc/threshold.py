@@ -2,19 +2,19 @@
 
 A verdict at one intensity runs many independent explorations in a
 finite window; a single escape is taken as evidence of percolation at
-that intensity and window. The search starts at the analytic branching
-bound (guaranteed subcritical in the infinite system), ramps the
-intensity geometrically until a verdict percolates, then refines the
-resulting bracket by repeated midpoint verdicts.
-
-Determinism: evaluation e of a search is the batch with key e, run by
-`exploration.run_trials` (see the determinism paragraph there), so
-verdicts are identical for any worker count.
+that intensity and window. The search's plan, `_bracket`, decides every
+intensity and runs nothing: from the analytic branching bound
+(subcritical in the infinite system) it ramps the intensity
+geometrically until a verdict percolates, then halves the bracket at its
+midpoint. `estimate_critical` runs the verdicts it asks for; evaluation
+e is the batch with key e of `exploration.run_trials` (see its
+determinism paragraph), so verdicts are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -130,6 +130,38 @@ class CriticalEstimate:
         return asdict(self, dict_factory=_given)
 
 
+def _bracket(gamma0: float, ramp_factor: float, refinements: int
+             ) -> Generator[tuple[float, str], bool, tuple[float, float, float, list[str]]]:
+    """The search plan: yields each (gamma, step_kind) to test, is sent whether
+    that verdict percolated, and returns (lower, upper, width, warnings).
+
+    It runs no simulation. If the first answer is yes, lower is gamma0 /
+    ramp_factor, untested, and the first warning says so.
+    """
+    warnings = ["first tested intensity (the branching bound) already percolated; "
+                "lower bracket endpoint was not tested"]
+    lower, upper = gamma0 / ramp_factor, gamma0
+    for _ in range(_MAX_RAMP_STEPS):
+        if (yield upper, "ramp"):
+            break
+        warnings = []
+        lower, upper = upper, upper * ramp_factor
+    else:
+        raise RuntimeError(
+            f"no percolation after {_MAX_RAMP_STEPS} ramp steps from {gamma0!r}; "
+            "check the window size and work caps"
+        )
+    width = upper - lower
+    for _ in range(refinements):
+        mid = (lower + upper) / 2.0
+        if (yield mid, "refine"):
+            upper = mid
+        else:
+            lower = mid
+        width = width / 2.0
+    return lower, upper, width, warnings
+
+
 def estimate_critical(
     params: SimParams,
     model: ConnectionModel,
@@ -143,12 +175,10 @@ def estimate_critical(
 ) -> CriticalEstimate:
     """Bracket the critical intensity for the given model and window.
 
-    Starts at the branching bound, multiplies by ramp_factor until a
-    verdict percolates, then runs `refinements` midpoint verdicts. If
-    the very first verdict percolates the lower endpoint is set to
-    gamma0 / ramp_factor without having been tested, and a warning is
-    recorded. A window that no trial can leave within the step cap
-    raises RuntimeError before any verdict runs.
+    `_bracket`, started at the branching bound, decides every intensity.
+    This function runs each verdict it asks for, keyed by the number of
+    verdicts before it, and records it. A window that no trial can leave
+    within the step cap raises RuntimeError before any verdict runs.
     """
     if not (math.isfinite(ramp_factor) and ramp_factor > 1.0):
         raise ValueError(f"ramp factor must be finite and exceed 1, got {ramp_factor!r}")
@@ -161,53 +191,21 @@ def estimate_critical(
             f"{model.radius!r} reach at most {params.max_steps * model.radius!r}, inside "
             f"the system size {params.system_size!r}; raise the step cap or shrink the window"
         )
-    gamma0 = branching_bound(model, params.dim, quad_tol)
+    plan = _bracket(branching_bound(model, params.dim, quad_tol), ramp_factor, refinements)
     history: list[PercolationVerdict] = []
-    warnings: list[str] = []
-
-    def percolates_at(gamma: float, step_kind: str) -> bool:
-        """Run the next verdict of the search, record it, return whether it percolates."""
-        verdict = percolation_verdict(
-            params, model, gamma, runs, master_seed,
-            eval_key=len(history), workers=workers, full_runs=full_runs,
-        )
-        history.append(replace(verdict, step_kind=step_kind))
-        return verdict.percolates
-
-    gamma = gamma0
-    previous: float | None = None
-    while not percolates_at(gamma, "ramp"):
-        if len(history) >= _MAX_RAMP_STEPS:
-            raise RuntimeError(
-                f"no percolation after {_MAX_RAMP_STEPS} ramp steps from {gamma0!r}; "
-                "check the window size and work caps"
+    try:
+        gamma, step_kind = next(plan)
+        while True:
+            verdict = percolation_verdict(
+                params, model, gamma, runs, master_seed,
+                eval_key=len(history), workers=workers, full_runs=full_runs,
             )
-        previous = gamma
-        gamma = gamma * ramp_factor
-
-    if previous is None:
-        lower = gamma0 / ramp_factor
-        warnings.append(
-            "first tested intensity (the branching bound) already percolated; "
-            "lower bracket endpoint was not tested"
-        )
-    else:
-        lower = previous
-    upper = gamma
-    width = upper - lower
-
-    for _ in range(refinements):
-        mid = (lower + upper) / 2.0
-        if percolates_at(mid, "refine"):
-            upper = mid
-        else:
-            lower = mid
-        width = width / 2.0
-
-    if any(v.capped_runs > 0 for v in history):
-        warnings.append(
-            "some explorations hit a work cap; affected verdicts are unreliable"
-        )
+            history.append(replace(verdict, step_kind=step_kind))
+            gamma, step_kind = plan.send(verdict.percolates)
+    except StopIteration as done:
+        lower, upper, width, warnings = done.value
+    if not all(v.reliable for v in history):
+        warnings.append("some explorations hit a work cap; affected verdicts are unreliable")
     return CriticalEstimate(
         lower=lower,
         upper=upper,

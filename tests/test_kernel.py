@@ -4,6 +4,7 @@ against numpy's, and its build cache."""
 from __future__ import annotations
 
 import ast
+import importlib.machinery
 import math
 import os
 import shutil
@@ -228,3 +229,25 @@ def test_header_edit_rebuilds_the_kernel(tmp_path):
     assert done.returncode != 0
     last = done.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError: cannot build the rcmperc kernel")
+
+
+def test_a_build_removes_the_earlier_builds_for_its_interpreter(tmp_path):
+    # a new build replaces the stale builds with its extension suffix and
+    # keeps other interpreters' builds; a cache hit removes nothing
+    shutil.copytree(PACKAGE, tmp_path / "rcmperc", ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "rcmperc" / "__pycache__"
+    cache.mkdir()
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    stale = cache / f"_rcmperc_kernel_0123456789abcdef{suffix}"
+    other = cache / "_rcmperc_kernel_0123456789abcdef.abi3.so"
+    assert not other.name.endswith(suffix)
+    stale.touch()
+    other.touch()
+    done = _import_in_fresh_interpreter(tmp_path, {})
+    assert done.returncode == 0, done.stderr
+    assert not stale.exists() and other.exists()
+    assert len(list(cache.glob(f"_rcmperc_kernel_*{suffix}"))) == 1
+    stale.touch()
+    done = _import_in_fresh_interpreter(tmp_path, {"CC": "/nonexistent/cc"})
+    assert done.returncode == 0, done.stderr
+    assert stale.exists() and other.exists()

@@ -214,3 +214,74 @@ class TestEstimateCritical:
         assert doc["seed"] == 20
         assert len(doc["history"]) == len(est.history)
         assert all(h["step_kind"] in ("ramp", "refine") for h in doc["history"])
+
+
+def drive_plan(answers, gamma0, ramp_factor, refinements):
+    """Run the search plan on scripted answers: the (gamma, step_kind) it
+    asked for, in order, and the bracket it returned."""
+    plan = threshold._bracket(gamma0, ramp_factor, refinements)
+    asked = [next(plan)]
+    for answer in answers[:-1]:
+        asked.append(plan.send(answer))
+    with pytest.raises(StopIteration) as done:
+        plan.send(answers[-1])
+    return asked, done.value.value
+
+
+class TestBracketPlan:
+    """The search plan alone, answered from a script: no simulation runs."""
+
+    def test_ramp_gives_up_after_500_steps(self):
+        gamma0 = branching_bound(GILBERT, 2)
+        plan = threshold._bracket(gamma0, 1.1, 2)
+        asked = [next(plan)] + [plan.send(False) for _ in range(499)]
+        gamma = gamma0
+        for step in asked:
+            assert step == (gamma, "ramp")
+            gamma = gamma * 1.1
+        with pytest.raises(RuntimeError, match=f"no percolation after 500 ramp steps from {gamma0!r}"):
+            plan.send(False)
+
+    def test_first_answer_percolates(self):
+        asked, (lower, upper, width, warnings) = drive_plan([True], 0.3, 1.25, 0)
+        assert asked == [(0.3, "ramp")]
+        assert (lower, upper, width) == (0.3 / 1.25, 0.3, 0.3 - 0.3 / 1.25)
+        assert len(warnings) == 1 and "lower bracket endpoint was not tested" in warnings[0]
+
+    def test_refinements_halve_the_bracket(self):
+        # dyadic intensities: every midpoint is exact, so the endpoints are known
+        answers = [False, False, False, True, True, False, True]
+        asked, (lower, upper, width, warnings) = drive_plan(answers, 1.0, 2.0, 3)
+        assert asked == [(1.0, "ramp"), (2.0, "ramp"), (4.0, "ramp"), (8.0, "ramp"),
+                         (6.0, "refine"), (5.0, "refine"), (5.5, "refine")]
+        assert (lower, upper, width, warnings) == (5.0, 5.5, 0.5, [])
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 12])
+    def test_width_is_the_ramp_width_halved_k_times(self, k):
+        gamma0 = branching_bound(GILBERT, 2)
+        answers = [False] * 7 + [True] + [(i % 3 == 0) for i in range(k)]
+        asked, (lower, upper, width, _) = drive_plan(answers, gamma0, 1.1, k)
+        ramp = [g for g, kind in asked if kind == "ramp"]
+        assert len(ramp) == 8 and len(asked) == 8 + k
+        assert width == (ramp[-1] - ramp[-2]) / 2.0**k
+        assert ramp[-2] <= lower < upper <= ramp[-1]
+        assert upper - lower == pytest.approx(width, rel=1e-12)
+
+    def test_every_verdict_goes_through_the_module_global(self, monkeypatch):
+        # tracing wraps threshold.percolation_verdict, so estimate_critical
+        # must look it up at call time for every verdict it runs
+        calls = []
+
+        def scripted(params, model, gamma, runs, master_seed, eval_key=0, workers=1,
+                     full_runs=False):
+            calls.append((gamma, eval_key))
+            return threshold.PercolationVerdict(
+                gamma=gamma, runs=runs, escapes=int(gamma > 0.5), capped_runs=0,
+                contained=runs - int(gamma > 0.5), percolates=gamma > 0.5)
+
+        monkeypatch.setattr(threshold, "percolation_verdict", scripted)
+        est = estimate_critical(params2(20.0), GILBERT, runs=7, master_seed=1, refinements=3)
+        assert calls == [(v.gamma, e) for e, v in enumerate(est.history)]
+        assert len(calls) == len(est.history) > 3
+        assert est.lower <= 0.5 < est.upper
+        assert_bracket_invariants(est)
