@@ -8,27 +8,14 @@ critical intensity: gamma_c >= 1 / mass. Below that bound the same
 comparison certifies a finite mean cluster size.
 """
 
-from rcmperc import (
-    Gilbert,
-    PenetrableSphere,
-    SoftSphere,
-    branching_bound,
-    constant_g_certificate,
-)
+from rcmperc import REFERENCE_TABLES, Gilbert, branching_bound, constant_g_certificate
 
-models = [
-    Gilbert(radius=2.0),
-    PenetrableSphere(radius=2.0, prob=0.5),
-    PenetrableSphere(radius=2.0, prob=0.75),
-    SoftSphere(radius=2.0, hardness=6),
-    SoftSphere(radius=2.0, hardness=12),
-]
-
+# the models of the five reference tables
 print("branching lower bound on the critical intensity")
 print(f"{'model':45s}" + "".join(f"    d={d}    " for d in (2, 3, 4, 5)))
-for m in models:
-    row = "".join(f"  {branching_bound(m, d):9.6f}" for d in (2, 3, 4, 5))
-    print(f"{m.describe():45s}{row}")
+for table in REFERENCE_TABLES.values():
+    row = "".join(f"  {branching_bound(table.model, d):9.6f}" for d in (2, 3, 4, 5))
+    print(f"{table.model.describe():45s}{row}")
 
 # the certificate: at gamma below the bound, the expected degree
 # q = gamma * mass is < 1 and the mean cluster size is at most 1 + g

@@ -34,7 +34,7 @@ from .exploration import (
     explore_cluster,
     wilson_interval,
 )
-from .geometry import CLUSTER, COVERED, UNATTACHED, ball_volume, sphere_surface
+from .geometry import ball_volume, sphere_surface
 from .reference import (
     DESK_RUNS, DESK_SYSTEM_SIZE, REFERENCE_TABLES, ReferenceRow, ReferenceTable, reproduce_preset,
 )
@@ -42,10 +42,8 @@ from .sampling import (
     DEFAULT_SEED,
     derive_seed,
     place_candidates,
-    poisson_count,
     stream,
     trial_stream,
-    uniform_in_ball,
 )
 from .threshold import CriticalEstimate, PercolationVerdict, estimate_critical, percolation_verdict
 
@@ -69,9 +67,6 @@ __all__ = [
     "estimate_pair_connectedness",
     "explore_cluster",
     "wilson_interval",
-    "UNATTACHED",
-    "CLUSTER",
-    "COVERED",
     "ball_volume",
     "sphere_surface",
     "REFERENCE_TABLES",
@@ -83,10 +78,8 @@ __all__ = [
     "DEFAULT_SEED",
     "derive_seed",
     "place_candidates",
-    "poisson_count",
     "stream",
     "trial_stream",
-    "uniform_in_ball",
     "CriticalEstimate",
     "PercolationVerdict",
     "estimate_critical",

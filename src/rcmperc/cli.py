@@ -18,7 +18,8 @@ unrecognized argument:
 
 explore, percolate, tau   model flags, --dim, --system-size, --seed, caps
 critical                  the same and --quad-tol
-bound                     model flags, --dim, --quad-tol
+bound                     model flags, --dim, --quad-tol; with --table,
+                          only --quad-tol (any other is an error)
 reproduce                 --seed, caps, --quad-tol
 
 beside its own (--gamma, --runs, ...). The model flags are --model
@@ -332,26 +333,34 @@ def _cmd_critical(args) -> _Output:
 
 
 def _cmd_bound(args) -> _Output:
+    # bound's model flags and --dim default to None, so that table mode can refuse them
+    defaults = {flags[0]: kwargs["default"] for flags, kwargs in (*_MODEL, _DIM)}
+    dests = {flag: flag[2:].replace("-", "_") for flag in (*defaults, "--gamma")}
     if args.table is not None:
+        given = [flag for flag, dest in dests.items() if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"bound --table takes no {', '.join(given)}")
         numbers = sorted(REFERENCE_TABLES) if args.table == 0 else [args.table]
         if any(n not in REFERENCE_TABLES for n in numbers):
             raise ValueError(f"no reference table {args.table}")
         rows = []
         for n in numbers:
             table = REFERENCE_TABLES[n]
-            model = table.build_model()
             for row in table.rows:
                 rows.append(
                     {
                         "table": n,
                         "label": table.label,
                         "dim": row.dim,
-                        "branching_bound": branching_bound(model, row.dim, args.quad_tol),
+                        "branching_bound": branching_bound(table.model, row.dim, args.quad_tol),
                         "reference_branching_bound": row.branching_bound,
                     }
                 )
         return _Output({"command": "bound", "tables": rows}, rows)
 
+    for flag, default in defaults.items():
+        if getattr(args, dests[flag]) is None:
+            setattr(args, dests[flag], default)
     model = _build_model(args)
     gamma = 0.0 if args.gamma is None else args.gamma
     result = constant_g_certificate(model, args.dim, gamma, args.quad_tol).to_dict()
@@ -502,8 +511,7 @@ _COMMANDS: dict[str, _Command] = {
         _Command(
             "bound", "branching bound, certificate, or reference columns", _cmd_bound,
             (
-                *_MODEL,
-                _DIM,
+                *((flags, {**kwargs, "default": None}) for flags, kwargs in (*_MODEL, _DIM)),
                 _QUAD_TOL,
                 _arg("--gamma", type=float, default=None,
                      help="also emit the certificate at this intensity"),

@@ -1,4 +1,4 @@
-"""Euclidean ball volumes, the distance of the float contract, point states.
+"""Euclidean ball volumes and the distance of the float contract.
 
 Distance comparisons throughout the package are inclusive: a point at
 exactly the query radius counts as "within". Points are coordinate
@@ -17,24 +17,11 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .kernel import lib
-
 __all__ = [
-    "UNATTACHED",
-    "CLUSTER",
-    "COVERED",
     "ball_volume",
     "distance",
     "sphere_surface",
 ]
-
-# The state of a point in an exploration's grid, as kernel.h numbers
-# them. A point changes state in place, never leaving the grid:
-# generated points start unattached, join the cluster when a connection
-# succeeds, and become covered once their ball has been processed.
-UNATTACHED = lib.RCM_UNATTACHED
-CLUSTER = lib.RCM_CLUSTER
-COVERED = lib.RCM_COVERED
 
 
 def ball_volume(dim: int, radius: float) -> float:

@@ -508,7 +508,7 @@ static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
 }
 
 /* ------------------------------------------------------------------ */
-/* Placement: uniform_in_ball and place_candidates in sampling.py.     */
+/* Placement: place_candidates in sampling.py.                         */
 
 /* One point uniform in the closed ball B(center, radius), into p. */
 static void ball_point(bitgen_t *bg, int dim, const double *center, double radius,

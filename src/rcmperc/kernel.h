@@ -5,7 +5,10 @@
  * comments, integer #defines, typedefs and prototypes.
  */
 
-/* Point states; geometry.py reads them from here. */
+/* The state of a point in an exploration's grid; tests read them from
+ * here. A point changes state in place, never leaving the grid: it is
+ * generated unattached, joins the cluster when a connection succeeds and
+ * becomes covered once its ball has been processed. */
 #define RCM_UNATTACHED 0
 #define RCM_CLUSTER 1
 #define RCM_COVERED 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .bounds import branching_bound
-from .connection import DEFAULT_QUAD_TOL, MODEL_KINDS, ConnectionModel
+from .connection import DEFAULT_QUAD_TOL, ConnectionModel, Gilbert, PenetrableSphere, SoftSphere
 from .exploration import DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, SimParams
 from .sampling import DEFAULT_SEED, derive_seed
 from .threshold import DEFAULT_RAMP_FACTOR, DEFAULT_REFINEMENTS, estimate_critical
@@ -61,12 +61,8 @@ class ReferenceTable:
 
     number: int
     label: str
-    model_kind: str
-    model_params: dict
+    model: ConnectionModel
     rows: tuple[ReferenceRow, ...]
-
-    def build_model(self) -> ConnectionModel:
-        return MODEL_KINDS[self.model_kind](**self.model_params)
 
     def row(self, dim: int) -> ReferenceRow:
         for r in self.rows:
@@ -79,8 +75,7 @@ REFERENCE_TABLES: dict[int, ReferenceTable] = {
     1: ReferenceTable(
         number=1,
         label="Gilbert disks, radius 2",
-        model_kind="gilbert",
-        model_params={"radius": 2.0},
+        model=Gilbert(radius=2.0),
         rows=(
             ReferenceRow(2, 1000.0, 5000, 0.34072, 0.079577, 0.35909),
             ReferenceRow(3, 500.0, 5000, 0.079338, 0.029842, 0.081621),
@@ -91,8 +86,7 @@ REFERENCE_TABLES: dict[int, ReferenceTable] = {
     2: ReferenceTable(
         number=2,
         label="penetrable spheres, radius 2, connection probability 0.5",
-        model_kind="penetrable",
-        model_params={"radius": 2.0, "prob": 0.5},
+        model=PenetrableSphere(radius=2.0, prob=0.5),
         rows=(
             ReferenceRow(2, 1000.0, 5000, 0.48813, 0.15915),
             ReferenceRow(3, 500.0, 5000, 0.12503, 0.059683),
@@ -103,8 +97,7 @@ REFERENCE_TABLES: dict[int, ReferenceTable] = {
     3: ReferenceTable(
         number=3,
         label="penetrable spheres, radius 2, connection probability 0.75",
-        model_kind="penetrable",
-        model_params={"radius": 2.0, "prob": 0.75},
+        model=PenetrableSphere(radius=2.0, prob=0.75),
         rows=(
             ReferenceRow(2, 1000.0, 5000, 0.39376, 0.1061),
             ReferenceRow(3, 500.0, 5000, 0.096166, 0.039789),
@@ -115,8 +108,7 @@ REFERENCE_TABLES: dict[int, ReferenceTable] = {
     4: ReferenceTable(
         number=4,
         label="soft spheres, radius 2, hardness 6",
-        model_kind="soft-sphere",
-        model_params={"radius": 2.0, "hardness": 6},
+        model=SoftSphere(radius=2.0, hardness=6),
         rows=(
             ReferenceRow(2, 1000.0, 5000, 0.35494, 0.084969),
             ReferenceRow(3, 500.0, 5000, 0.087095, 0.03276),
@@ -127,8 +119,7 @@ REFERENCE_TABLES: dict[int, ReferenceTable] = {
     5: ReferenceTable(
         number=5,
         label="soft spheres, radius 2, hardness 12",
-        model_kind="soft-sphere",
-        model_params={"radius": 2.0, "hardness": 12},
+        model=SoftSphere(radius=2.0, hardness=12),
         rows=(
             ReferenceRow(2, 1000.0, 5000, 0.35272, 0.082379),
             ReferenceRow(3, 500.0, 5000, 0.083445, 0.031387),
@@ -163,7 +154,7 @@ def reproduce_preset(
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     table = REFERENCE_TABLES[table_number]
-    model = table.build_model()
+    model = table.model
     all_dims = [r.dim for r in table.rows]
     use_dims = list(dims) if dims is not None else all_dims
     if not use_dims:

@@ -10,17 +10,16 @@ Generator: the kernel seeds trial t's PCG64 itself, with numpy's
 SeedSequence and PCG64 seeding ported to C, from `trial_entropy` and the
 words of t, so it draws exactly the stream of `trial_stream`.
 
-Draw order is part of the interface. `uniform_in_ball` consumes one
-standard-normal vector (the direction) followed by one uniform (the
-radius). The intake of a ball is `poisson_count`, one Poisson count,
-then `place_candidates`, one placement per candidate point in order; a
-candidate is rejected when a covered ball centre lies within the ball
-radius of it, and rejection consumes no randomness. Both placement
-functions run in the compiled kernel (`rcmperc.kernel`), which draws
-through the Generator's own bit generator with the functions numpy's
-Generator calls (`random_standard_normal_fill`, `next_double`,
-`random_poisson`), so a kernel draw and a numpy draw of the same kind
-consume the same stream.
+Draw order is part of the interface. The intake of a ball is one
+`Generator.poisson` count, then `place_candidates`, one placement per
+candidate point in order. A placement consumes one standard-normal
+vector (the direction) followed by one uniform (the radius); a candidate
+is rejected when a covered ball centre lies within the ball radius of
+it, and rejection consumes no randomness. Placement runs in the compiled
+kernel (`rcmperc.kernel`), which draws through the Generator's own bit
+generator with the functions numpy's Generator calls
+(`random_standard_normal_fill`, `next_double`, `random_poisson`), so a
+kernel draw and a numpy draw of the same kind consume the same stream.
 
 Float contract: the direction's length, like every distance and norm on
 the simulation path, is the square root of the squares summed in
@@ -45,8 +44,6 @@ __all__ = [
     "stream",
     "trial_stream",
     "derive_seed",
-    "poisson_count",
-    "uniform_in_ball",
     "place_candidates",
 ]
 
@@ -110,24 +107,6 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(lo) | (int(hi) << 32)
 
 
-def poisson_count(rng: np.random.Generator, mean: float) -> int:
-    """One exact Poisson draw with the given mean (>= 0)."""
-    if not (math.isfinite(mean) and mean >= 0.0):
-        raise ValueError(f"Poisson mean must be finite and non-negative, got {mean!r}")
-    return int(rng.poisson(mean))
-
-
-def uniform_in_ball(
-    rng: np.random.Generator, center: tuple[float, ...], radius: float, dim: int
-) -> tuple[float, ...]:
-    """The coordinates of one point uniform in the closed ball B(center, radius).
-
-    Direction comes from a normalized Gaussian vector, distance from
-    radius * U^(1/d).
-    """
-    return _place(rng, center, radius, (), dim, 1)[0]
-
-
 def place_candidates(
     rng: np.random.Generator,
     center: tuple[float, ...],
@@ -136,29 +115,19 @@ def place_candidates(
     dim: int,
     count: int,
 ) -> list[tuple[float, ...]]:
-    """Place `count` uniform candidates in B(center, radius), thinning covered ones.
+    """Place `count` uniform candidates in the closed ball B(center, radius),
+    thinning covered ones.
 
-    The `covered` points are centers of equal-radius balls whose
-    interiors have already been exhausted; candidates falling within
-    `radius` of any of them are discarded. With a Poisson `count` of mean
-    gamma * |B(center, radius)| this realizes a Poisson process of
-    intensity gamma on the uncovered part of the ball. The caller draws
-    the count (the exploration clamps it to its remaining work budget
-    before any point materializes). Each candidate consumes one placement
-    draw whether or not it is kept.
+    A candidate's direction is a normalized Gaussian vector and its
+    distance from the centre radius * U^(1/d). The `covered` points are
+    centers of equal-radius balls whose interiors have already been
+    exhausted; candidates falling within `radius` of any of them are
+    discarded. With a Poisson `count` of mean gamma * |B(center, radius)|
+    this realizes a Poisson process of intensity gamma on the uncovered
+    part of the ball. The caller draws the count (the exploration clamps
+    it to its remaining work budget before any point materializes). Each
+    candidate consumes one placement draw whether or not it is kept.
     """
-    return _place(rng, center, radius, covered, dim, count)
-
-
-def _place(
-    rng: np.random.Generator,
-    center: tuple[float, ...],
-    radius: float,
-    covered: Sequence[tuple[float, ...]],
-    dim: int,
-    count: int,
-) -> list[tuple[float, ...]]:
-    """The kernel's placement entry: validated arguments in, kept points out."""
     if not isinstance(dim, int) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     if not (math.isfinite(radius) and radius > 0.0):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rcmperc import ClusterOutcome, ball_volume, place_candidates, poisson_count
+from rcmperc import ClusterOutcome, ball_volume, place_candidates
 from rcmperc.kernel import lib as KERNEL
 
 
@@ -54,8 +54,17 @@ def ball_intake(
     gamma * |B(center, radius)|, then that many placements, thinned
     against balls of the same radius around the `covered` centres."""
     return place_candidates(
-        rng, center, radius, covered, dim, poisson_count(rng, gamma * ball_volume(dim, radius))
+        rng, center, radius, covered, dim, int(rng.poisson(gamma * ball_volume(dim, radius)))
     )
+
+
+def ball_points(
+    rng: np.random.Generator, center: tuple[float, ...], radius: float, dim: int, n: int
+) -> list[tuple[float, ...]]:
+    """n points uniform in the closed ball B(center, radius): n placements of one
+    candidate each, with nothing covered. One call for all n would thin every
+    candidate against the kept ones, which takes time quadratic in n."""
+    return [place_candidates(rng, center, radius, (), dim, 1)[0] for _ in range(n)]
 
 
 def pooled_histogram(

@@ -24,10 +24,8 @@ from rcmperc import (
     estimate_critical,
     estimate_pair_connectedness,
     explore_cluster,
-    poisson_count,
     stream,
     trial_stream,
-    uniform_in_ball,
 )
 from rcmperc.cli import run_cli
 from rcmperc.reference import REFERENCE_TABLES
@@ -36,6 +34,7 @@ from brute_force import brute_force_trial
 from support import (
     assert_bracket_invariants,
     ball_intake,
+    ball_points,
     assert_matches_reference,
     majority_rule,
     poisson_gof_pvalue,
@@ -53,9 +52,8 @@ def test_c1_branching_bounds_reproduce_reference_columns():
     t0 = time.perf_counter()
     count = 0
     for table in REFERENCE_TABLES.values():
-        model = table.build_model()
         for row in table.rows:
-            assert_matches_reference(branching_bound(model, row.dim), row.branching_bound)
+            assert_matches_reference(branching_bound(table.model, row.dim), row.branching_bound)
             count += 1
     elapsed = time.perf_counter() - t0
     assert count == 20
@@ -177,18 +175,13 @@ def test_c7_sampler_distributions_pass_statistical_suite():
     # significance test, judged by 3-seed majority rule
     def poisson_ok(seed: int) -> bool:
         rng = stream(seed)
-        return poisson_gof_pvalue(
-            [poisson_count(rng, 7.5) for _ in range(40_000)], 7.5
-        ) > 0.01
+        return poisson_gof_pvalue(rng.poisson(7.5, 40_000).tolist(), 7.5) > 0.01
 
     def radial_ok(seed: int) -> bool:
         rng = stream(seed)
         center = (0.0, 0.0, 0.0)
         n = 60_000
-        inside = sum(
-            math.hypot(*uniform_in_ball(rng, center, 2.0, 3)) <= 1.0
-            for _ in range(n)
-        )
+        inside = sum(math.hypot(*p) <= 1.0 for p in ball_points(rng, center, 2.0, 3, n))
         # P(|X| <= 1) = (1/2)^3
         sigma = math.sqrt(0.125 * 0.875 / n)
         return abs(inside / n - 0.125) <= 3.0 * sigma

@@ -172,10 +172,9 @@ class TestReferenceTables:
 
     def test_branching_column_matches_bounds_module(self):
         for table in REFERENCE_TABLES.values():
-            model = table.build_model()
             for row in table.rows:
                 assert_matches_reference(
-                    branching_bound(model, row.dim), row.branching_bound
+                    branching_bound(table.model, row.dim), row.branching_bound
                 )
 
     def test_estimates_above_branching(self):
@@ -184,9 +183,9 @@ class TestReferenceTables:
                 assert row.critical_estimate > row.branching_bound
 
     def test_build_model_kinds(self):
-        assert REFERENCE_TABLES[1].build_model().describe() == "gilbert(radius=2)"
-        assert "0.5" in REFERENCE_TABLES[2].build_model().describe()
-        assert "hardness=12" in REFERENCE_TABLES[5].build_model().describe()
+        assert REFERENCE_TABLES[1].model.describe() == "gilbert(radius=2)"
+        assert "0.5" in REFERENCE_TABLES[2].model.describe()
+        assert "hardness=12" in REFERENCE_TABLES[5].model.describe()
 
     def test_row_lookup(self):
         assert REFERENCE_TABLES[1].row(3).critical_estimate == 0.079338

@@ -34,6 +34,13 @@ def run_ok(capsys, argv):
     return out
 
 
+def _run_with_stderr(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, err.getvalue()
+
+
 _ZERO_MASS = "connection function has zero mass; the branching bound is infinite"
 
 
@@ -72,6 +79,8 @@ class TestUsageErrors:
              "--max-steps", "3", "--max-points", "500"],
             ["reproduce", "--table", "1", "--scale", "desk", "--dims", ","],
             ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2,,3"],
+            ["bound", "--table", "1", "--model", "penetrable", "--p", "0.9", "--range", "7",
+             "--dim", "5", "--gamma", "3"],
         ],
     )
     def test_exit_one(self, capsys, argv):
@@ -126,17 +135,21 @@ class TestUsageErrors:
     def test_out_of_memory_is_one_error_line(self, command):
         # the batch's outcome array alone would take 3.64 TiB
         argv = [command, "--gamma", "0", "--system-size", "10", "--runs", "100000000000"]
-
-        def run():
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = run_cli(argv)
-            return code, err.getvalue()
-
-        code, err = in_bounded_child(run)
+        code, err = in_bounded_child(lambda: _run_with_stderr(argv))
         assert code == 1
         # one line that names the trial count, not the record dtype
         assert err == "error: cannot hold the outcomes of 100000000000 trials in memory\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_kernel_out_of_memory_is_one_error_line(self, threads):
+        # a supercritical d=1 cluster that cannot escape its window grows the
+        # kernel's points, cells, heap and query buffer past a 64 MiB allowance
+        argv = ["percolate", "--dim", "1", "--range", "1", "--gamma", "20", "--system-size", "1e9",
+                "--runs", "2", "--full-runs", "--max-points", "1000000000",
+                "--max-steps", "1000000000", "--threads", threads]
+        code, err = in_bounded_child(lambda: _run_with_stderr(argv), extra_bytes=64 << 20)
+        assert code == 1
+        assert err == "error: the exploration kernel ran out of memory\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -453,6 +466,16 @@ class TestBound:
         assert len(rows) == 20
         for row in rows:
             assert round_sig(row["branching_bound"]) == row["reference_branching_bound"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--model", "gilbert"], ["--dim", "2"], ["--gamma", "0.01"], ["--phi-csv", "phi.csv"],
+         ["--range", "7", "--beta", "2", "--hardness", "3"]],
+    )
+    def test_table_mode_refuses_the_flags_it_ignores(self, capsys, flags):
+        # a flag given at its default value is refused too
+        assert run_cli(["bound", "--table", "1", *flags]) == 1
+        assert capsys.readouterr().err == f"error: bound --table takes no {', '.join(flags[::2])}\n"
 
     def test_table_mode_single(self, capsys):
         out = run_ok(capsys, ["bound", "--table", "4", "--output", "csv"])

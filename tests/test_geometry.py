@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcmperc import (
-    CLUSTER,
-    COVERED,
-    UNATTACHED,
     ball_volume,
     place_candidates,
     sphere_surface,
     stream,
 )
 from rcmperc.kernel import ffi, lib
+
+UNATTACHED, CLUSTER, COVERED = lib.RCM_UNATTACHED, lib.RCM_CLUSTER, lib.RCM_COVERED
 
 
 class TestBallVolume:

@@ -9,13 +9,11 @@ from scipy import stats
 from rcmperc import (
     ball_volume,
     derive_seed,
-    poisson_count,
     stream,
     trial_stream,
-    uniform_in_ball,
 )
 
-from support import covered_grid, poisson_gof_pvalue, ball_intake
+from support import ball_intake, ball_points, covered_grid, poisson_gof_pvalue
 
 ORIGIN2 = (0.0, 0.0)
 
@@ -60,20 +58,15 @@ class TestDeriveSeed:
 
 
 class TestPoissonCount:
+    # the intake's count is numpy's Poisson draw, which the kernel makes with random_poisson
     def test_zero_mean_is_zero(self):
         rng = stream(1)
-        assert all(poisson_count(rng, 0.0) == 0 for _ in range(100))
-
-    def test_bad_mean(self):
-        rng = stream(1)
-        for bad in (-0.5, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                poisson_count(rng, bad)
+        assert not rng.poisson(0.0, 100).any()
 
     def test_moments(self):
         rng = stream(2024)
         n = 300_000
-        draws = np.array([poisson_count(rng, 4.0) for _ in range(n)], dtype=float)
+        draws = rng.poisson(4.0, n).astype(float)
         # mean: 3 sigma window with sigma = sqrt(4/n)
         assert abs(draws.mean() - 4.0) <= 3.0 * math.sqrt(4.0 / n)
         # variance: SE of the sample variance is sqrt((mu + 2 mu^2) / n)
@@ -81,7 +74,7 @@ class TestPoissonCount:
 
     def test_distribution_gof(self):
         rng = stream(77)
-        samples = [poisson_count(rng, 50.0) for _ in range(100_000)]
+        samples = rng.poisson(50.0, 100_000).tolist()
         assert poisson_gof_pvalue(samples, 50.0) > 0.01
 
 
@@ -90,15 +83,14 @@ class TestUniformInBall:
         for dim in (1, 2, 3, 5):
             rng = stream(11, dim)
             center = (4.0,) + (0.0,) * (dim - 1)
-            for _ in range(300):
-                p = uniform_in_ball(rng, center, 2.0, dim)
+            for p in ball_points(rng, center, 2.0, dim, 300):
                 assert math.dist(p, center) <= 2.0
                 assert len(p) == dim
 
     def test_norm_is_global_not_relative(self):
         rng = stream(12)
         center = (10.0, -3.0)
-        p = uniform_in_ball(rng, center, 1.0, 2)
+        [p] = ball_points(rng, center, 1.0, 2, 1)
         assert math.dist(p, center) <= 1.0
         assert math.hypot(*p) > 8.0  # coordinates are global, not relative
 
@@ -106,10 +98,7 @@ class TestUniformInBall:
         # P(|X| <= 1) in a radius 2 disc is (1/2)^2 = 1/4
         rng = stream(13)
         n = 400_000
-        hits = sum(
-            math.hypot(*uniform_in_ball(rng, ORIGIN2, 2.0, 2)) <= 1.0
-            for _ in range(n)
-        )
+        hits = sum(math.hypot(*p) <= 1.0 for p in ball_points(rng, ORIGIN2, 2.0, 2, n))
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert abs(hits / n - 0.25) <= 3.0 * sigma
 
@@ -119,32 +108,26 @@ class TestUniformInBall:
             rng = stream(14, dim)
             center = (0.0,) * dim
             u = [
-                (math.hypot(*uniform_in_ball(rng, center, 2.0, dim)) / 2.0) ** dim
-                for _ in range(50_000)
+                (math.hypot(*p) / 2.0) ** dim
+                for p in ball_points(rng, center, 2.0, dim, 50_000)
             ]
             assert stats.kstest(u, "uniform").pvalue > 0.01
 
     def test_coordinate_means_d3(self):
         rng = stream(15)
-        center = (0.0, 0.0, 0.0)
         n = 200_000
-        acc = np.zeros(3)
-        for _ in range(n):
-            acc += uniform_in_ball(rng, center, 2.0, 3)
+        mean = np.mean(ball_points(rng, (0.0, 0.0, 0.0), 2.0, 3, n), axis=0)
         # per-coordinate variance is R^2/(d+2) = 4/5
         sigma = math.sqrt(0.8 / n)
-        assert np.all(np.abs(acc / n) <= 3.0 * sigma)
+        assert np.all(np.abs(mean) <= 3.0 * sigma)
 
     def test_centered_on_offset(self):
         rng = stream(16)
-        center = (10.0, -3.0)
         n = 100_000
-        acc = np.zeros(2)
-        for _ in range(n):
-            acc += uniform_in_ball(rng, center, 2.0, 2)
+        mean = np.mean(ball_points(rng, (10.0, -3.0), 2.0, 2, n), axis=0)
         sigma = math.sqrt(1.0 / n)  # R^2/(d+2) = 1
-        assert abs(acc[0] / n - 10.0) <= 3.0 * sigma
-        assert abs(acc[1] / n + 3.0) <= 3.0 * sigma
+        assert abs(mean[0] - 10.0) <= 3.0 * sigma
+        assert abs(mean[1] + 3.0) <= 3.0 * sigma
 
 
 class TestSampleUncovered:
