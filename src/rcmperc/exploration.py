@@ -5,8 +5,8 @@ the full point process. The compiled kernel (`kernel.c`, loaded by
 `rcmperc.kernel`) runs the whole exploration; this docstring, with the
 draw order in `rcmperc.sampling` and `decide_connection` and `phi_at` in
 `rcmperc.connection`, states the rules it follows. Every point a run
-knows of lives in one grid of cells as wide as the connection range, by
-integer id, in one of three states:
+knows of lives in one grid of cells twice as wide as the connection
+range, by integer id, in one of three states:
 
   * covered: cluster points whose neighborhood is fully resolved, one
     per processing step; their balls hold no further undrawn points;
@@ -40,19 +40,19 @@ runs are flagged and must not be read as containment.
 Batches of trials go through `run_trials`, which returns the kernel's
 own arrays. Results never depend on the worker count: the kernel
 derives trial t's stream, the keyed stream (seed, key, t) of
-`trial_stream`, and writes trial t's record and flags to row t. Each
-thread makes one kernel call, the calling thread as well as the helpers
-it starts, and takes trials one at a time from a counter shared by the
-batch. A call sets up one workspace (the
-grid, the frontier and scratch buffers) and empties it before each
-trial, so a trial's results do not depend on which trials the same call
-ran before it; the call frees the workspace before it returns. An
-early-exit batch also shares the lowest escaping trial found so far: no
-trial above it starts, and the arrays end at the first escaping trial
-as a serial run does. Rows past it that other threads had filled are
-cut off, so counts taken from the arrays match a serial run exactly.
-Kernel calls release the interpreter lock, so the threads explore in
-parallel.
+`trial_stream`, and writes trial t's record and flags to row t. A batch
+is one kernel call, `rcm_run_batch`, which starts its helper threads in
+C and joins them before it returns; every thread, the calling one
+included, takes trials one at a time from a counter shared by the
+batch. Each thread sets up one workspace (the grid, the frontier and
+scratch buffers) and empties it before each trial, so a trial's results
+do not depend on which trials the same thread ran before it; the
+thread frees the workspace when the batch is done. An early-exit batch
+also shares the lowest escaping trial found so far: no trial above it
+starts, and the arrays end at the first escaping trial as a serial run
+does. Rows past it that other threads had filled are cut off, so
+counts taken from the arrays match a serial run exactly. The kernel
+call releases the interpreter lock for the whole batch.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from threading import Thread
 from typing import Sequence
 
 import numpy as np
@@ -243,43 +242,23 @@ def run_trials(
 
     outcomes[t] is trial t's `kernel.OUTCOME` record, joined[t, k] whether
     extra point k joined its cluster; with stop_at_escape both end at the
-    first escaping trial. The batch runs as one kernel call per thread,
-    threads being the smaller of workers and the machine's cores: this
-    thread makes one call and takes its share of the trials, and
-    threads - 1 helper threads, joined before this returns, make the
-    others. The calls take the trials from one shared counter and
-    derive each trial's stream in C.
+    first escaping trial. The batch is one kernel call, `rcm_run_batch`,
+    in as many threads as the smaller of workers and the machine's
+    cores: the kernel starts the helper threads, runs a share in this
+    one and joins them before it returns. The threads take the trials
+    from one shared counter and derive each trial's stream in C.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     entropy = trial_entropy(master_seed, eval_key)
     m, c_params = _kernel_args(params, model)
-    threads = min(workers, os.cpu_count() or 1)
     outcomes, joined = _batch_arrays(n, len(params.extra_points))
-    outs = ffi.from_buffer("rcm_outcome[]", outcomes)
-    extras_in = ffi.from_buffer("uint8_t[]", joined)
-    next_trial = ffi.new("int64_t *", 0)
-    first_escape = ffi.new("int64_t *", n) if stop_at_escape else ffi.NULL
-
-    ran = [0] * threads
-
-    def run(k: int) -> None:
-        ran[k] = lib.rcm_run_trials(entropy, len(entropy), n, next_trial, first_escape,
-                                    m, c_params, outs, extras_in)
-
-    helpers = []
-    try:
-        for k in range(1, threads):
-            helper = Thread(target=run, args=(k,))
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if min(ran) < 0:
+    done = lib.rcm_run_batch(entropy, len(entropy), n, min(workers, os.cpu_count() or 1),
+                             stop_at_escape, m, c_params,
+                             ffi.from_buffer("rcm_outcome[]", outcomes),
+                             ffi.from_buffer("uint8_t[]", joined))
+    if done < 0:
         raise MemoryError("the exploration kernel ran out of memory")
-    done = min(first_escape[0] + 1, n) if stop_at_escape else n
     return outcomes[:done], joined[:done]
 
 

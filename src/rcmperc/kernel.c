@@ -21,12 +21,14 @@
  * interpreter lock around every entry point. Each call frees the
  * memory it allocates before it returns, but for the pair log that
  * rcm_explore grows for its caller, who frees it with rcm_free; no
- * other state outlives a call. A batch call (rcm_run_trials) sets up
- * one exploration workspace, a grid, a frontier and scratch, and reuses
- * it for every trial it runs, emptying it before each.
+ * other state outlives a call. A batch (rcm_run_batch) runs one
+ * rcm_run_trials call per thread, in threads it starts and joins itself;
+ * each call sets up one exploration workspace, a grid, a frontier and
+ * scratch, and reuses it for every trial it runs, emptying it before each.
  */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -242,29 +244,37 @@ static int connects(const rcm_model *m, const double *x, const double *y, int di
 
 /* ------------------------------------------------------------------ */
 /* The point grid: coordinates and a state per point id, filed in      */
-/* cubic cells whose edge is the query radius.                         */
+/* cubic cells whose edge is twice the query radius (the link-cell     */
+/* method), so a query probes 2^d cells.                               */
 
 /* Cell indices are clamped here; points in clamped cells are further
  * apart than any radius, so the exact distance test still decides. */
 #define RCM_CELL_LIMIT 4503599627370496.0 /* 2^52 */
 
+/* A query reaches this much past the radius, so that a rounding at a
+ * cell face widens its box instead of dropping a point. */
+#define RCM_REACH (1.0 + 1e-9)
+
 typedef struct {
     int dim;
     double radius;
+    double half_reach;      /* radius * RCM_REACH / 2 */
     /* points by id */
     int64_t n, cap;
     double *coords;
     uint8_t *state;
     int64_t *next;          /* the next id in the same cell, -1 ends */
+    int64_t *cnext;         /* the next covered id in the same cell, -1 ends */
     /* cells: open addressing over `slots`, a power of two */
     int64_t slots, used;
     uint64_t *slot_hash;
     int64_t *slot_cell;     /* dim indices per slot */
     int64_t *slot_head;     /* the last id filed in the cell, -1 marks a free slot */
+    int64_t *slot_chead;    /* the last id covered in the cell, -1 for none */
     int64_t *live;          /* the `used` slots in use, room for slots / 2 */
     /* per-grid constants and scratch */
     uint64_t *mult;         /* an odd hash multiplier per coordinate */
-    int64_t *scan;          /* 3 * dim: base cell, current cell, offset digits */
+    int64_t *scan;          /* 3 * dim: first, last and current cell of a scan */
     double *gauss;          /* dim */
     double *point;          /* dim */
     int64_t *found;         /* query results */
@@ -287,9 +297,11 @@ static uint64_t slot_of(uint64_t h, int64_t slots)
     return h & (uint64_t)(slots - 1);
 }
 
-static int64_t cell_index(double c, double r)
+/* The cell of coordinate c is floor(c / 2r), computed as floor((c / 2) / r),
+ * which rounds alike and cannot overflow in 2r; callers pass c / 2. */
+static int64_t cell_index(double half_c, double r)
 {
-    double k = floor(c / r);
+    double k = floor(half_c / r);
     if (k > RCM_CELL_LIMIT)
         k = RCM_CELL_LIMIT;
     else if (k < -RCM_CELL_LIMIT)
@@ -302,9 +314,11 @@ static void grid_free(grid *g)
     free(g->coords);
     free(g->state);
     free(g->next);
+    free(g->cnext);
     free(g->slot_hash);
     free(g->slot_cell);
     free(g->slot_head);
+    free(g->slot_chead);
     free(g->live);
     free(g->mult);
     free(g->scan);
@@ -318,8 +332,9 @@ static int alloc_slots(grid *g, int64_t slots)
     g->slot_hash = malloc((size_t)slots * sizeof(uint64_t));
     g->slot_cell = malloc((size_t)slots * (size_t)g->dim * sizeof(int64_t));
     g->slot_head = malloc((size_t)slots * sizeof(int64_t));
+    g->slot_chead = malloc((size_t)slots * sizeof(int64_t));
     g->live = malloc((size_t)slots / 2 * sizeof(int64_t));
-    if (!g->slot_hash || !g->slot_cell || !g->slot_head || !g->live)
+    if (!g->slot_hash || !g->slot_cell || !g->slot_head || !g->slot_chead || !g->live)
         return RCM_NO_MEMORY;
     for (int64_t s = 0; s < slots; s++)
         g->slot_head[s] = -1;
@@ -332,17 +347,19 @@ static int grid_init(grid *g, double radius, int dim)
     memset(g, 0, sizeof *g);
     g->dim = dim;
     g->radius = radius;
+    g->half_reach = 0.5 * radius * RCM_REACH;
     g->cap = 64;
     g->found_cap = 64;
     g->coords = malloc((size_t)g->cap * (size_t)dim * sizeof(double));
     g->state = malloc((size_t)g->cap);
     g->next = malloc((size_t)g->cap * sizeof(int64_t));
+    g->cnext = malloc((size_t)g->cap * sizeof(int64_t));
     g->mult = malloc((size_t)dim * sizeof(uint64_t));
     g->scan = malloc(3 * (size_t)dim * sizeof(int64_t));
     g->gauss = malloc((size_t)dim * sizeof(double));
     g->point = malloc((size_t)dim * sizeof(double));
     g->found = malloc((size_t)g->found_cap * sizeof(int64_t));
-    if (!g->coords || !g->state || !g->next || !g->mult || !g->scan || !g->gauss
+    if (!g->coords || !g->state || !g->next || !g->cnext || !g->mult || !g->scan || !g->gauss
         || !g->point || !g->found || alloc_slots(g, 64) != RCM_OK) {
         grid_free(g);
         return RCM_NO_MEMORY;
@@ -367,15 +384,18 @@ static int64_t find_slot(const grid *g, uint64_t h, const int64_t *cell)
 static int grow_slots(grid *g)
 {
     uint64_t *hash = g->slot_hash;
-    int64_t *cell = g->slot_cell, *head = g->slot_head, *live = g->live, slots = g->slots;
+    int64_t *cell = g->slot_cell, *head = g->slot_head, *chead = g->slot_chead;
+    int64_t *live = g->live, slots = g->slots;
     if (alloc_slots(g, 2 * slots) != RCM_OK) {
         free(g->slot_hash);
         free(g->slot_cell);
         free(g->slot_head);
+        free(g->slot_chead);
         free(g->live);
         g->slot_hash = hash;
         g->slot_cell = cell;
         g->slot_head = head;
+        g->slot_chead = chead;
         g->live = live;
         g->slots = slots;
         return RCM_NO_MEMORY;
@@ -385,11 +405,13 @@ static int grow_slots(grid *g)
         g->slot_hash[t] = hash[s];
         memcpy(g->slot_cell + t * g->dim, cell + s * g->dim, (size_t)g->dim * sizeof(int64_t));
         g->slot_head[t] = head[s];
+        g->slot_chead[t] = chead[s];
         g->live[u] = t;
     }
     free(hash);
     free(cell);
     free(head);
+    free(chead);
     free(live);
     return RCM_OK;
 }
@@ -415,10 +437,33 @@ static int grow_points(grid *g)
     int64_t *next = realloc(g->next, (size_t)cap * sizeof(int64_t));
     if (next)
         g->next = next;
-    if (!coords || !state || !next)
+    int64_t *cnext = realloc(g->cnext, (size_t)cap * sizeof(int64_t));
+    if (cnext)
+        g->cnext = cnext;
+    if (!coords || !state || !next || !cnext)
         return RCM_NO_MEMORY;
     g->cap = cap;
     return RCM_OK;
+}
+
+/* The slot of the cell that holds p, or -(free slot) - 1 when the cell
+ * has none; leaves the cell's indices in g->scan and its hash in *h. */
+static int64_t cell_slot(grid *g, const double *p, uint64_t *h)
+{
+    int64_t *cell = g->scan;
+    *h = 0;
+    for (int k = 0; k < g->dim; k++) {
+        cell[k] = cell_index(0.5 * p[k], g->radius);
+        *h += (uint64_t)cell[k] * g->mult[k];
+    }
+    return find_slot(g, *h, cell);
+}
+
+/* Puts point i, whose cell has slot s, on that cell's covered chain. */
+static void link_covered(grid *g, int64_t s, int64_t i)
+{
+    g->cnext[i] = g->slot_chead[s];
+    g->slot_chead[s] = i;
 }
 
 /* Stores a point in the given state; returns its id, or -1. */
@@ -429,24 +474,31 @@ static int64_t grid_insert(grid *g, const double *p, uint8_t state)
         return -1;
     if (2 * (g->used + 1) > g->slots && grow_slots(g) != RCM_OK)
         return -1;
-    int64_t i = g->n++, *cell = g->scan;
-    uint64_t h = 0;
+    int64_t i = g->n++;
+    uint64_t h;
     memcpy(g->coords + i * dim, p, (size_t)dim * sizeof(double));
     g->state[i] = state;
-    for (int k = 0; k < dim; k++) {
-        cell[k] = cell_index(p[k], g->radius);
-        h += (uint64_t)cell[k] * g->mult[k];
-    }
-    int64_t s = find_slot(g, h, cell);
+    int64_t s = cell_slot(g, p, &h);
     if (s < 0) {
         s = -s - 1;
         g->slot_hash[s] = h;
-        memcpy(g->slot_cell + s * dim, cell, (size_t)dim * sizeof(int64_t));
+        memcpy(g->slot_cell + s * dim, g->scan, (size_t)dim * sizeof(int64_t));
+        g->slot_chead[s] = -1;
         g->live[g->used++] = s;
     }
     g->next[i] = g->slot_head[s];
     g->slot_head[s] = i;
+    if (state == RCM_COVERED)
+        link_covered(g, s, i);
     return i;
+}
+
+/* Moves point i, which is not yet covered, to the covered state. */
+static void grid_cover(grid *g, int64_t i)
+{
+    uint64_t h;
+    g->state[i] = RCM_COVERED;
+    link_covered(g, cell_slot(g, g->coords + i * g->dim, &h), i);
 }
 
 static int cmp_id(const void *a, const void *b)
@@ -456,25 +508,30 @@ static int cmp_id(const void *a, const void *b)
 }
 
 /*
- * The points in `state` at distance <= radius from q, over the 3^d cells
- * around q. With collect == 0 it returns 1 at the first such point and 0
- * if there is none. Otherwise it leaves their ids in g->found, ascending,
- * and returns their count, or -1 when memory runs out.
+ * The points in `state` at distance <= radius from q, over the cells that
+ * meet the box of half-width radius * RCM_REACH around q: two per axis,
+ * three only when the box ends on a cell face. A covered query walks only
+ * each cell's covered chain. With collect == 0 it returns 1 at the first
+ * such point and 0 if there is none. Otherwise it leaves their ids in
+ * g->found, ascending, and returns their count, or -1 when memory runs out.
  */
 static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
 {
     int dim = g->dim;
-    int64_t *base = g->scan, *cell = base + dim, *digit = cell + dim, n = 0;
+    int64_t *first = g->scan, *last = first + dim, *cell = last + dim, n = 0;
+    int covered = state == RCM_COVERED;
+    const int64_t *head = covered ? g->slot_chead : g->slot_head;
+    const int64_t *next = covered ? g->cnext : g->next;
     uint64_t h = 0;
     for (int k = 0; k < dim; k++) {
-        base[k] = cell_index(q[k], g->radius);
-        digit[k] = -1;
-        cell[k] = base[k] - 1;
+        first[k] = cell_index(0.5 * q[k] - g->half_reach, g->radius);
+        last[k] = cell_index(0.5 * q[k] + g->half_reach, g->radius);
+        cell[k] = first[k];
         h += (uint64_t)cell[k] * g->mult[k];
     }
     for (;;) {
         int64_t s = find_slot(g, h, cell);
-        for (int64_t i = s < 0 ? -1 : g->slot_head[s]; i >= 0; i = g->next[i]) {
+        for (int64_t i = s < 0 ? -1 : head[s]; i >= 0; i = next[i]) {
             if (g->state[i] != state || distance_of(q, g->coords + i * dim, dim) > g->radius)
                 continue;
             if (!collect)
@@ -488,17 +545,15 @@ static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
             }
             g->found[n++] = i;
         }
-        /* the next cell: count the offset digits up through -1, 0, 1 */
+        /* the next cell: count the indices up from first to last, axis 0 fastest */
         int k = 0;
-        while (k < dim && digit[k] == 1) {
-            digit[k] = -1;
-            cell[k] -= 2;
-            h -= 2 * g->mult[k];
+        while (k < dim && cell[k] == last[k]) {
+            h -= (uint64_t)(last[k] - first[k]) * g->mult[k];
+            cell[k] = first[k];
             k++;
         }
         if (k == dim)
             break;
-        digit[k]++;
         cell[k]++;
         h += g->mult[k];
     }
@@ -810,7 +865,7 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
                     break;
             }
         }
-        g->state[i] = RCM_COVERED;
+        grid_cover(g, i);
         if (e->escaped || capped)
             break;
     }
@@ -841,17 +896,18 @@ int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
 }
 
 /*
- * One thread's share of a batch of n_trials explorations. Trial t draws
- * from the stream seeded by the n_words entropy words followed by the
- * words of t (one, or two from 2^32 on), and its results go to outs[t]
- * and to extras_in from t * n_extras. Every call of a batch may run at
- * once in its own thread: each takes the next trial from the shared
- * counter *next_trial until the counter passes n_trials. A non-NULL
- * first_escape holds the lowest escaping trial index found so far
- * (n_trials while there is none): a trial above it does not start, and
- * an escaping trial lowers it. The call sets up one explorer, which
- * every trial it runs reuses after emptying it, and frees it before it
- * returns. Returns the number of trials this call ran, or RCM_NO_MEMORY.
+ * One thread's share of a batch of n_trials explorations; rcm_run_batch
+ * makes one such call per thread. Trial t draws from the stream seeded by
+ * the n_words entropy words followed by the words of t (one, or two from
+ * 2^32 on), and its results go to outs[t] and to extras_in from
+ * t * n_extras. Every call of a batch may run at once in its own thread:
+ * each takes the next trial from the shared counter *next_trial until the
+ * counter passes n_trials. A non-NULL first_escape holds the lowest
+ * escaping trial index found so far (n_trials while there is none): a
+ * trial above it does not start, and an escaping trial lowers it. The
+ * call sets up one explorer, which every trial it runs reuses after
+ * emptying it, and frees it before it returns. Returns the number of
+ * trials this call ran, or RCM_NO_MEMORY.
  */
 int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
                        int64_t *next_trial, int64_t *first_escape,
@@ -893,6 +949,70 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
     explorer_free(&e);
     free(words);
     return ran;
+}
+
+/* A batch's arguments and the counters its threads share. */
+typedef struct {
+    const uint32_t *entropy;
+    int64_t n_words, n_trials, next_trial, first_escape;
+    int stop_at_escape;
+    const rcm_model *m;
+    const rcm_params *p;
+    rcm_outcome *outs;
+    uint8_t *extras_in;
+} batch;
+
+/* One thread's part of a batch, and what its rcm_run_trials call returned. */
+typedef struct {
+    batch *b;
+    pthread_t thread;
+    int64_t ran;
+} share;
+
+static void *run_share(void *arg)
+{
+    share *sh = arg;
+    batch *b = sh->b;
+    sh->ran = rcm_run_trials(b->entropy, b->n_words, b->n_trials, &b->next_trial,
+                             b->stop_at_escape ? &b->first_escape : NULL,
+                             b->m, b->p, b->outs, b->extras_in);
+    return NULL;
+}
+
+/*
+ * A batch of n_trials explorations in `threads` threads: it starts
+ * threads - 1 of them, runs one share in the calling thread and joins
+ * the others before it returns, each making one rcm_run_trials call on
+ * the batch's shared counters. A thread that cannot start leaves its
+ * share to the others. With stop_at_escape the batch shares its first
+ * escape and keeps the rows up to it. Returns the number of rows to
+ * keep, the first escaping trial + 1 or n_trials, or RCM_NO_MEMORY.
+ */
+int64_t rcm_run_batch(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
+                      int threads, int stop_at_escape, const rcm_model *m,
+                      const rcm_params *p, rcm_outcome *outs, uint8_t *extras_in)
+{
+    batch b = {entropy, n_words, n_trials, 0, n_trials, stop_at_escape, m, p, outs, extras_in};
+    share *shares = malloc((size_t)(threads > 1 ? threads : 1) * sizeof(share));
+    if (!shares)
+        return RCM_NO_MEMORY;
+    int started = 1;
+    for (int k = 1; k < threads; k++) {
+        shares[started].b = &b;
+        if (pthread_create(&shares[started].thread, NULL, run_share, &shares[started]) == 0)
+            started++;
+    }
+    shares[0].b = &b;
+    run_share(&shares[0]);
+    int failed = shares[0].ran < 0;
+    for (int k = 1; k < started; k++) {
+        pthread_join(shares[k].thread, NULL);
+        failed |= shares[k].ran < 0;
+    }
+    free(shares);
+    if (failed)
+        return RCM_NO_MEMORY;
+    return stop_at_escape && b.first_escape < n_trials ? b.first_escape + 1 : n_trials;
 }
 
 void rcm_free(void *p)

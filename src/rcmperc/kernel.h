@@ -76,4 +76,7 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
                        int64_t *next_trial, int64_t *first_escape,
                        const rcm_model *m, const rcm_params *p,
                        rcm_outcome *outs, uint8_t *extras_in);
+int64_t rcm_run_batch(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
+                      int threads, int stop_at_escape, const rcm_model *m,
+                      const rcm_params *p, rcm_outcome *outs, uint8_t *extras_in);
 void rcm_free(void *p);

@@ -74,7 +74,7 @@ a = json.loads(sys.argv[1])
 builder = cffi.FFI()
 builder.cdef(a["cdef"])
 builder.set_source(a["name"], a["source"], include_dirs=a["include_dirs"],
-                   extra_objects=a["extra_objects"], libraries=["m"],
+                   extra_objects=a["extra_objects"], libraries=["m", "pthread"],
                    extra_compile_args=a["flags"])
 with tempfile.TemporaryDirectory(dir=os.path.dirname(a["path"]), prefix=a["name"]) as tmp:
     os.replace(builder.compile(tmpdir=tmp), a["path"])

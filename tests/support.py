@@ -191,7 +191,8 @@ def assert_bracket_invariants(estimate) -> None:
 
 
 class CountingKernel:
-    """The kernel library, with the trials each rcm_run_trials call ran recorded."""
+    """The kernel library, with each rcm_run_batch call recorded as
+    (threads, rows returned)."""
 
     def __init__(self, calls: list):
         self._calls = calls
@@ -199,10 +200,10 @@ class CountingKernel:
     def __getattr__(self, name):
         return getattr(KERNEL, name)
 
-    def rcm_run_trials(self, *args):
-        ran = KERNEL.rcm_run_trials(*args)
-        self._calls.append(ran)
-        return ran
+    def rcm_run_batch(self, entropy, n_words, n_trials, threads, *args):
+        rows = KERNEL.rcm_run_batch(entropy, n_words, n_trials, threads, *args)
+        self._calls.append((threads, rows))
+        return rows
 
 
 def in_bounded_child(fn, seconds: float = 60.0, extra_bytes: int = 1 << 30):

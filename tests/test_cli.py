@@ -327,12 +327,12 @@ class TestExplore:
         assert run_ok(capsys, argv).out == run_ok(capsys, argv).out
 
     def test_one_kernel_call_per_thread(self, capsys, monkeypatch):
-        calls: list[int] = []
+        calls: list[tuple[int, int]] = []
         monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         run_ok(capsys, ["explore", "--gamma", "0.3", "--system-size", "15", "--runs", "8",
                         "--threads", "2"])
-        assert len(calls) == 2 and sum(calls) == 8
+        assert calls == [(2, 8)]
 
 
 class TestNoClock:

@@ -209,47 +209,31 @@ class TestRunTrials:
             assert as_outcomes(stopped) == serial[: first + 1]
 
     def test_one_kernel_call_per_thread(self, monkeypatch):
-        # an inline stand-in for Thread records helper starts and joins,
-        # and the kernel calls; at 4 cores a batch makes one call per
-        # thread, the calling thread's last, and one thread starts no
-        # helper. A helper runs its call when started, so the first call
-        # takes every trial from the shared counter; gamma 0 never
-        # escapes, so every trial runs in both modes
-        events: list[str] = []
-        calls: list[int] = []
-        monkeypatch.setattr(exploration, "Thread", _inline_thread(events))
+        # at 4 cores a batch is one kernel call that runs one share per
+        # worker, in threads the kernel starts itself; gamma 0 never
+        # escapes, so every trial runs and every row is kept in both modes
+        calls: list[tuple[int, int]] = []
         monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
-        want = {
-            (1, 61): (0, [61]),
-            (2, 61): (1, [61, 0]),
-            (3, 61): (2, [61, 0, 0]),
-            (2, 200): (1, [200, 0]),
-        }
         serial = [explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(200)]
-        for (workers, n), (helpers, ran) in want.items():
+        for workers, n in ((1, 61), (2, 61), (3, 61), (2, 200)):
             for stop in (False, True):
-                events.clear()
                 calls.clear()
                 batch = run_trials(params, GILBERT, 5, 0, n, workers, stop)
                 assert as_outcomes(batch) == serial[:n]
-                assert (events, calls) == (["start"] * helpers + ["join"] * helpers, ran)
+                assert calls == [(workers, n)]
 
     def test_no_more_threads_than_cores(self, monkeypatch):
-        # 10,000 workers start a helper for each core but the calling
-        # thread's, and make one kernel call per core
-        events: list[str] = []
-        calls: list[int] = []
-        monkeypatch.setattr(exploration, "Thread", _inline_thread(events))
+        # 10,000 workers ask the kernel for one thread per core
+        calls: list[tuple[int, int]] = []
         monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         serial = [explore_cluster(params, GILBERT, trial_stream(5, 0, t)) for t in range(61)]
         batch = run_trials(params, GILBERT, 5, 0, 61, 10_000)
         assert as_outcomes(batch) == serial
-        assert events == ["start"] * 3 + ["join"] * 3
-        assert calls == [61, 0, 0, 0]
+        assert calls == [(4, 61)]
 
     def test_shared_first_escape_index(self):
         # seed 6 at this size first escapes at trial 33, and again at 37;
@@ -300,7 +284,7 @@ class TestRunTrials:
         assert matches(0, 45)
 
     def test_serial_batch_starts_no_trial_past_its_first_escape(self, monkeypatch):
-        calls: list[int] = []
+        calls: list[tuple[int, int]] = []
         monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         # seed 1 at this size first escapes at trial 76
         params = SimParams(dim=2, gamma=0.25, system_size=40.0)
@@ -308,10 +292,13 @@ class TestRunTrials:
         assert serial[-1].escaped and not any(o.escaped for o in serial[:-1])
         batch = run_trials(params, GILBERT, 1, 0, 300, stop_at_escape=True)
         assert as_outcomes(batch) == serial
-        assert calls == [77]
+        assert calls == [(1, 77)]
+        # the rows cut off past the first escape were never written: no
+        # trial after it started
+        assert not batch[0].base["steps"][77:].any()
 
     def test_negative_seed_or_key_fails_before_the_kernel(self, monkeypatch):
-        calls: list[int] = []
+        calls: list[tuple[int, int]] = []
         monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         params = SimParams(dim=2, gamma=0.0, system_size=10.0)
         with pytest.raises(ValueError, match=r"^master seed must be non-negative, got -1$"):
@@ -334,7 +321,7 @@ class TestWorkspaceReuse:
     def test_large_then_tiny_trials_match_serial_runs(
         self, monkeypatch, dim, radius, system_size, max_steps, seed
     ):
-        calls: list[int] = []
+        calls: list[tuple[int, int]] = []
         monkeypatch.setattr(exploration, "lib", CountingKernel(calls))
         model = PenetrableSphere(radius, 0.0125)
         extras = ((1.0,) + (0.0,) * (dim - 1), (-1.5,) + (0.5,) * (dim - 1))
@@ -343,7 +330,7 @@ class TestWorkspaceReuse:
         # a grid that kept stale cells could chain its points into a cycle
         # and collect without end, so the batch runs in a bounded child
         batch, calls = in_bounded_child(lambda: (run_trials(params, model, seed, 0, 5), calls))
-        assert calls == [5]
+        assert calls == [(1, 5)]
         serial = [explore_cluster(params, model, trial_stream(seed, 0, t)) for t in range(5)]
         assert as_outcomes(batch) == serial
         # the large trials take the point arrays, the frontier heap and the
@@ -369,23 +356,6 @@ def _most_retests(params: SimParams, model, rng) -> int:
         most = max(most, retests)
         known += len(ids) - retests
     return most
-
-
-def _inline_thread(events: list):
-    """A Thread stand-in that runs its target when started, recording starts and joins."""
-
-    class InlineThread:
-        def __init__(self, target, args=()):
-            self._target, self._args = target, args
-
-        def start(self):
-            events.append("start")
-            self._target(*self._args)
-
-        def join(self):
-            events.append("join")
-
-    return InlineThread
 
 
 class TestEscapeMonotone:

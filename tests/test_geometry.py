@@ -200,6 +200,36 @@ class TestSpatialIndex:
                     checked += 1
         assert checked == 10_000
 
+    def test_face_ties_agree_with_linear_scan(self):
+        # cells have edge 2r: at d = 1..5, points and queries on cell faces
+        # (multiples of 2r, negative ones included), points at distance
+        # exactly r from a query along one axis, and points at odd multiples
+        # of r, in every state; a covered question walks the covered chains
+        gen = np.random.default_rng(2023)
+        checked = 0
+        for dim in range(1, 6):
+            for radius in (1.0, 0.75, 0.3, 2.5):
+                faces = [tuple(2.0 * radius * float(k) for k in gen.integers(-3, 4, size=dim))
+                         for _ in range(30)]
+                ties = []
+                for face in faces:
+                    axis, sign = int(gen.integers(0, dim)), float(gen.choice([-1.0, 1.0]))
+                    ties.append(tuple(c + sign * radius if k == axis else c
+                                      for k, c in enumerate(face)))
+                odd = [tuple(radius * float(k) for k in gen.integers(-5, 6, size=dim))
+                       for _ in range(30)]
+                points = faces + ties + odd
+                states = [STATES[k] for k in gen.integers(0, 3, size=len(points))]
+                grid = _Grid(radius, dim, points, states)
+                for q in faces[:10] + ties[:10]:
+                    for state in STATES:
+                        want = _linear_scan(points, states, q, radius, state)
+                        assert grid.query(q, state) == want
+                        assert grid.any_within(q, state) is bool(want)
+                        checked += bool(want)
+        # most questions find a point, many of them at exactly the radius
+        assert checked > 400
+
     def test_bad_placement_arguments_consume_no_draw(self):
         # place_candidates refuses a bad radius, count or point before any
         # draw and whatever the count
