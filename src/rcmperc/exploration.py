@@ -22,7 +22,9 @@ Processing a frontier point x runs, in this fixed order:
       successes join the cluster;
   (b) one Poisson count, then one placement per candidate point, uniform
       in B(x, range), thinned against the covered points' balls (no
-      randomness in the thinning);
+      randomness in the thinning; each candidate is tested first against
+      the ball of the point that adopted x, which is always covered, and
+      that test draws nothing);
   (c) one uniform per surviving new point, in generation order; successes
       join the cluster, the rest stay unattached. Finally x becomes
       covered.

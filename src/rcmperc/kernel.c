@@ -263,6 +263,7 @@ typedef struct {
     int64_t n, cap;
     double *coords;
     uint8_t *state;
+    int64_t in_state[3];    /* how many points each state holds */
     int64_t *next;          /* the next id in the same cell, -1 ends */
     int64_t *cnext;         /* the next covered id in the same cell, -1 ends */
     /* cells: open addressing over `slots`, a power of two */
@@ -423,6 +424,7 @@ static void grid_reset(grid *g)
         g->slot_head[g->live[u]] = -1;
     g->used = 0;
     g->n = 0;
+    memset(g->in_state, 0, sizeof g->in_state);
 }
 
 static int grow_points(grid *g)
@@ -478,6 +480,7 @@ static int64_t grid_insert(grid *g, const double *p, uint8_t state)
     uint64_t h;
     memcpy(g->coords + i * dim, p, (size_t)dim * sizeof(double));
     g->state[i] = state;
+    g->in_state[state]++;
     int64_t s = cell_slot(g, p, &h);
     if (s < 0) {
         s = -s - 1;
@@ -493,12 +496,27 @@ static int64_t grid_insert(grid *g, const double *p, uint8_t state)
     return i;
 }
 
+/* Moves point i to `state`, and its count with it. */
+static void grid_move(grid *g, int64_t i, uint8_t state)
+{
+    g->in_state[g->state[i]]--;
+    g->in_state[state]++;
+    g->state[i] = state;
+}
+
 /* Moves point i, which is not yet covered, to the covered state. */
 static void grid_cover(grid *g, int64_t i)
 {
     uint64_t h;
-    g->state[i] = RCM_COVERED;
+    grid_move(g, i, RCM_COVERED);
     link_covered(g, cell_slot(g, g->coords + i * g->dim, &h), i);
+}
+
+/* Whether point i lies within the radius of q: the one distance test of
+ * every query and of thinning. */
+static int within(const grid *g, const double *q, int64_t i)
+{
+    return !(distance_of(q, g->coords + i * g->dim, g->dim) > g->radius);
 }
 
 static int cmp_id(const void *a, const void *b)
@@ -508,11 +526,12 @@ static int cmp_id(const void *a, const void *b)
 }
 
 /*
- * The points in `state` at distance <= radius from q, over the cells that
- * meet the box of half-width radius * RCM_REACH around q: two per axis,
- * three only when the box ends on a cell face. A covered query walks only
- * each cell's covered chain. With collect == 0 it returns 1 at the first
- * such point and 0 if there is none. Otherwise it leaves their ids in
+ * The points in `state` within the radius of q, over the cells that meet
+ * the box of half-width radius * RCM_REACH around q: two per axis, three
+ * only when the box ends on a cell face. A state that holds no point
+ * returns 0 before any cell is probed. A covered query walks only each
+ * cell's covered chain. With collect == 0 it returns 1 at the first such
+ * point and 0 if there is none. Otherwise it leaves their ids in
  * g->found, ascending, and returns their count, or -1 when memory runs out.
  */
 static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
@@ -523,6 +542,8 @@ static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
     const int64_t *head = covered ? g->slot_chead : g->slot_head;
     const int64_t *next = covered ? g->cnext : g->next;
     uint64_t h = 0;
+    if (!g->in_state[state])
+        return 0;
     for (int k = 0; k < dim; k++) {
         first[k] = cell_index(0.5 * q[k] - g->half_reach, g->radius);
         last[k] = cell_index(0.5 * q[k] + g->half_reach, g->radius);
@@ -532,7 +553,7 @@ static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
     for (;;) {
         int64_t s = find_slot(g, h, cell);
         for (int64_t i = s < 0 ? -1 : head[s]; i >= 0; i = next[i]) {
-            if (g->state[i] != state || distance_of(q, g->coords + i * dim, dim) > g->radius)
+            if (g->state[i] != state || !within(g, q, i))
                 continue;
             if (!collect)
                 return 1;
@@ -582,14 +603,18 @@ static void ball_point(bitgen_t *bg, int dim, const double *center, double radiu
 
 /*
  * `count` placements in B(center, radius); each one not within the radius
- * of a covered point joins the grid as unattached. center must not point
- * into the grid, which may move as it grows.
+ * of a covered point joins the grid as unattached. A hint >= 0 names a
+ * covered point, tested before the grid is scanned: thinning asks whether
+ * any covered point is near, so the order of the tests cannot change its
+ * answer. center must not point into the grid, which may move as it grows.
  */
-static int place(bitgen_t *bg, grid *g, const double *center, int64_t count)
+static int place(bitgen_t *bg, grid *g, const double *center, int64_t hint, int64_t count)
 {
     for (int64_t c = 0; c < count; c++) {
         ball_point(bg, g->dim, center, g->radius, g->gauss, g->point);
-        if (!grid_scan(g, g->point, RCM_COVERED, 0) && grid_insert(g, g->point, RCM_UNATTACHED) < 0)
+        if ((hint >= 0 && within(g, g->point, hint)) || grid_scan(g, g->point, RCM_COVERED, 0))
+            continue;
+        if (grid_insert(g, g->point, RCM_UNATTACHED) < 0)
             return RCM_NO_MEMORY;
     }
     return RCM_OK;
@@ -611,7 +636,7 @@ int64_t rcm_place(bitgen_t *bg, int dim, const double *center, double radius,
     for (int64_t c = 0; c < n_covered; c++)
         if (grid_insert(&g, covered + c * dim, RCM_COVERED) < 0)
             goto done;
-    if (place(bg, &g, center, count) != RCM_OK)
+    if (place(bg, &g, center, -1, count) != RCM_OK)
         goto done;
     kept = g.n - n_covered;
     if (kept > 0)
@@ -626,13 +651,16 @@ done:
  * writes the ids of those in `state` within radius of q to ids (room for
  * n), ascending, sets *any to the early-exit answer of the same question
  * and returns the count. RCM_BAD_GRID for a radius that is not finite and
- * positive or a dimension below 1.
+ * positive, a dimension below 1 or a state that is not a point state.
  */
 int64_t rcm_grid_query(double radius, int dim, const double *points, const uint8_t *states,
                        int64_t n, const double *q, int state, int64_t *ids, int *any)
 {
-    if (!(isfinite(radius) && radius > 0.0) || dim < 1)
+    if (!(isfinite(radius) && radius > 0.0) || dim < 1 || state < 0 || state > RCM_COVERED)
         return RCM_BAD_GRID;
+    for (int64_t i = 0; i < n; i++)
+        if (states[i] > RCM_COVERED)
+            return RCM_BAD_GRID;
     grid g;
     if (grid_init(&g, radius, dim) != RCM_OK)
         return RCM_NO_MEMORY;
@@ -655,9 +683,12 @@ done:
 /* An exploration's workspace: set up once, emptied before each trial. */
 typedef struct {
     grid g;
-    /* the frontier: a binary heap, farthest from the origin first, ties by smaller id */
+    /* the frontier: a binary heap, farthest from the origin first, ties by
+     * smaller id; an entry (24 bytes) also holds `from`, the point that
+     * adopted it (-1 for the origin), which thinning tests first */
     double *key;
     int64_t *id;
+    int64_t *from;
     int64_t heap_n, heap_cap;
     double *x;              /* dim: the frontier point being processed */
     double system_size;
@@ -670,6 +701,7 @@ static void explorer_free(explorer *e)
     free(e->x);
     free(e->key);
     free(e->id);
+    free(e->from);
     grid_free(&e->g);
 }
 
@@ -683,8 +715,9 @@ static int explorer_init(explorer *e, const rcm_model *m, const rcm_params *p)
     e->heap_cap = 64;
     e->key = malloc((size_t)e->heap_cap * sizeof(double));
     e->id = malloc((size_t)e->heap_cap * sizeof(int64_t));
+    e->from = malloc((size_t)e->heap_cap * sizeof(int64_t));
     e->x = malloc((size_t)p->dim * sizeof(double));
-    if (!e->key || !e->id || !e->x) {
+    if (!e->key || !e->id || !e->from || !e->x) {
         explorer_free(e);
         return RCM_NO_MEMORY;
     }
@@ -709,14 +742,18 @@ static int heap_before(const explorer *e, int64_t a, int64_t b)
 static void heap_swap(explorer *e, int64_t a, int64_t b)
 {
     double k = e->key[a];
-    int64_t i = e->id[a];
+    int64_t i = e->id[a], f = e->from[a];
     e->key[a] = e->key[b];
     e->id[a] = e->id[b];
+    e->from[a] = e->from[b];
     e->key[b] = k;
     e->id[b] = i;
+    e->from[b] = f;
 }
 
-static int heap_push(explorer *e, double key, int64_t id)
+/* Puts point id, at distance key from the origin and adopted by point
+ * from (-1 for the origin), on the frontier. */
+static int heap_push(explorer *e, double key, int64_t id, int64_t from)
 {
     if (e->heap_n == e->heap_cap) {
         int64_t cap = 2 * e->heap_cap;
@@ -726,13 +763,17 @@ static int heap_push(explorer *e, double key, int64_t id)
         int64_t *ids = realloc(e->id, (size_t)cap * sizeof(int64_t));
         if (ids)
             e->id = ids;
-        if (!keys || !ids)
+        int64_t *froms = realloc(e->from, (size_t)cap * sizeof(int64_t));
+        if (froms)
+            e->from = froms;
+        if (!keys || !ids || !froms)
             return RCM_NO_MEMORY;
         e->heap_cap = cap;
     }
     int64_t c = e->heap_n++;
     e->key[c] = key;
     e->id[c] = id;
+    e->from[c] = from;
     while (c > 0 && heap_before(e, c, (c - 1) / 2)) {
         heap_swap(e, c, (c - 1) / 2);
         c = (c - 1) / 2;
@@ -740,12 +781,16 @@ static int heap_push(explorer *e, double key, int64_t id)
     return RCM_OK;
 }
 
-static int64_t heap_pop(explorer *e)
+/* Takes the first frontier entry off the heap: returns its id and leaves
+ * its adopter in *from. */
+static int64_t heap_pop(explorer *e, int64_t *from)
 {
     int64_t top = e->id[0], c = 0;
+    *from = e->from[0];
     e->heap_n--;
     e->key[0] = e->key[e->heap_n];
     e->id[0] = e->id[e->heap_n];
+    e->from[0] = e->from[e->heap_n];
     for (;;) {
         int64_t l = 2 * c + 1, r = l + 1, best = c;
         if (l < e->heap_n && heap_before(e, l, best))
@@ -759,16 +804,17 @@ static int64_t heap_pop(explorer *e)
     }
 }
 
-/* Moves point j into the cluster and the frontier; escape is checked here. */
-static int adopt(explorer *e, int64_t j)
+/* Moves point j, adopted by point i, into the cluster and the frontier;
+ * escape is checked here. */
+static int adopt(explorer *e, int64_t j, int64_t i)
 {
     double r = norm_of(e->g.coords + j * e->g.dim, e->g.dim);
-    e->g.state[j] = RCM_CLUSTER;
+    grid_move(&e->g, j, RCM_CLUSTER);
     if (r > e->max_norm)
         e->max_norm = r;
     if (r > e->system_size)
         e->escaped = 1;
-    return heap_push(e, r, j);
+    return heap_push(e, r, j, i);
 }
 
 static int log_pair(rcm_pair_log *log, int64_t i, int64_t j)
@@ -803,7 +849,7 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
     explorer_reset(e);
 
     /* x is all zeros here: the origin is point 0, then the extras */
-    if (grid_insert(g, x, RCM_CLUSTER) < 0 || heap_push(e, 0.0, 0) != RCM_OK)
+    if (grid_insert(g, x, RCM_CLUSTER) < 0 || heap_push(e, 0.0, 0, -1) != RCM_OK)
         return RCM_NO_MEMORY;
     for (int64_t k = 0; k < n_extras; k++)
         if (grid_insert(g, p->extras + k * dim, RCM_UNATTACHED) < 0)
@@ -814,7 +860,7 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
             capped = 1;
             break;
         }
-        int64_t i = heap_pop(e);
+        int64_t adopter, i = heap_pop(e, &adopter);
         memcpy(x, g->coords + i * dim, (size_t)dim * sizeof(double));
         steps++;
 
@@ -827,7 +873,7 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
             double u = next_double(bg);
             if (log && log_pair(log, i, j) != RCM_OK)
                 return RCM_NO_MEMORY;
-            if (connects(m, x, g->coords + j * dim, dim, u) && adopt(e, j) != RCM_OK)
+            if (connects(m, x, g->coords + j * dim, dim, u) && adopt(e, j, i) != RCM_OK)
                 return RCM_NO_MEMORY;
         }
         if (e->escaped)
@@ -849,7 +895,8 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
         }
         candidates += count;
         int64_t first = g->n;
-        if (place(bg, g, x, count) != RCM_OK)
+        /* the adopter was covered at the end of its own step */
+        if (place(bg, g, x, adopter, count) != RCM_OK)
             return RCM_NO_MEMORY;
 
         /* (c) the new points, in generation order */
@@ -859,7 +906,7 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
             if (log && log_pair(log, i, j) != RCM_OK)
                 return RCM_NO_MEMORY;
             if (connects(m, x, g->coords + j * dim, dim, u)) {
-                if (adopt(e, j) != RCM_OK)
+                if (adopt(e, j, i) != RCM_OK)
                     return RCM_NO_MEMORY;
                 if (e->escaped)
                     break;

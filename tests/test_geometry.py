@@ -80,6 +80,15 @@ class TestSphereSurface:
 STATES = (UNATTACHED, CLUSTER, COVERED)
 
 
+def _splitmix64(x: int) -> int:
+    """splitmix64 as the kernel's grid computes its hash multipliers."""
+    mask = 2**64 - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
 def _linear_scan(points, states, coords, radius, state) -> list[int]:
     return [
         i for i, (p, s) in enumerate(zip(points, states))
@@ -161,13 +170,49 @@ class TestSpatialIndex:
         assert grid.query((0.0, 0.0), UNATTACHED) == [0, 1, 2, 3, 4]
 
     def test_far_cells_sharing_a_key_stay_apart(self):
-        # cell (1, -2^21) has the same integer key as cell (0, 0)
-        grid = _Grid(1.0, 2, [(1.5, -(2.0**21) + 0.5), (0.5, 0.5)], [COVERED] * 2)
-        assert grid.query((0.5, 0.5), COVERED) == [1]
-        assert grid.any_within((0.5, -0.5), COVERED) is True
-        assert grid.any_within((0.1, 0.9), COVERED) is True
-        grid.state[1] = UNATTACHED
-        assert grid.any_within((0.5, 0.5), COVERED) is False
+        # the kernel hashes a cell as the sum of its indices times the odd
+        # multipliers splitmix64(k) | 1, modulo 2^64; solve for a cell
+        # (d0, d1) whose hash equals that of cell (0, 0), i.e. 0, with d1
+        # small and |d0| <= 2^51 so that its centre is an exact double
+        m0, m1 = (_splitmix64(k) | 1 for k in range(2))
+        inverse = pow(m0, -1, 2**64)
+        for d1 in range(1, 100_000):
+            d0 = -d1 * m1 * inverse % 2**64
+            d0 -= 2**64 if d0 >= 2**63 else 0
+            if abs(d0) <= 2**51:
+                break
+        assert (d0 * m0 + d1 * m1) % 2**64 == 0 and (d0, d1) != (0, 0)
+        # cells have edge 2r = 2, so (2k + 1, 2l + 1) is the centre of cell (k, l)
+        near, far = (1.0, 1.0), (2.0 * d0 + 1.0, 2.0 * d1 + 1.0)
+        for points in ((near, far), (far, near)):
+            grid = _Grid(1.0, 2, list(points), [COVERED, COVERED])
+            i_near, i_far = points.index(near), points.index(far)
+            assert grid.query(near, COVERED) == [i_near]
+            assert grid.query(far, COVERED) == [i_far]
+            assert grid.query((far[0] + 0.5, far[1] - 0.5), COVERED) == [i_far]
+            assert grid.query((0.5, 0.5), COVERED) == [i_near]
+            grid.state[i_far] = UNATTACHED
+            assert grid.any_within(far, COVERED) is False
+            assert grid.any_within(near, COVERED) is True
+            assert grid.query(far, UNATTACHED) == [i_far]
+            assert grid.query(near, UNATTACHED) == []
+
+    def test_states_without_points_find_nothing(self):
+        # at d = 1..5, every point in one state, some exactly at the query
+        # point: the other two states find nothing, and the one state finds
+        # what a linear scan does
+        gen = np.random.default_rng(4)
+        for dim in range(1, 6):
+            for state in STATES:
+                q = tuple(gen.uniform(-2, 2, size=dim))
+                points = [q, q] + [tuple(gen.uniform(-3, 3, size=dim)) for _ in range(40)]
+                states = [state] * len(points)
+                grid = _Grid(1.0, dim, points, states)
+                for other in STATES:
+                    want = _linear_scan(points, states, q, 1.0, other)
+                    assert grid.query(q, other) == want
+                    assert grid.any_within(q, other) is bool(want)
+                    assert bool(want) is (other == state)
 
     def test_agrees_with_linear_scan_thousand_points(self):
         gen = np.random.default_rng(20240801)
@@ -248,10 +293,14 @@ class TestSpatialIndex:
 
     def test_rejects_bad_construction(self):
         # the kernel grid refuses a radius that is not finite and positive,
-        # and a dimension below 1
+        # a dimension below 1 and a state that is not a point state
+        found = ffi.new("int *")
         for radius, dim in ((0.0, 2), (-1.0, 2), (math.nan, 2), (math.inf, 2), (1.0, 0)):
-            found = ffi.new("int *")
             assert lib.rcm_grid_query(radius, dim, [], [], 0, [0.0, 0.0], UNATTACHED,
                                       ffi.NULL, found) == -2
+        ids = ffi.new("int64_t[]", 1)
+        for states, state in (([COVERED], -1), ([COVERED], 3), ([3], COVERED)):
+            assert lib.rcm_grid_query(1.0, 2, [0.0, 0.0], states, 1, [0.0, 0.0], state,
+                                      ids, found) == -2
         with pytest.raises(ValueError):
             place_candidates(stream(1), (0.0, 0.0), 1.0, [(1.0, 2.0, 3.0)], 2, 1)
