@@ -21,10 +21,8 @@ from .connection import (
     ConnectionModel,
     Gilbert,
     PenetrableSphere,
-    QuadratureError,
     SoftSphere,
     TabulatedRadial,
-    decide_connection,
 )
 from .exploration import (
     ClusterOutcome,
@@ -59,8 +57,6 @@ __all__ = [
     "PenetrableSphere",
     "SoftSphere",
     "TabulatedRadial",
-    "QuadratureError",
-    "decide_connection",
     "ClusterOutcome",
     "PairConnectednessEstimate",
     "SimParams",

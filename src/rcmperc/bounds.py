@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from .connection import DEFAULT_QUAD_TOL, ConnectionModel, check_quad_tol
+from .connection import ConnectionModel
 
 __all__ = ["BranchingReport", "branching_bound", "constant_g_certificate"]
 
@@ -52,10 +52,8 @@ class BranchingReport:
         return asdict(self)
 
 
-def _positive_mass(model: ConnectionModel, dim: int, quad_tol: float) -> float:
-    # closed-form models ignore quad_tol, which must still be valid
-    check_quad_tol(quad_tol)
-    mass = model.connectivity_mass(dim, quad_tol)
+def _positive_mass(model: ConnectionModel, dim: int) -> float:
+    mass = model.connectivity_mass(dim)
     if not math.isfinite(mass):
         raise ValueError(f"connection function mass must be finite, got {mass!r}")
     if mass <= 0.0:
@@ -65,14 +63,12 @@ def _positive_mass(model: ConnectionModel, dim: int, quad_tol: float) -> float:
     return mass
 
 
-def branching_bound(model: ConnectionModel, dim: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+def branching_bound(model: ConnectionModel, dim: int) -> float:
     """Reciprocal of the connectivity mass: a lower bound on the critical intensity."""
-    return 1.0 / _positive_mass(model, dim, quad_tol)
+    return 1.0 / _positive_mass(model, dim)
 
 
-def constant_g_certificate(
-    model: ConnectionModel, dim: int, gamma: float, quad_tol: float = DEFAULT_QUAD_TOL
-) -> BranchingReport:
+def constant_g_certificate(model: ConnectionModel, dim: int, gamma: float) -> BranchingReport:
     """Subcriticality certificate at a given intensity.
 
     Valid exactly when gamma is below the branching bound; the report
@@ -80,7 +76,7 @@ def constant_g_certificate(
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"intensity must be finite and non-negative, got {gamma!r}")
-    mass = _positive_mass(model, dim, quad_tol)
+    mass = _positive_mass(model, dim)
     q = gamma * mass
     g = size = slack = None
     if q < 1.0:

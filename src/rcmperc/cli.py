@@ -16,11 +16,11 @@ Flags
 Each command takes only the flags its handler reads; any other is an
 unrecognized argument:
 
-explore, percolate, tau   model flags, --dim, --system-size, --seed, caps
-critical                  the same and --quad-tol
-bound                     model flags, --dim, --quad-tol; with --table,
-                          only --quad-tol (any other is an error)
-reproduce                 --seed, caps, --quad-tol
+explore, percolate,       model flags, --dim, --system-size, --seed, caps
+tau, critical
+bound                     model flags, --dim; with --table, none of
+                          them (any is an error)
+reproduce                 --seed, caps
 
 beside its own (--gamma, --runs, ...). The model flags are --model
 {gilbert,penetrable,soft-sphere,tabulated}, --range, --p, --beta,
@@ -81,7 +81,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .bounds import branching_bound, constant_g_certificate
-from .connection import DEFAULT_QUAD_TOL, MODEL_KINDS, ConnectionModel, TabulatedRadial
+from .connection import MODEL_KINDS, ConnectionModel, TabulatedRadial
 from .exploration import (
     DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, ClusterOutcome, SimParams,
     estimate_pair_connectedness, run_trials,
@@ -314,7 +314,6 @@ def _cmd_critical(args) -> _Output:
         params, model, args.runs, args.seed,
         ramp_factor=args.ramp, refinements=args.refine,
         workers=args.threads, full_runs=args.full_runs,
-        quad_tol=args.quad_tol,
     )
     result = estimate.to_dict()
     doc = _document(args, model, params, result, runs=args.runs, ramp_factor=args.ramp,
@@ -352,7 +351,7 @@ def _cmd_bound(args) -> _Output:
                         "table": n,
                         "label": table.label,
                         "dim": row.dim,
-                        "branching_bound": branching_bound(table.model, row.dim, args.quad_tol),
+                        "branching_bound": branching_bound(table.model, row.dim),
                         "reference_branching_bound": row.branching_bound,
                     }
                 )
@@ -363,7 +362,7 @@ def _cmd_bound(args) -> _Output:
             setattr(args, dests[flag], default)
     model = _build_model(args)
     gamma = 0.0 if args.gamma is None else args.gamma
-    result = constant_g_certificate(model, args.dim, gamma, args.quad_tol).to_dict()
+    result = constant_g_certificate(model, args.dim, gamma).to_dict()
     if args.gamma is None:
         result = {k: result[k] for k in ("model", "dim", "connectivity_mass", "branching_bound")}
     return _Output({"command": "bound", "config": {"model": model.to_config()}, "result": result},
@@ -405,7 +404,6 @@ def _cmd_reproduce(args) -> _Output:
         refinements=args.refine,
         max_points=args.max_points,
         max_steps=args.max_steps,
-        quad_tol=args.quad_tol,
     )
     rows = [
         {
@@ -455,8 +453,6 @@ _CAPS = (
     _arg("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
          help="cap on processed frontier points per exploration"),
 )
-_QUAD_TOL = _arg("--quad-tol", type=float, default=DEFAULT_QUAD_TOL,
-                 help="absolute tolerance of the radial quadrature")
 # a simulating command's flags: the model, the window, the seed and the caps
 _SIM = (
     *_MODEL, _DIM,
@@ -500,7 +496,6 @@ _COMMANDS: dict[str, _Command] = {
             "critical", "bracket the critical intensity", _cmd_critical,
             (
                 *_SIM,
-                _QUAD_TOL,
                 _arg("--runs", type=int, default=DESK_RUNS,
                      help=f"trials per verdict (default {DESK_RUNS})"),
                 _RAMP,
@@ -512,7 +507,6 @@ _COMMANDS: dict[str, _Command] = {
             "bound", "branching bound, certificate, or reference columns", _cmd_bound,
             (
                 *((flags, {**kwargs, "default": None}) for flags, kwargs in (*_MODEL, _DIM)),
-                _QUAD_TOL,
                 _arg("--gamma", type=float, default=None,
                      help="also emit the certificate at this intensity"),
                 _arg("--table", type=int, nargs="?", const=0, default=None, metavar="N",
@@ -542,7 +536,6 @@ _COMMANDS: dict[str, _Command] = {
                 _REFINE,
                 _SEED,
                 *_CAPS,
-                _QUAD_TOL,
             ),
         ),
     )

@@ -5,7 +5,10 @@ probability in [0, 1]. Every model here has finite range: phi(r) = 0 for
 r beyond the model's radius, and distances exactly at the radius count as
 in range. Two points x, y of the process are joined independently with
 probability phi(|x - y|), realized by comparing a uniform draw u against
-phi.
+phi: u joins the pair exactly when r is within the radius and
+u <= phi(r). The compiled kernel (`kernel.c`) makes every such decision,
+with r computed under the float contract of `rcmperc.geometry`;
+`phi_at` is the Python statement of the same phi.
 
 Models:
   * Gilbert: phi(r) = 1 for r <= radius (hard disks / spheres).
@@ -15,10 +18,11 @@ Models:
   * TabulatedRadial: phi linearly interpolated from a user table on
     [0, radius], clamped to [0, 1].
 
-A model's `connectivity_mass(dim)` is the integral of phi over R^d:
-closed forms for Gilbert and penetrable spheres, adaptive radial
-quadrature otherwise. Its reciprocal is the branching lower bound on the
-critical intensity (see `rcmperc.bounds`).
+A model's `connectivity_mass(dim)` is the integral of phi over R^d, in
+closed form for every model: soft spheres through the upper incomplete
+gamma function (DLMF 8.2, 8.8), tables as exact sums of polynomial
+integrals, one per knot interval. Its reciprocal is the branching lower
+bound on the critical intensity (see `rcmperc.bounds`).
 
 `MODEL_KINDS` maps each model's `kind` name to its class; `to_config`
 emits the kind plus the constructor fields, so configs rebuild models.
@@ -28,14 +32,13 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar
 
 import numpy as np
 
-from .geometry import ball_volume, distance, sphere_surface
+from .geometry import ball_volume, sphere_surface
 
 __all__ = [
     "ConnectionModel",
@@ -43,33 +46,8 @@ __all__ = [
     "PenetrableSphere",
     "SoftSphere",
     "TabulatedRadial",
-    "QuadratureError",
     "MODEL_KINDS",
-    "decide_connection",
 ]
-
-# Absolute tolerance of the radial quadrature in `connectivity_mass`.
-DEFAULT_QUAD_TOL = 1e-10
-
-
-def check_quad_tol(quad_tol: float) -> None:
-    """Refuse a quadrature tolerance that is not finite and positive.
-
-    A NaN would pass every `err > quad_tol` test and so switch the
-    quadrature check off.
-    """
-    if not (math.isfinite(quad_tol) and quad_tol > 0.0):
-        raise ValueError(f"quadrature tolerance must be finite and positive, got {quad_tol!r}")
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the radial quadrature cannot reach the requested tolerance."""
-
-    def __init__(self, message: str, estimate: float, error: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error
-
 
 class ConnectionModel(ABC):
     """Base class: a finite-range radial connection function."""
@@ -81,40 +59,13 @@ class ConnectionModel(ABC):
     def phi_at(self, r: float) -> float:
         """Connection probability at distance r. Zero for r > radius."""
 
-    def connectivity_mass(self, dim: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-        """Integral of phi over R^d, via adaptive radial quadrature.
+    @abstractmethod
+    def connectivity_mass(self, dim: int) -> float:
+        """Integral of phi over R^d, in closed form.
 
-        Subclasses with a closed form override this. The quadrature is
-        required to reach absolute tolerance `quad_tol`, finite and
-        positive, on the radial integral; otherwise QuadratureError is
-        raised with the achieved error attached. scipy's IntegrationWarning
-        is kept off stderr: this check and the callers' finiteness check
-        decide and report.
+        Raises OverflowError, naming the radius and the dimension, when
+        the mass does not fit in a float.
         """
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-        check_quad_tol(quad_tol)
-        from scipy import integrate  # here: models with a closed form never need scipy
-
-        radius = self.radius
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            value, err = integrate.quad(
-                lambda r: self.phi_at(r) * r ** (dim - 1),
-                0.0,
-                radius,
-                epsabs=quad_tol,
-                epsrel=1e-12,
-                limit=200,
-            )
-        if err > quad_tol:
-            raise QuadratureError(
-                f"radial quadrature achieved absolute error {err:.3e}, "
-                f"above the requested tolerance {quad_tol:.3e}",
-                estimate=value,
-                error=err,
-            )
-        return sphere_surface(dim) * value
 
     @abstractmethod
     def describe(self) -> str:
@@ -151,7 +102,7 @@ class Gilbert(ConnectionModel):
     def phi_at(self, r: float) -> float:
         return 1.0 if r <= self.radius else 0.0
 
-    def connectivity_mass(self, dim: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+    def connectivity_mass(self, dim: int) -> float:
         return ball_volume(dim, self.radius)
 
     def describe(self) -> str:
@@ -174,7 +125,7 @@ class PenetrableSphere(ConnectionModel):
     def phi_at(self, r: float) -> float:
         return self.prob if r <= self.radius else 0.0
 
-    def connectivity_mass(self, dim: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+    def connectivity_mass(self, dim: int) -> float:
         return self.prob * ball_volume(dim, self.radius)
 
     def describe(self) -> str:
@@ -212,6 +163,32 @@ class SoftSphere(ConnectionModel):
         except OverflowError:
             return 1.0
         return -math.expm1(-exponent)
+
+    def connectivity_mass(self, dim: int) -> float:
+        """ball_volume(d, R) * (1 - e^-beta + beta^s Gamma(1 - s, beta)), s = d / hardness.
+
+        The substitution t = beta (R/r)^hardness turns the radial integral
+        into the upper incomplete gamma function Gamma(1 - s, beta). For
+        integer s, beta^s Gamma(1 - s, beta) is beta E_s(beta) (DLMF
+        8.19.1). Otherwise it starts from a = 1 - s + floor(s) in (0, 1),
+        where scipy's regularized `gammaincc` applies, and steps a down by
+        Gamma(a, x) = (Gamma(a + 1, x) - x^a e^-x) / a (DLMF 8.8.2), scaled
+        by x^(s - floor(s) + k) after k steps so that no power of x overflows.
+        """
+        volume = ball_volume(dim, self.radius)
+        from scipy.special import expn, gamma, gammaincc  # here: the other models never load scipy
+
+        x = self.energy
+        steps, rest = divmod(dim, self.hardness)
+        if rest == 0:
+            scaled = x * float(expn(steps, x))
+        else:
+            a = 1.0 - rest / self.hardness
+            scaled = x ** (rest / self.hardness) * float(gammaincc(a, x) * gamma(a))
+            for _ in range(steps):
+                a -= 1.0
+                scaled = x * (scaled - math.exp(-x)) / a
+        return volume * (scaled - math.expm1(-x))
 
     def describe(self) -> str:
         return f"soft-sphere(radius={self.radius:g}, hardness={self.hardness}, energy={self.energy:g})"
@@ -258,6 +235,34 @@ class TabulatedRadial(ConnectionModel):
         v = float(np.interp(r, self.radii, self.values))
         return min(1.0, max(0.0, v))
 
+    def connectivity_mass(self, dim: int) -> float:
+        """The sum over knot intervals of the exact radial integral.
+
+        On [r0, r0 + h] phi is the line from v0 to v1 (the clamp never
+        acts there). Expanding r^(d-1) = (r0 + t)^(d-1) binomially, the
+        interval contributes the sum over k < d of
+        C(d-1, k) r0^(d-1-k) h^(k+1) (v0 + (k+1) v1) / ((k+1) (k+2)):
+        terms of one sign, so no digits cancel, however narrow or far out
+        the interval is.
+        """
+        try:
+            surface = sphere_surface(dim)  # checks dim first
+            total = 0.0
+            for r0, r1, v0, v1 in zip(self.radii, self.radii[1:], self.values, self.values[1:]):
+                h = r1 - r0
+                for k in range(dim):
+                    total += (math.comb(dim - 1, k) * r0 ** (dim - 1 - k) * h ** (k + 1)
+                              * (v0 + (k + 1) * v1) / ((k + 1) * (k + 2)))
+            mass = surface * total
+        except OverflowError:
+            mass = math.inf
+        if not math.isfinite(mass):
+            raise OverflowError(
+                f"the connectivity mass of a table of radius {self.radius!r} "
+                f"in dimension {dim} overflows"
+            )
+        return mass
+
     def describe(self) -> str:
         return f"tabulated(radius={self.radius:g}, rows={len(self.radii)})"
 
@@ -295,17 +300,4 @@ class TabulatedRadial(ConnectionModel):
 MODEL_KINDS: dict[str, type[ConnectionModel]] = {
     cls.kind: cls for cls in (Gilbert, PenetrableSphere, SoftSphere, TabulatedRadial)
 }
-
-
-def decide_connection(
-    model: ConnectionModel, x: tuple[float, ...], y: tuple[float, ...], u: float
-) -> bool:
-    """Whether the points at coordinates x and y are joined given the uniform draw u in [0, 1).
-
-    Distances beyond the model radius never connect, regardless of u.
-    """
-    r = distance(x, y)
-    if r > model.radius:
-        return False
-    return u <= model.phi_at(r)
 

@@ -3,10 +3,12 @@
 The cluster of the origin is grown breadth-outward without ever realizing
 the full point process. The compiled kernel (`kernel.c`, loaded by
 `rcmperc.kernel`) runs the whole exploration; this docstring, with the
-draw order in `rcmperc.sampling` and `decide_connection` and `phi_at` in
-`rcmperc.connection`, states the rules it follows. Every point a run
-knows of lives in one grid of cells twice as wide as the connection
-range, by integer id, in one of three states:
+draw order in `rcmperc.sampling`, `phi_at` in `rcmperc.connection` and
+the float contract of distances in `rcmperc.geometry`, states the rules
+it follows. A pair at distance r is joined by its uniform u exactly
+when r is within the range and u <= phi(r). Every point a run knows of
+lives in one grid of cells twice as wide as the connection range, by
+integer id, in one of three states:
 
   * covered: cluster points whose neighborhood is fully resolved, one
     per processing step; their balls hold no further undrawn points;

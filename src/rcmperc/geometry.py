@@ -1,25 +1,24 @@
-"""Euclidean ball volumes and the distance of the float contract.
+"""Euclidean ball volumes and surfaces, and the float contract of distances.
 
 Distance comparisons throughout the package are inclusive: a point at
-exactly the query radius counts as "within". Points are coordinate
-tuples of 64-bit floats.
+exactly the query radius counts as "within", and two points at distance
+r are joined by a uniform draw u exactly when u <= phi(r). Points are
+coordinates in 64-bit floats.
 
 Float contract: every distance and norm on the simulation path is the
-square root of the squares summed in coordinate order, one rounding per
-operation, as `distance` computes it here and the kernel (`kernel.c`)
-computes it for every distance, norm and Gaussian direction length.
-`math.hypot`, `math.dist` and `sum()` round differently and are not
-used there.
+square root of the squared coordinate differences summed in coordinate
+order, with one rounding per operation and no fused multiply-add. The
+kernel (`kernel.c`) computes every distance, norm and Gaussian direction
+length this way. `math.hypot`, `math.dist` and `sum()` round
+differently and are not used there.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 __all__ = [
     "ball_volume",
-    "distance",
     "sphere_surface",
 ]
 
@@ -59,11 +58,3 @@ def sphere_surface(dim: int) -> float:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
-
-def distance(x: Iterable[float], y: Iterable[float]) -> float:
-    """Euclidean distance: the square root of the squared differences summed in coordinate order."""
-    s = 0.0
-    for a, b in zip(x, y):
-        d = a - b
-        s += d * d
-    return math.sqrt(s)

@@ -233,7 +233,7 @@ double rcm_phi(const rcm_model *m, double r)
     }
 }
 
-/* decide_connection in connection.py. */
+/* Whether uniform u joins x and y: r within the radius and u <= phi(r). */
 static int connects(const rcm_model *m, const double *x, const double *y, int dim, double u)
 {
     double r = distance_of(x, y, dim);

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .bounds import branching_bound
-from .connection import DEFAULT_QUAD_TOL, ConnectionModel, Gilbert, PenetrableSphere, SoftSphere
+from .connection import ConnectionModel, Gilbert, PenetrableSphere, SoftSphere
 from .exploration import DEFAULT_MAX_GENERATED, DEFAULT_MAX_STEPS, SimParams
 from .sampling import DEFAULT_SEED, derive_seed
 from .threshold import DEFAULT_RAMP_FACTOR, DEFAULT_REFINEMENTS, estimate_critical
@@ -141,7 +141,6 @@ def reproduce_preset(
     refinements: int = DEFAULT_REFINEMENTS,
     max_points: int = DEFAULT_MAX_GENERATED,
     max_steps: int = DEFAULT_MAX_STEPS,
-    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> dict[str, Any]:
     """Re-run one reference table and report brackets next to the references.
 
@@ -183,7 +182,6 @@ def reproduce_preset(
         est = estimate_critical(
             params, model, n_runs, seed_d,
             ramp_factor=ramp_factor, refinements=refinements, workers=workers,
-            quad_tol=quad_tol,
         )
         capped = capped or not all(v.reliable for v in est.history)
         rows.append(
@@ -205,7 +203,7 @@ def reproduce_preset(
                     "branching_bound": ref.branching_bound,
                     "literature_value": ref.literature_value,
                 },
-                "branching_bound": branching_bound(model, d, quad_tol),
+                "branching_bound": branching_bound(model, d),
             }
         )
 

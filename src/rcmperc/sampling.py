@@ -23,11 +23,12 @@ kernel draw and a numpy draw of the same kind consume the same stream.
 
 Float contract: the direction's length, like every distance and norm on
 the simulation path, is the square root of the squares summed in
-coordinate order (`geometry.distance` in Python, the same loop in the
-kernel), never `math.hypot`, `math.dist` or `sum()`, whose roundings
-differ. A point is `center + (radius * U^(1/d) / length) * g`,
-coordinate by coordinate, with one rounding per operation and no fused
-multiply-add.
+coordinate order (see `rcmperc.geometry`), never `math.hypot`,
+`math.dist` or `sum()`, whose roundings differ. A point is
+`center + (radius * U^(1/d) / length) * g`, coordinate by coordinate,
+with one rounding per operation and no fused multiply-add. Two points at
+such a distance r within range are joined by their uniform u exactly
+when u <= phi(r).
 """
 
 from __future__ import annotations

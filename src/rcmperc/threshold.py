@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from .bounds import branching_bound
-from .connection import DEFAULT_QUAD_TOL, ConnectionModel
+from .connection import ConnectionModel
 from .exploration import SimParams, run_trials
 
 __all__ = ["PercolationVerdict", "CriticalEstimate", "percolation_verdict", "estimate_critical"]
@@ -171,7 +171,6 @@ def estimate_critical(
     refinements: int = DEFAULT_REFINEMENTS,
     workers: int = 1,
     full_runs: bool = False,
-    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> CriticalEstimate:
     """Bracket the critical intensity for the given model and window.
 
@@ -191,7 +190,7 @@ def estimate_critical(
             f"{model.radius!r} reach at most {params.max_steps * model.radius!r}, inside "
             f"the system size {params.system_size!r}; raise the step cap or shrink the window"
         )
-    plan = _bracket(branching_bound(model, params.dim, quad_tol), ramp_factor, refinements)
+    plan = _bracket(branching_bound(model, params.dim), ramp_factor, refinements)
     history: list[PercolationVerdict] = []
     try:
         gamma, step_kind = next(plan)

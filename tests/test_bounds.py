@@ -75,7 +75,7 @@ class TestBranchingBound:
     @pytest.mark.parametrize("mass", [math.nan, math.inf])
     def test_non_finite_mass_raises(self, monkeypatch, mass):
         # a NaN mass passes a `mass <= 0` test; neither value may reach a bound
-        monkeypatch.setattr(Gilbert, "connectivity_mass", lambda self, dim, quad_tol: mass)
+        monkeypatch.setattr(Gilbert, "connectivity_mass", lambda self, dim: mass)
         with pytest.raises(ValueError, match=f"mass must be finite, got {mass!r}"):
             branching_bound(Gilbert(2.0), 2)
         with pytest.raises(ValueError, match=f"mass must be finite, got {mass!r}"):

@@ -72,8 +72,6 @@ class TestUsageErrors:
             ["explore", "--gamma", "0.1", "--config", "/no/such/file.conf"],
             ["explore", "--gamma", "0.1", "--threads", "0"],
             ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2,2", "--runs", "3"],
-            ["reproduce", "--table", "4", "--scale", "desk", "--dims", "2", "--runs", "3",
-             "--quad-tol", "1e-30"],
             # escape is impossible: max-steps * range is below the window
             ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "2",
              "--max-steps", "3", "--max-points", "500"],
@@ -105,27 +103,27 @@ class TestUsageErrors:
             (["percolate", "--range", "1e154", "--dim", "2", "--gamma", "0", "--system-size",
               "1e155", "--runs", "1"],
              "the volume of a ball of radius 1e+154 in dimension 2 overflows"),
-            (["bound", "--model", "soft-sphere", "--quad-tol", "nan"],
-             "quadrature tolerance must be finite and positive, got nan"),
-            (["bound", "--model", "soft-sphere", "--quad-tol", "1e-30"],
-             "radial quadrature achieved absolute error "),
-            # the quadrature gives up and returns nan
             (["bound", "--model", "soft-sphere", "--range", "1e200", "--dim", "2"],
-             "connection function mass must be finite, got nan"),
+             "the volume of a ball of radius 1e+200 in dimension 2 overflows"),
+            # a power of the table's radius overflows before any sum does
+            (["bound", "--model", "tabulated", "--phi-csv", "{far}", "--dim", "2"],
+             "the connectivity mass of a table of radius 1e+200 in dimension 2 overflows"),
             (["critical", "--ramp", "nan"], "ramp factor must be finite and exceed 1, got nan"),
             (["critical", "--ramp", "inf"], "ramp factor must be finite and exceed 1, got inf"),
         ],
         ids=["zero-mass", "zero-mass-gamma", "bound-d400", "percolate-d400", "bound-range-1e308",
-             "bound-range-1e154", "percolate-range-1e154", "quad-tol-nan", "quad-tol-1e-30",
-             "quad-gives-up", "ramp-nan", "ramp-inf"],
+             "bound-range-1e154", "percolate-range-1e154", "soft-sphere-range-1e200",
+             "tabulated-range-1e200", "ramp-nan", "ramp-inf"],
     )
     def test_failure_is_one_error_line(self, capsys, tmp_path, argv, message):
         zeros = tmp_path / "zeros.csv"
         zeros.write_text("r,phi\n0.0,0.0\n1.0,0.0\n2.0,0.0\n")
+        far = tmp_path / "far.csv"
+        far.write_text("r,phi\n0.0,1.0\n1e200,0.0\n")
         # pytest captures warnings before capsys sees them, so record them here
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli([a.format(zeros=zeros) for a in argv]) == 1
+            assert run_cli([a.format(zeros=zeros, far=far) for a in argv]) == 1
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: " + message)
@@ -163,6 +161,10 @@ class TestUsageErrors:
             ["tau", "--gamma", "0.1", "--r", "1.5", "--quad-tol", "nan"],
             ["reproduce", "--table", "1", "--scale", "desk", "--dims", "2", "--runs", "20",
              "--system-size", "7"],
+            # the radial quadrature and its tolerance are gone
+            ["bound", "--model", "soft-sphere", "--quad-tol", "1e-8"],
+            ["critical", "--quad-tol", "1e-8"],
+            ["reproduce", "--table", "4", "--scale", "desk", "--dims", "2", "--quad-tol", "1e-8"],
         ],
     )
     def test_flag_the_command_never_reads_is_refused(self, capsys, argv):
@@ -170,20 +172,6 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: unrecognized arguments: " + " ".join(argv[-2:]))
-
-    @pytest.mark.parametrize("model", ["gilbert", "soft-sphere"])
-    @pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
-    def test_bad_quad_tol_fails_before_integration(self, capsys, monkeypatch, model, tol):
-        from scipy import integrate
-
-        def no_quad(*args, **kwargs):
-            raise AssertionError("the quadrature ran")
-
-        monkeypatch.setattr(integrate, "quad", no_quad)
-        assert run_cli(["bound", "--model", model, "--quad-tol", tol]) == 1
-        assert capsys.readouterr().err == (
-            f"error: quadrature tolerance must be finite and positive, got {float(tol)!r}\n"
-        )
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0

@@ -11,11 +11,10 @@ from rcmperc import (
     MODEL_KINDS,
     Gilbert,
     PenetrableSphere,
-    QuadratureError,
     SoftSphere,
     TabulatedRadial,
     ball_volume,
-    decide_connection,
+    sphere_surface,
 )
 
 from support import assert_matches_reference
@@ -129,31 +128,6 @@ class TestValidation:
             TabulatedRadial((0.0,), (1.0,))  # too short
 
 
-class TestDecideConnection:
-    def test_out_of_range_never_connects(self):
-        m = Gilbert(radius=2.0)
-        a = (0.0, 0.0)
-        b = (2.5, 0.0)
-        assert decide_connection(m, a, b, 0.0) is False
-
-    def test_in_range_threshold(self):
-        # u connects exactly when u <= phi(r), so a uniform u connects with
-        # probability phi(r): checked at 10 random radii for two models
-        a = (0.0, 0.0)
-        models = [PenetrableSphere(radius=2.0, prob=0.75), SoftSphere(radius=2.0, hardness=6)]
-        for model in models:
-            beyond = (math.nextafter(model.radius, math.inf), 0.0)
-            assert decide_connection(model, a, beyond, 0.0) is False
-            for r in np.random.default_rng(424242).uniform(0.05, 2.0, size=10).tolist():
-                b = (r, 0.0)
-                phi = model.phi_at(r)
-                assert decide_connection(model, a, b, 0.0) is True, (model, r)
-                assert decide_connection(model, a, b, phi) is True, (model, r)
-                if phi < 1.0:
-                    above = math.nextafter(phi, 1.0)
-                    assert decide_connection(model, a, b, above) is False, (model, r)
-
-
 class TestConnectivityMass:
     def test_gilbert_closed_form(self):
         m = Gilbert(radius=2.0)
@@ -168,7 +142,7 @@ class TestConnectivityMass:
             )
 
     def test_soft_sphere_reciprocals_match_reference(self):
-        # quadrature masses must reproduce the reference branching columns
+        # closed-form masses must reproduce the reference branching columns
         for hardness, refs in (
             (6, (0.084969, 0.03276, 0.014254, 0.0068329)),
             (12, (0.082379, 0.031387, 0.013523, 0.00643)),
@@ -186,23 +160,79 @@ class TestConnectivityMass:
     def test_tabulated_constant_one_equals_ball(self):
         m = TabulatedRadial((0.0, 2.0), (1.0, 1.0))
         for dim in (2, 3, 4):
-            assert m.connectivity_mass(dim) == pytest.approx(
-                ball_volume(dim, 2.0), abs=1e-8, rel=1e-10
-            )
+            assert m.connectivity_mass(dim) == pytest.approx(ball_volume(dim, 2.0), rel=1e-15)
 
     def test_tabulated_cone_profile_analytic(self):
         # phi = 1 on [0,1], linear down to 0 at 2: mass = 7 pi / 3 in d = 2
         m = TabulatedRadial((0.0, 1.0, 2.0), (1.0, 1.0, 0.0))
-        assert m.connectivity_mass(2) == pytest.approx(
-            7.0 * math.pi / 3.0, abs=1e-9
-        )
+        assert m.connectivity_mass(2) == pytest.approx(7.0 * math.pi / 3.0, rel=1e-15)
 
-    def test_unreachable_tolerance_raises(self):
-        m = SoftSphere(radius=2.0, hardness=6)
-        with pytest.raises(QuadratureError) as exc:
-            m.connectivity_mass(2, quad_tol=1e-30)
-        assert exc.value.error > 1e-30
-        assert exc.value.estimate > 0.0
+    def test_tabulated_kinked_table(self):
+        # the mass is exact: an adaptive quadrature gave 2.1440117687649214 here
+        m = TabulatedRadial((0.0, 0.0164, 10.3291), (0.8641, 0.0316, 0.1762))
+        assert m.connectivity_mass(1) == pytest.approx(2.15766854, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tabulated_matches_quadrature_per_interval(self, seed):
+        from scipy import integrate
+
+        rng = np.random.default_rng(seed)
+        # widths from 1e-7 to 3: a narrow interval far out cancels digits in
+        # the expanded form a (r1^d - r0^d) / d + b (r1^(d+1) - r0^(d+1)) / (d+1)
+        widths = 10.0 ** rng.uniform(-7.0, 0.5, size=rng.integers(1, 8))
+        radii = (0.0, *np.cumsum(widths).tolist())
+        m = TabulatedRadial(radii, rng.uniform(0.0, 1.0, size=len(radii)).tolist())
+        for dim in range(1, 6):
+            # phi is linear between knots, where a quadrature is near exact
+            radial = sum(
+                integrate.quad(lambda r: m.phi_at(r) * r ** (dim - 1), r0, r1,
+                               epsabs=0.0, epsrel=1e-13)[0]
+                for r0, r1 in zip(radii, radii[1:])
+            )
+            assert m.connectivity_mass(dim) == pytest.approx(
+                sphere_surface(dim) * radial, rel=1e-10
+            )
+
+    @pytest.mark.parametrize(
+        "hardness, dim, radius",
+        [
+            (6, 2, 2.0),    # s = 1/3
+            (2, 1, 50.0),   # s = 1/2
+            (2, 2, 2.0),    # s = 1, the exponential integral E_1
+            (1, 3, 0.5),    # s = 3
+            (6, 5, 8.0),    # s = 5/6, once a failing quadrature
+            (6, 3, 20.0),   # s = 1/2, once a failing quadrature
+            (2, 3, 2.0),    # s = 3/2: one step down
+            (2, 5, 2.0),    # s = 5/2: two steps down
+            (3, 5, 8.0),    # s = 5/3
+        ],
+    )
+    @pytest.mark.parametrize("energy", [0.3, 1.0, 2.5])
+    def test_soft_sphere_matches_quadrature(self, hardness, dim, radius, energy):
+        from scipy import integrate
+
+        m = SoftSphere(radius=radius, hardness=hardness, energy=energy)
+        # in u = r / radius the integrand no longer scales with the radius
+        radial, _ = integrate.quad(lambda u: m.phi_at(u * radius) * u ** (dim - 1), 0.0, 1.0,
+                                   epsabs=0.0, epsrel=1e-13, limit=500)
+        expected = sphere_surface(dim) * radius**dim * radial
+        assert m.connectivity_mass(dim) == pytest.approx(expected, rel=1e-10)
+
+    def test_soft_sphere_energy_limits(self):
+        # a large energy gives the Gilbert ball; a small one the linearized
+        # phi, whose mass is energy * V * s / (s - 1) for s = d / hardness > 1
+        for hardness, dim in ((6, 2), (1, 5), (2, 5), (3, 5), (12, 1)):
+            ball = ball_volume(dim, 2.0)
+            assert SoftSphere(2.0, hardness, 1e300).connectivity_mass(dim) == pytest.approx(
+                ball, rel=1e-15)
+            s = dim / hardness
+            if s > 1:
+                assert SoftSphere(2.0, hardness, 1e-12).connectivity_mass(dim) == pytest.approx(
+                    1e-12 * ball * s / (s - 1), rel=1e-9)
+
+    def test_masses_are_python_floats(self):
+        for m in MODELS:
+            assert type(m.connectivity_mass(3)) is float, m
 
 
 class TestTabulatedCsv:

@@ -191,18 +191,33 @@ def test_cache_hit_needs_no_parser_or_compiler():
     assert done.stdout.strip() == "[]"
 
 
-def test_gilbert_critical_needs_no_scipy():
-    # only connectivity_mass of a model without a closed form uses scipy
+def _scipy_modules_after(argv: list[str]) -> tuple[str, list[str]]:
+    """Exit code of `run_cli(argv)` in a fresh interpreter, and the scipy modules it loaded."""
     code = (
         "import contextlib, io, sys, rcmperc\n"
         "from rcmperc.cli import run_cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = run_cli(['critical', '--system-size', '15', '--runs', '40', '--seed', '13'])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"    code = run_cli({argv!r})\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     done = _run_in_fresh_interpreter(code, PACKAGE.parent, {})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "0 []"
+    code, *modules = done.stdout.split()
+    return code, modules
+
+
+def test_gilbert_critical_needs_no_scipy():
+    argv = ["critical", "--system-size", "15", "--runs", "40", "--seed", "13"]
+    assert _scipy_modules_after(argv) == ("0", [])
+
+
+def test_masses_need_no_quadrature():
+    # a table's mass loads no scipy; a soft sphere's reads scipy.special only
+    table = str(ROOT / "tools" / "gate_phi.csv")
+    assert _scipy_modules_after(["bound", "--model", "tabulated", "--phi-csv", table]) == ("0", [])
+    code, modules = _scipy_modules_after(["bound", "--model", "soft-sphere"])
+    assert code == "0" and "scipy.special" in modules
+    assert not [m for m in modules if m.startswith("scipy.integrate")]
 
 
 def test_missing_compiler_fails_with_one_import_error(tmp_path):
