@@ -25,6 +25,10 @@
  * rcm_run_trials call per thread, in threads it starts and joins itself;
  * each call sets up one exploration workspace, a grid, a frontier and
  * scratch, and reuses it for every trial it runs, emptying it before each.
+ * A workspace keeps its points, cell slots and frontier entries as arrays
+ * of records, whose sizes below give its memory per point, slot and
+ * entry. Every buffer that grows goes through resize, the one realloc
+ * here, and a capacity doubles only after each buffer it sizes has grown.
  */
 
 #include <math.h>
@@ -35,6 +39,19 @@
 
 #include "numpy/random/distributions.h"
 #include "kernel.h"
+
+/* Resizes the buffer whose pointer (of any type) is at buf to `bytes`;
+ * when memory runs out it returns RCM_NO_MEMORY and leaves it as it was. */
+static int resize(void *buf, size_t bytes)
+{
+    void *old, *p;
+    memcpy(&old, buf, sizeof old);
+    p = realloc(old, bytes);
+    if (!p)
+        return RCM_NO_MEMORY;
+    memcpy(buf, &p, sizeof p);
+    return RCM_OK;
+}
 
 /* ------------------------------------------------------------------ */
 /* Trial streams: numpy's SeedSequence and the PCG64 it seeds, as       */
@@ -255,6 +272,23 @@ static int connects(const rcm_model *m, const double *x, const double *y, int di
  * cell face widens its box instead of dropping a point. */
 #define RCM_REACH (1.0 + 1e-9)
 
+/* A point's places on its cell's chains (16 bytes); with its coordinates
+ * and its state a point costs 8d + 17 bytes. */
+typedef struct {
+    int64_t next;           /* the next id in the same cell, -1 ends */
+    int64_t cnext;          /* the next covered id in the same cell, -1 ends */
+} chain_link;
+_Static_assert(sizeof(chain_link) == 16, "chain_link must stay 16 bytes");
+
+/* A cell's slot (24 bytes); with its dim indices and its share of `live`
+ * a slot costs 8d + 28 bytes. */
+typedef struct {
+    uint64_t hash;
+    int64_t head;           /* the last id filed in the cell, -1 marks a free slot */
+    int64_t chead;          /* the last id covered in the cell, -1 for none */
+} slot_rec;
+_Static_assert(sizeof(slot_rec) == 24, "slot_rec must stay 24 bytes");
+
 typedef struct {
     int dim;
     double radius;
@@ -263,15 +297,12 @@ typedef struct {
     int64_t n, cap;
     double *coords;
     uint8_t *state;
+    chain_link *link;
     int64_t in_state[3];    /* how many points each state holds */
-    int64_t *next;          /* the next id in the same cell, -1 ends */
-    int64_t *cnext;         /* the next covered id in the same cell, -1 ends */
     /* cells: open addressing over `slots`, a power of two */
     int64_t slots, used;
-    uint64_t *slot_hash;
+    slot_rec *slot;
     int64_t *slot_cell;     /* dim indices per slot */
-    int64_t *slot_head;     /* the last id filed in the cell, -1 marks a free slot */
-    int64_t *slot_chead;    /* the last id covered in the cell, -1 for none */
     int64_t *live;          /* the `used` slots in use, room for slots / 2 */
     /* per-grid constants and scratch */
     uint64_t *mult;         /* an odd hash multiplier per coordinate */
@@ -314,12 +345,9 @@ static void grid_free(grid *g)
 {
     free(g->coords);
     free(g->state);
-    free(g->next);
-    free(g->cnext);
-    free(g->slot_hash);
+    free(g->link);
+    free(g->slot);
     free(g->slot_cell);
-    free(g->slot_head);
-    free(g->slot_chead);
     free(g->live);
     free(g->mult);
     free(g->scan);
@@ -330,38 +358,29 @@ static void grid_free(grid *g)
 
 static int alloc_slots(grid *g, int64_t slots)
 {
-    g->slot_hash = malloc((size_t)slots * sizeof(uint64_t));
+    g->slot = malloc((size_t)slots * sizeof(slot_rec));
     g->slot_cell = malloc((size_t)slots * (size_t)g->dim * sizeof(int64_t));
-    g->slot_head = malloc((size_t)slots * sizeof(int64_t));
-    g->slot_chead = malloc((size_t)slots * sizeof(int64_t));
     g->live = malloc((size_t)slots / 2 * sizeof(int64_t));
-    if (!g->slot_hash || !g->slot_cell || !g->slot_head || !g->slot_chead || !g->live)
+    if (!g->slot || !g->slot_cell || !g->live)
         return RCM_NO_MEMORY;
     for (int64_t s = 0; s < slots; s++)
-        g->slot_head[s] = -1;
+        g->slot[s].head = -1;
     g->slots = slots;
     return RCM_OK;
 }
 
+/* Sets up an empty grid; its point and query buffers are taken at first use. */
 static int grid_init(grid *g, double radius, int dim)
 {
     memset(g, 0, sizeof *g);
     g->dim = dim;
     g->radius = radius;
     g->half_reach = 0.5 * radius * RCM_REACH;
-    g->cap = 64;
-    g->found_cap = 64;
-    g->coords = malloc((size_t)g->cap * (size_t)dim * sizeof(double));
-    g->state = malloc((size_t)g->cap);
-    g->next = malloc((size_t)g->cap * sizeof(int64_t));
-    g->cnext = malloc((size_t)g->cap * sizeof(int64_t));
     g->mult = malloc((size_t)dim * sizeof(uint64_t));
     g->scan = malloc(3 * (size_t)dim * sizeof(int64_t));
     g->gauss = malloc((size_t)dim * sizeof(double));
     g->point = malloc((size_t)dim * sizeof(double));
-    g->found = malloc((size_t)g->found_cap * sizeof(int64_t));
-    if (!g->coords || !g->state || !g->next || !g->cnext || !g->mult || !g->scan || !g->gauss
-        || !g->point || !g->found || alloc_slots(g, 64) != RCM_OK) {
+    if (!g->mult || !g->scan || !g->gauss || !g->point || alloc_slots(g, 64) != RCM_OK) {
         grid_free(g);
         return RCM_NO_MEMORY;
     }
@@ -375,44 +394,35 @@ static int64_t find_slot(const grid *g, uint64_t h, const int64_t *cell)
 {
     size_t bytes = (size_t)g->dim * sizeof(int64_t);
     for (uint64_t s = slot_of(h, g->slots);; s = (s + 1) & (uint64_t)(g->slots - 1)) {
-        if (g->slot_head[s] < 0)
+        if (g->slot[s].head < 0)
             return -(int64_t)s - 1;
-        if (g->slot_hash[s] == h && memcmp(g->slot_cell + s * (uint64_t)g->dim, cell, bytes) == 0)
+        if (g->slot[s].hash == h && memcmp(g->slot_cell + s * (uint64_t)g->dim, cell, bytes) == 0)
             return (int64_t)s;
     }
 }
 
 static int grow_slots(grid *g)
 {
-    uint64_t *hash = g->slot_hash;
-    int64_t *cell = g->slot_cell, *head = g->slot_head, *chead = g->slot_chead;
-    int64_t *live = g->live, slots = g->slots;
+    slot_rec *slot = g->slot;
+    int64_t *cell = g->slot_cell, *live = g->live, slots = g->slots;
     if (alloc_slots(g, 2 * slots) != RCM_OK) {
-        free(g->slot_hash);
+        free(g->slot);
         free(g->slot_cell);
-        free(g->slot_head);
-        free(g->slot_chead);
         free(g->live);
-        g->slot_hash = hash;
+        g->slot = slot;
         g->slot_cell = cell;
-        g->slot_head = head;
-        g->slot_chead = chead;
         g->live = live;
         g->slots = slots;
         return RCM_NO_MEMORY;
     }
     for (int64_t u = 0; u < g->used; u++) {
-        int64_t s = live[u], t = -find_slot(g, hash[s], cell + s * g->dim) - 1;
-        g->slot_hash[t] = hash[s];
+        int64_t s = live[u], t = -find_slot(g, slot[s].hash, cell + s * g->dim) - 1;
+        g->slot[t] = slot[s];
         memcpy(g->slot_cell + t * g->dim, cell + s * g->dim, (size_t)g->dim * sizeof(int64_t));
-        g->slot_head[t] = head[s];
-        g->slot_chead[t] = chead[s];
         g->live[u] = t;
     }
-    free(hash);
+    free(slot);
     free(cell);
-    free(head);
-    free(chead);
     free(live);
     return RCM_OK;
 }
@@ -421,28 +431,19 @@ static int grow_slots(grid *g)
 static void grid_reset(grid *g)
 {
     for (int64_t u = 0; u < g->used; u++)
-        g->slot_head[g->live[u]] = -1;
+        g->slot[g->live[u]].head = -1;
     g->used = 0;
     g->n = 0;
     memset(g->in_state, 0, sizeof g->in_state);
 }
 
+/* Doubles the room for points, from 64 at first use. */
 static int grow_points(grid *g)
 {
-    int64_t cap = 2 * g->cap;
-    double *coords = realloc(g->coords, (size_t)cap * (size_t)g->dim * sizeof(double));
-    if (coords)
-        g->coords = coords;
-    uint8_t *state = realloc(g->state, (size_t)cap);
-    if (state)
-        g->state = state;
-    int64_t *next = realloc(g->next, (size_t)cap * sizeof(int64_t));
-    if (next)
-        g->next = next;
-    int64_t *cnext = realloc(g->cnext, (size_t)cap * sizeof(int64_t));
-    if (cnext)
-        g->cnext = cnext;
-    if (!coords || !state || !next || !cnext)
+    int64_t cap = g->cap ? 2 * g->cap : 64;
+    if (resize(&g->coords, (size_t)cap * (size_t)g->dim * sizeof(double)) != RCM_OK
+        || resize(&g->state, (size_t)cap) != RCM_OK
+        || resize(&g->link, (size_t)cap * sizeof(chain_link)) != RCM_OK)
         return RCM_NO_MEMORY;
     g->cap = cap;
     return RCM_OK;
@@ -464,8 +465,8 @@ static int64_t cell_slot(grid *g, const double *p, uint64_t *h)
 /* Puts point i, whose cell has slot s, on that cell's covered chain. */
 static void link_covered(grid *g, int64_t s, int64_t i)
 {
-    g->cnext[i] = g->slot_chead[s];
-    g->slot_chead[s] = i;
+    g->link[i].cnext = g->slot[s].chead;
+    g->slot[s].chead = i;
 }
 
 /* Stores a point in the given state; returns its id, or -1. */
@@ -484,13 +485,13 @@ static int64_t grid_insert(grid *g, const double *p, uint8_t state)
     int64_t s = cell_slot(g, p, &h);
     if (s < 0) {
         s = -s - 1;
-        g->slot_hash[s] = h;
+        g->slot[s].hash = h;
+        g->slot[s].chead = -1;
         memcpy(g->slot_cell + s * dim, g->scan, (size_t)dim * sizeof(int64_t));
-        g->slot_chead[s] = -1;
         g->live[g->used++] = s;
     }
-    g->next[i] = g->slot_head[s];
-    g->slot_head[s] = i;
+    g->link[i].next = g->slot[s].head;
+    g->slot[s].head = i;
     if (state == RCM_COVERED)
         link_covered(g, s, i);
     return i;
@@ -539,8 +540,6 @@ static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
     int dim = g->dim;
     int64_t *first = g->scan, *last = first + dim, *cell = last + dim, n = 0;
     int covered = state == RCM_COVERED;
-    const int64_t *head = covered ? g->slot_chead : g->slot_head;
-    const int64_t *next = covered ? g->cnext : g->next;
     uint64_t h = 0;
     if (!g->in_state[state])
         return 0;
@@ -551,18 +550,19 @@ static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
         h += (uint64_t)cell[k] * g->mult[k];
     }
     for (;;) {
-        int64_t s = find_slot(g, h, cell);
-        for (int64_t i = s < 0 ? -1 : head[s]; i >= 0; i = next[i]) {
+        int64_t s = find_slot(g, h, cell), i = -1;
+        if (s >= 0)
+            i = covered ? g->slot[s].chead : g->slot[s].head;
+        for (; i >= 0; i = covered ? g->link[i].cnext : g->link[i].next) {
             if (g->state[i] != state || !within(g, q, i))
                 continue;
             if (!collect)
                 return 1;
             if (n == g->found_cap) {
-                int64_t *found = realloc(g->found, 2 * (size_t)n * sizeof(int64_t));
-                if (!found)
+                int64_t cap = n ? 2 * n : 64;
+                if (resize(&g->found, (size_t)cap * sizeof(int64_t)) != RCM_OK)
                     return -1;
-                g->found = found;
-                g->found_cap = 2 * n;
+                g->found_cap = cap;
             }
             g->found[n++] = i;
         }
@@ -680,15 +680,20 @@ done:
 /* ------------------------------------------------------------------ */
 /* Exploration: explore_cluster in exploration.py.                     */
 
+/* A frontier entry (24 bytes): point id at distance key from the origin,
+ * and `from`, the point that adopted it (-1 for the origin), which
+ * thinning tests first. */
+typedef struct {
+    double key;
+    int64_t id, from;
+} heap_entry;
+_Static_assert(sizeof(heap_entry) == 24, "heap_entry must stay 24 bytes");
+
 /* An exploration's workspace: set up once, emptied before each trial. */
 typedef struct {
     grid g;
-    /* the frontier: a binary heap, farthest from the origin first, ties by
-     * smaller id; an entry (24 bytes) also holds `from`, the point that
-     * adopted it (-1 for the origin), which thinning tests first */
-    double *key;
-    int64_t *id;
-    int64_t *from;
+    /* the frontier: a binary heap, farthest from the origin first, ties by smaller id */
+    heap_entry *heap;
     int64_t heap_n, heap_cap;
     double *x;              /* dim: the frontier point being processed */
     double system_size;
@@ -699,9 +704,7 @@ typedef struct {
 static void explorer_free(explorer *e)
 {
     free(e->x);
-    free(e->key);
-    free(e->id);
-    free(e->from);
+    free(e->heap);
     grid_free(&e->g);
 }
 
@@ -712,12 +715,8 @@ static int explorer_init(explorer *e, const rcm_model *m, const rcm_params *p)
     if (grid_init(&e->g, m->radius, p->dim) != RCM_OK)
         return RCM_NO_MEMORY;
     e->system_size = p->system_size;
-    e->heap_cap = 64;
-    e->key = malloc((size_t)e->heap_cap * sizeof(double));
-    e->id = malloc((size_t)e->heap_cap * sizeof(int64_t));
-    e->from = malloc((size_t)e->heap_cap * sizeof(int64_t));
     e->x = malloc((size_t)p->dim * sizeof(double));
-    if (!e->key || !e->id || !e->from || !e->x) {
+    if (!e->x) {
         explorer_free(e);
         return RCM_NO_MEMORY;
     }
@@ -734,47 +733,31 @@ static void explorer_reset(explorer *e)
     e->escaped = 0;
 }
 
-static int heap_before(const explorer *e, int64_t a, int64_t b)
+static int heap_before(const heap_entry *a, const heap_entry *b)
 {
-    return e->key[a] > e->key[b] || (e->key[a] == e->key[b] && e->id[a] < e->id[b]);
+    return a->key > b->key || (a->key == b->key && a->id < b->id);
 }
 
 static void heap_swap(explorer *e, int64_t a, int64_t b)
 {
-    double k = e->key[a];
-    int64_t i = e->id[a], f = e->from[a];
-    e->key[a] = e->key[b];
-    e->id[a] = e->id[b];
-    e->from[a] = e->from[b];
-    e->key[b] = k;
-    e->id[b] = i;
-    e->from[b] = f;
+    heap_entry t = e->heap[a];
+    e->heap[a] = e->heap[b];
+    e->heap[b] = t;
 }
 
 /* Puts point id, at distance key from the origin and adopted by point
- * from (-1 for the origin), on the frontier. */
+ * from (-1 for the origin), on the frontier, whose room doubles from 64. */
 static int heap_push(explorer *e, double key, int64_t id, int64_t from)
 {
     if (e->heap_n == e->heap_cap) {
-        int64_t cap = 2 * e->heap_cap;
-        double *keys = realloc(e->key, (size_t)cap * sizeof(double));
-        if (keys)
-            e->key = keys;
-        int64_t *ids = realloc(e->id, (size_t)cap * sizeof(int64_t));
-        if (ids)
-            e->id = ids;
-        int64_t *froms = realloc(e->from, (size_t)cap * sizeof(int64_t));
-        if (froms)
-            e->from = froms;
-        if (!keys || !ids || !froms)
+        int64_t cap = e->heap_cap ? 2 * e->heap_cap : 64;
+        if (resize(&e->heap, (size_t)cap * sizeof(heap_entry)) != RCM_OK)
             return RCM_NO_MEMORY;
         e->heap_cap = cap;
     }
     int64_t c = e->heap_n++;
-    e->key[c] = key;
-    e->id[c] = id;
-    e->from[c] = from;
-    while (c > 0 && heap_before(e, c, (c - 1) / 2)) {
+    e->heap[c] = (heap_entry){key, id, from};
+    while (c > 0 && heap_before(&e->heap[c], &e->heap[(c - 1) / 2])) {
         heap_swap(e, c, (c - 1) / 2);
         c = (c - 1) / 2;
     }
@@ -785,17 +768,14 @@ static int heap_push(explorer *e, double key, int64_t id, int64_t from)
  * its adopter in *from. */
 static int64_t heap_pop(explorer *e, int64_t *from)
 {
-    int64_t top = e->id[0], c = 0;
-    *from = e->from[0];
-    e->heap_n--;
-    e->key[0] = e->key[e->heap_n];
-    e->id[0] = e->id[e->heap_n];
-    e->from[0] = e->from[e->heap_n];
+    int64_t top = e->heap[0].id, c = 0;
+    *from = e->heap[0].from;
+    e->heap[0] = e->heap[--e->heap_n];
     for (;;) {
         int64_t l = 2 * c + 1, r = l + 1, best = c;
-        if (l < e->heap_n && heap_before(e, l, best))
+        if (l < e->heap_n && heap_before(&e->heap[l], &e->heap[best]))
             best = l;
-        if (r < e->heap_n && heap_before(e, r, best))
+        if (r < e->heap_n && heap_before(&e->heap[r], &e->heap[best]))
             best = r;
         if (best == c)
             return top;
@@ -821,10 +801,8 @@ static int log_pair(rcm_pair_log *log, int64_t i, int64_t j)
 {
     if (log->n == log->cap) {
         int64_t cap = log->cap ? 2 * log->cap : 1024;
-        int64_t *ids = realloc(log->ids, 2 * (size_t)cap * sizeof(int64_t));
-        if (!ids)
+        if (resize(&log->ids, 2 * (size_t)cap * sizeof(int64_t)) != RCM_OK)
             return RCM_NO_MEMORY;
-        log->ids = ids;
         log->cap = cap;
     }
     log->ids[2 * log->n] = i;

@@ -37,11 +37,6 @@ def as_outcomes(batch: tuple[np.ndarray, np.ndarray]) -> list[ClusterOutcome]:
     return [ClusterOutcome.from_record(r, j) for r, j in zip(outcomes, joined)]
 
 
-def covered_grid(*centers: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """The covered ball centres `place_candidates` thins against."""
-    return centers
-
-
 def ball_intake(
     rng: np.random.Generator,
     center: tuple[float, ...],

@@ -180,6 +180,19 @@ class TestExploreCluster:
         assert out.extras_in_cluster == (True, False)
         assert out.cluster_size == 2
 
+    def test_frontier_ties_go_to_the_smaller_id(self):
+        # points 1 and 2 join at distance 1 from the origin, 3 and 4 at 2.5,
+        # and 3 lies within range of 1 only, 4 of 2 only: of two frontier
+        # points at equal distance the smaller id is processed first
+        params = SimParams(
+            dim=2, gamma=0.0, system_size=50.0,
+            extra_points=((1.0, 0.0), (0.0, 1.0), (2.5, 0.0), (0.0, 2.5)),
+        )
+        pairs: list[tuple[int, int]] = []
+        out = exploration._explore(params, GILBERT, stream(1), pair_log=pairs)
+        assert pairs == [(0, 1), (0, 2), (1, 3), (2, 4)]
+        assert out.cluster_size == 5
+
 
 class TestRunTrials:
     # first escapes at trial 0, at trial 10, at trial 31 and at trial 33

@@ -154,6 +154,14 @@ class TestSpatialIndex:
         assert grid.any_within((0.0, 0.0), COVERED) is True
         grid = _Grid(2.0, 2, [(2.0, 0.0)], [COVERED])
         assert grid.any_within((0.0, 0.0), COVERED) is True      # exactly at the radius
+        # 2 - (-1e-17) rounds to 2, so the point is within the radius, but
+        # its cell (-1 per axis, edge 4) lies below a box reaching exactly r
+        for dim in (1, 2):
+            point, q = (-1e-17, 0.0)[:dim], (2.0, 0.0)[:dim]
+            for state in (COVERED, UNATTACHED):
+                grid = _Grid(2.0, dim, [point], [state])
+                assert grid.query(q, state) == [0]
+                assert grid.any_within(q, state) is True
 
     def test_negative_coordinates(self):
         # queries and points in cells on both sides of zero

@@ -13,7 +13,7 @@ from rcmperc import (
     trial_stream,
 )
 
-from support import ball_intake, ball_points, covered_grid, poisson_gof_pvalue
+from support import ball_intake, ball_points, poisson_gof_pvalue
 
 ORIGIN2 = (0.0, 0.0)
 
@@ -133,27 +133,26 @@ class TestUniformInBall:
 class TestSampleUncovered:
     def test_zero_intensity_empty(self):
         rng = stream(21)
-        assert ball_intake(rng, ORIGIN2, 2.0, covered_grid(), 0.0, 2) == []
+        assert ball_intake(rng, ORIGIN2, 2.0, (), 0.0, 2) == []
 
     def test_fully_covered_empty(self):
         rng = stream(22)
         for _ in range(200):
-            assert ball_intake(rng, ORIGIN2, 2.0, covered_grid(ORIGIN2), 0.8, 2) == []
+            assert ball_intake(rng, ORIGIN2, 2.0, (ORIGIN2,), 0.8, 2) == []
 
     def test_count_is_poisson(self):
         rng = stream(24)
         mean = 0.3 * ball_volume(2, 2.0)
         counts = [
-            len(ball_intake(rng, ORIGIN2, 2.0, covered_grid(), 0.3, 2)) for _ in range(10_000)
+            len(ball_intake(rng, ORIGIN2, 2.0, (), 0.3, 2)) for _ in range(10_000)
         ]
         assert poisson_gof_pvalue(counts, mean) > 0.01
 
     def test_kept_points_avoid_covered(self):
         rng = stream(25)
         blockers = [(1.0, 0.5), (-2.0, 1.0), (3.5, -0.5)]
-        grid = covered_grid(*blockers)
         for _ in range(500):
-            for p in ball_intake(rng, ORIGIN2, 2.0, grid, 0.6, 2):
+            for p in ball_intake(rng, ORIGIN2, 2.0, blockers, 0.6, 2):
                 assert all(math.dist(p, b) > 2.0 for b in blockers)
                 assert math.dist(p, ORIGIN2) <= 2.0
 
@@ -165,7 +164,7 @@ class TestSampleUncovered:
         want = 0.5 * (ball_volume(2, 2.0) - lens)
         n = 20_000
         total = sum(
-            len(ball_intake(rng, ORIGIN2, 2.0, covered_grid(blocker), 0.5, 2))
+            len(ball_intake(rng, ORIGIN2, 2.0, (blocker,), 0.5, 2))
             for _ in range(n)
         )
         assert abs(total / n - want) <= 3.0 * math.sqrt(want / n)
@@ -176,7 +175,7 @@ class TestSampleUncovered:
         left = np.empty(n)
         right = np.empty(n)
         for i in range(n):
-            pts = ball_intake(rng, ORIGIN2, 2.0, covered_grid(), 0.5, 2)
+            pts = ball_intake(rng, ORIGIN2, 2.0, (), 0.5, 2)
             left[i] = sum(p[0] < 0.0 for p in pts)
             right[i] = len(pts) - left[i]
         rho = np.corrcoef(left, right)[0, 1]
@@ -187,9 +186,9 @@ class TestSampleUncovered:
         # blocker, yields the same survivors
         blocker = (1.2, 0.3)
         for trial in range(200):
-            free = ball_intake(stream(30, trial), ORIGIN2, 2.0, covered_grid(), 0.8, 2)
+            free = ball_intake(stream(30, trial), ORIGIN2, 2.0, (), 0.8, 2)
             thinned = ball_intake(
-                stream(30, trial), ORIGIN2, 2.0, covered_grid(blocker), 0.8, 2
+                stream(30, trial), ORIGIN2, 2.0, (blocker,), 0.8, 2
             )
             survivors = [
                 p for p in free if math.dist(p, blocker) > 2.0

@@ -18,9 +18,10 @@ eight combinations, and exits 2,
 and `--config=`, with a flag overriding a file value, and `bound`
 without `--gamma` for the soft-sphere and tabulated models), one
 `--output-file` case, and every argv of
-`tests/test_cli.py::TestUsageErrors::test_exit_one`. It runs from the
-checkout root, so the relative paths of the table and the config file in
-argv stay the same. For each case it records the exit code, stderr, and
+`tests/test_cli.py::TestUsageErrors::test_exit_one`, each named by its
+argv, so that adding or removing one renames no other case. It runs
+from the checkout root, so the relative paths of the table and the
+config file in argv stay the same. For each case it records the exit code, stderr, and
 stdout or the output file's bytes, as they are: no output holds a clock
 value, so nothing is blanked. `compare` lists the cases whose records
 differ and exits 1 if there are any.
@@ -115,8 +116,8 @@ def cases() -> dict[str, list[str]]:
             for threads in (1, 2, 3):
                 out[f"{name}/{fmt}/t{threads}"] = argv + ["--output", fmt, "--threads", str(threads)]
     out["output-file"] = OUTPUT_FILE_CASE
-    for i, argv in enumerate(exit_one_argvs()):
-        out[f"exit-one/{i}: {' '.join(argv)}"] = argv
+    for argv in exit_one_argvs():
+        out[f"exit-one/{' '.join(argv)}"] = argv
     return out
 
 
