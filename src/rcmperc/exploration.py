@@ -7,8 +7,10 @@ draw order in `rcmperc.sampling`, `phi_at` in `rcmperc.connection` and
 the float contract of distances in `rcmperc.geometry`, states the rules
 it follows. A pair at distance r is joined by its uniform u exactly
 when r is within the range and u <= phi(r). Every point a run knows of
-lives in one grid of cells twice as wide as the connection range, by
-integer id, in one of three states:
+lives in one grid, by integer id, in one of three states. The grid scans
+its points linearly until it holds more than `RCM_LINEAR_POINTS` (in
+`kernel.h`), then files them in cells twice as wide as the connection
+range; either way a query finds the same points. The states are:
 
   * covered: cluster points whose neighborhood is fully resolved, one
     per processing step; their balls hold no further undrawn points;

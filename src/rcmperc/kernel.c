@@ -25,6 +25,8 @@
  * rcm_run_trials call per thread, in threads it starts and joins itself;
  * each call sets up one exploration workspace, a grid, a frontier and
  * scratch, and reuses it for every trial it runs, emptying it before each.
+ * A trial scans its points linearly until its grid holds more than
+ * RCM_LINEAR_POINTS of them, and only then files them in cells.
  * A workspace keeps its points, cell slots and frontier entries as arrays
  * of records, whose sizes below give its memory per point, slot and
  * entry. Every buffer that grows goes through resize, the one realloc
@@ -260,9 +262,10 @@ static int connects(const rcm_model *m, const double *x, const double *y, int di
 }
 
 /* ------------------------------------------------------------------ */
-/* The point grid: coordinates and a state per point id, filed in      */
-/* cubic cells whose edge is twice the query radius (the link-cell     */
-/* method), so a query probes 2^d cells.                               */
+/* The point grid: coordinates and a state per point id. Up to         */
+/* RCM_LINEAR_POINTS points a query is one pass over them; past that   */
+/* they are filed in cubic cells whose edge is twice the query radius  */
+/* (the link-cell method), so a query probes 2^d cells.                */
 
 /* Cell indices are clamped here; points in clamped cells are further
  * apart than any radius, so the exact distance test still decides. */
@@ -427,7 +430,8 @@ static int grow_slots(grid *g)
     return RCM_OK;
 }
 
-/* Empties the grid in time proportional to its cells in use, keeping its memory. */
+/* Empties the grid in time proportional to its cells in use, keeping its
+ * memory; it scans linearly again until it holds more than RCM_LINEAR_POINTS. */
 static void grid_reset(grid *g)
 {
     for (int64_t u = 0; u < g->used; u++)
@@ -469,20 +473,22 @@ static void link_covered(grid *g, int64_t s, int64_t i)
     g->slot[s].chead = i;
 }
 
-/* Stores a point in the given state; returns its id, or -1. */
-static int64_t grid_insert(grid *g, const double *p, uint8_t state)
+/* Whether the grid files its points in cells: only while it holds more
+ * than RCM_LINEAR_POINTS of them. */
+static int filed(const grid *g)
+{
+    return g->n > RCM_LINEAR_POINTS;
+}
+
+/* Files point i in its cell, and on the cell's covered chain when it is
+ * covered; returns RCM_OK or RCM_NO_MEMORY. */
+static int file_point(grid *g, int64_t i)
 {
     int dim = g->dim;
-    if (g->n == g->cap && grow_points(g) != RCM_OK)
-        return -1;
-    if (2 * (g->used + 1) > g->slots && grow_slots(g) != RCM_OK)
-        return -1;
-    int64_t i = g->n++;
     uint64_t h;
-    memcpy(g->coords + i * dim, p, (size_t)dim * sizeof(double));
-    g->state[i] = state;
-    g->in_state[state]++;
-    int64_t s = cell_slot(g, p, &h);
+    if (2 * (g->used + 1) > g->slots && grow_slots(g) != RCM_OK)
+        return RCM_NO_MEMORY;
+    int64_t s = cell_slot(g, g->coords + i * dim, &h);
     if (s < 0) {
         s = -s - 1;
         g->slot[s].hash = h;
@@ -492,8 +498,26 @@ static int64_t grid_insert(grid *g, const double *p, uint8_t state)
     }
     g->link[i].next = g->slot[s].head;
     g->slot[s].head = i;
-    if (state == RCM_COVERED)
+    if (g->state[i] == RCM_COVERED)
         link_covered(g, s, i);
+    return RCM_OK;
+}
+
+/* Stores a point in the given state; returns its id, or -1. The insert
+ * that makes the grid filed files every point, later ones their own. */
+static int64_t grid_insert(grid *g, const double *p, uint8_t state)
+{
+    int was_filed = filed(g);
+    if (g->n == g->cap && grow_points(g) != RCM_OK)
+        return -1;
+    int64_t i = g->n++;
+    memcpy(g->coords + i * g->dim, p, (size_t)g->dim * sizeof(double));
+    g->state[i] = state;
+    g->in_state[state]++;
+    if (filed(g))
+        for (int64_t k = was_filed ? i : 0; k < g->n; k++)
+            if (file_point(g, k) != RCM_OK)
+                return -1;
     return i;
 }
 
@@ -510,7 +534,8 @@ static void grid_cover(grid *g, int64_t i)
 {
     uint64_t h;
     grid_move(g, i, RCM_COVERED);
-    link_covered(g, cell_slot(g, g->coords + i * g->dim, &h), i);
+    if (filed(g))
+        link_covered(g, cell_slot(g, g->coords + i * g->dim, &h), i);
 }
 
 /* Whether point i lies within the radius of q: the one distance test of
@@ -526,14 +551,28 @@ static int cmp_id(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
+/* Puts id i after the n ids in g->found, growing it from 64 by doubling. */
+static int found_push(grid *g, int64_t n, int64_t i)
+{
+    if (n == g->found_cap) {
+        int64_t cap = n ? 2 * n : 64;
+        if (resize(&g->found, (size_t)cap * sizeof(int64_t)) != RCM_OK)
+            return RCM_NO_MEMORY;
+        g->found_cap = cap;
+    }
+    g->found[n] = i;
+    return RCM_OK;
+}
+
 /*
- * The points in `state` within the radius of q, over the cells that meet
- * the box of half-width radius * RCM_REACH around q: two per axis, three
- * only when the box ends on a cell face. A state that holds no point
- * returns 0 before any cell is probed. A covered query walks only each
- * cell's covered chain. With collect == 0 it returns 1 at the first such
- * point and 0 if there is none. Otherwise it leaves their ids in
- * g->found, ascending, and returns their count, or -1 when memory runs out.
+ * The points in `state` within the radius of q. A state that holds no
+ * point returns 0 at once. An unfiled grid tests its points in id order;
+ * a filed one walks the cells that meet the box of half-width
+ * radius * RCM_REACH around q: two per axis, three only when the box
+ * ends on a cell face, and a covered query only each cell's covered
+ * chain. With collect == 0 it returns 1 at the first such point and 0 if
+ * there is none. Otherwise it leaves their ids in g->found, ascending,
+ * and returns their count, or -1 when memory runs out.
  */
 static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
 {
@@ -543,6 +582,17 @@ static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
     uint64_t h = 0;
     if (!g->in_state[state])
         return 0;
+    if (!filed(g)) {
+        for (int64_t i = 0; i < g->n; i++) {
+            if (g->state[i] != state || !within(g, q, i))
+                continue;
+            if (!collect)
+                return 1;
+            if (found_push(g, n++, i) != RCM_OK)
+                return -1;
+        }
+        return n;
+    }
     for (int k = 0; k < dim; k++) {
         first[k] = cell_index(0.5 * q[k] - g->half_reach, g->radius);
         last[k] = cell_index(0.5 * q[k] + g->half_reach, g->radius);
@@ -558,13 +608,8 @@ static int64_t grid_scan(grid *g, const double *q, uint8_t state, int collect)
                 continue;
             if (!collect)
                 return 1;
-            if (n == g->found_cap) {
-                int64_t cap = n ? 2 * n : 64;
-                if (resize(&g->found, (size_t)cap * sizeof(int64_t)) != RCM_OK)
-                    return -1;
-                g->found_cap = cap;
-            }
-            g->found[n++] = i;
+            if (found_push(g, n++, i) != RCM_OK)
+                return -1;
         }
         /* the next cell: count the indices up from first to last, axis 0 fastest */
         int k = 0;
@@ -647,7 +692,7 @@ done:
 }
 
 /*
- * One grid query, for tests: files the n points in their states, then
+ * One grid query, for tests: stores the n points in their states, then
  * writes the ids of those in `state` within radius of q to ids (room for
  * n), ascending, sets *any to the early-exit answer of the same question
  * and returns the count. RCM_BAD_GRID for a radius that is not finite and

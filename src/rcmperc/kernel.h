@@ -13,6 +13,10 @@
 #define RCM_CLUSTER 1
 #define RCM_COVERED 2
 
+/* A grid files its points in cells only once it holds more than this
+ * many; until then a query is one pass over its points. Tests read it. */
+#define RCM_LINEAR_POINTS 64
+
 /* Model kinds; kernel.py reads them from here. */
 #define RCM_GILBERT 0
 #define RCM_PENETRABLE 1

@@ -99,8 +99,12 @@ def _linear_scan(points, states, coords, radius, state) -> list[int]:
 class _Grid:
     """Points in states, asked through the kernel's grid-query entry.
 
-    Each question files the points in a fresh kernel grid, so a state
-    changed here holds from the next question on.
+    Each question puts the points in a fresh kernel grid, so a state
+    changed here holds from the next question on. It is asked twice: as
+    given, and with RCM_LINEAR_POINTS + 1 filler points appended, in all
+    three states and at least 10^6 from the query, so that the grid files
+    its points in cells; both answers must agree. A grid of few points
+    otherwise only ever scans them linearly.
     """
 
     def __init__(self, radius, dim, points, states):
@@ -109,14 +113,23 @@ class _Grid:
         self.coords = [c for p in points for c in p]
         self.state = bytearray(states)
 
-    def _ask(self, coords, state) -> tuple[list[int], bool]:
-        n = len(self.state)
+    def _run(self, coords, states, q, state) -> tuple[list[int], bool]:
+        n = len(states)
         ids = ffi.new("int64_t[]", n)
         found = ffi.new("int *")
-        count = lib.rcm_grid_query(self.radius, self.dim, self.coords, list(self.state), n,
-                                   coords, state, ids, found)
+        count = lib.rcm_grid_query(self.radius, self.dim, coords, states, n, q, state, ids, found)
         assert count >= 0
         return list(ids[0:count]), bool(found[0])
+
+    def _ask(self, coords, state) -> tuple[list[int], bool]:
+        fillers = range(lib.RCM_LINEAR_POINTS + 1)
+        padded = self._run(
+            self.coords + [c + (-1) ** k * (1e6 + 8.0 * k) for k in fillers for c in coords],
+            list(self.state) + [STATES[k % 3] for k in fillers], coords, state,
+        )
+        plain = self._run(self.coords, list(self.state), coords, state)
+        assert padded == plain
+        return plain
 
     def query(self, coords, state) -> list[int]:
         return self._ask(coords, state)[0]
@@ -281,6 +294,37 @@ class TestSpatialIndex:
                         assert grid.any_within(q, state) is bool(want)
                         checked += bool(want)
         # most questions find a point, many of them at exactly the radius
+        assert checked > 400
+
+    def test_threshold_sizes_agree_with_linear_scan(self):
+        # grids of RCM_LINEAR_POINTS - 1 to + 2 points, around the insert
+        # that files every point in cells: at d = 1..5, in mixed states,
+        # a third of them on cell faces (multiples of 2r) and a third r
+        # from a face along one axis; covered points filed at that insert
+        # must be on their covered chains
+        gen = np.random.default_rng(28)
+        limit = lib.RCM_LINEAR_POINTS
+        radius = 0.75
+        checked = 0
+        for dim in range(1, 6):
+            for n in range(limit - 1, limit + 3):
+                faces = [tuple(2.0 * radius * float(k) for k in gen.integers(-2, 3, size=dim))
+                         for _ in range(n // 3)]
+                ties = [tuple(c + radius if k == 0 else c for k, c in enumerate(face))
+                        for face in faces]
+                inner = [tuple(gen.uniform(-3, 3, size=dim)) for _ in range(n - 2 * len(faces))]
+                points = [p for trio in zip(faces, ties, inner) for p in trio]
+                points += inner[len(faces):]
+                states = [STATES[k] for k in gen.integers(0, 3, size=n)]
+                grid = _Grid(radius, dim, points, states)
+                queries = faces[:4] + ties[:4] + [tuple(gen.uniform(-3, 3, size=dim))
+                                                  for _ in range(8)]
+                for q in queries:
+                    for state in STATES:
+                        want = _linear_scan(points, states, q, radius, state)
+                        assert grid.query(q, state) == want
+                        assert grid.any_within(q, state) is bool(want)
+                        checked += bool(want)
         assert checked > 400
 
     def test_bad_placement_arguments_consume_no_draw(self):
