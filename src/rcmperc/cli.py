@@ -41,7 +41,8 @@ Layout
 ------
 Each flag is one `_arg` constant, and each subcommand one row of
 `_COMMANDS`: its name, help text, handler and the flags it takes. The
-parser is built from that table, with the `_EXECUTION` flags added to
+parser is built from that table once per process, at the first
+`run_cli` call, with the `_EXECUTION` flags added to
 every row and `_CONFIG`, which knows only --config, as each
 subcommand's parent. `_apply_config` parses with `_CONFIG` first and
 splices the file's flags in after the subcommand. `run_cli` checks
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -102,7 +104,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built from `_COMMANDS` on first use and reused."""
     parser = _Parser(prog="rcmperc", description="critical intensities of random connection models")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in _COMMANDS.values():

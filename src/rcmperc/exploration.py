@@ -15,8 +15,8 @@ range; either way a query finds the same points. The states are:
   * covered: cluster points whose neighborhood is fully resolved, one
     per processing step; their balls hold no further undrawn points;
   * cluster: cluster points awaiting processing, kept in the frontier
-    and popped farthest-from-origin first (ties by smaller id) so
-    escaping clusters reach the boundary quickly;
+    and popped by smallest bottleneck key, then farthest from the origin
+    (so escaping clusters reach the boundary quickly), then smaller id;
   * unattached: generated points that have not joined the cluster. They
     are kept forever and retested against later frontier points, because
     their connection to those points is still undecided.
@@ -37,11 +37,34 @@ No pair is ever tested twice: unattached points sit outside every covered
 ball, so they are never regenerated, and points inside the cluster are
 never tested against each other.
 
-A run ends in one of three ways. Containment: the frontier empties.
-Escape: a point with norm greater than the system size joins the
-cluster, checked as it joins, ending the run immediately. Capped: a
-work cap (generated points or processing steps) is hit first; capped
-runs are flagged and must not be read as containment.
+Keys. A run at one intensity draws no mark, and every key is 0, so its
+frontier pops farthest first. A coupled run at intensity gamma_max
+(`run_trials(..., marked=True)`) gives every kept point a mark, gamma_max
+times a uniform draw (see `rcmperc.sampling`); the origin and extra
+points have mark 0. The points with mark <= gamma are the process at
+intensity gamma, and the connection uniforms do not depend on gamma. A
+point's bottleneck key is the larger of its adopter's key and its own
+mark (the origin's is 0). The frontier pops in Prim order (smallest key
+first), so keys never fall from pop to pop, and the first key a point
+gets is final: no later adopter could give it a smaller one. The
+cluster at intensity gamma is then the set of points with key <= gamma.
+
+A run ends in one of four ways. Containment: the frontier empties.
+Escape: a point with norm greater than the system size joins; the
+smallest key of such a point is the run's escape key gamma*, the least
+intensity at which its cluster escapes. It is settled, and the run
+ends, once it is <= the key being processed (checked as each point
+joins) or <= the next key to pop; at one intensity that is the moment
+the point joins. Cut: the next key to pop passes the trial's bound
+(see below). Capped: a work cap (generated points or processing steps)
+is hit first; the cap key is the key being processed (or, for the step
+cap, the next to pop) when it fired, and the run counts as contained
+only at intensities below it. Capped runs are flagged and must not be
+read as containment. A coupled run counts its work at gamma_max: the
+points it processes up to a key gamma are the cluster at gamma, so the
+step cap means what it means at gamma, but its candidates are drawn at
+gamma_max, up to gamma_max / gamma times as many as a run at gamma draws
+for the same cluster, so max_generated_points is reached sooner.
 
 Batches of trials go through `run_trials`, which returns the kernel's
 own arrays. Results never depend on the worker count: the kernel
@@ -53,12 +76,21 @@ included, takes trials one at a time from a counter shared by the
 batch. Each thread sets up one workspace (the grid, the frontier and
 scratch buffers) and empties it before each trial, so a trial's results
 do not depend on which trials the same thread ran before it; the
-thread frees the workspace when the batch is done. An early-exit batch
-also shares the lowest escaping trial found so far: no trial above it
-starts, and the arrays end at the first escaping trial as a serial run
-does. Rows past it that other threads had filled are cut off, so
-counts taken from the arrays match a serial run exactly. The kernel
-call releases the interpreter lock for the whole batch.
+thread frees the workspace when the batch is done. A cut batch also
+shares the escape keys of its finished trials: trial t pops only keys
+below its cutoff, the smallest escape key of the trials s < t that have
+finished, re-read at every pop. A batch that answers verdicts only at
+given intensities, its levels, cuts further: trial t then pops only keys
+up to the largest level below its cutoff, since a verdict at a level
+asks only whether a key lies at or below it. A trial's results up to
+its bound are those of an uncut run. The serial bound depends only on
+the serial prefix minimum rounded up to a level, and a parallel run's
+bound can only be larger, so every escape key the serial bound covers is
+exact whatever the thread timing; `threshold` censors the rest. At one intensity an escape
+has key 0: every later trial stops at its next pop and none starts, so
+the arrays end at the first escaping trial as a serial run does, and
+counts taken from them match a serial run exactly. The kernel call
+releases the interpreter lock for the whole batch.
 """
 
 from __future__ import annotations
@@ -97,7 +129,9 @@ class SimParams:
     and flag the outcome as capped: max_steps bounds processed frontier
     points, max_generated_points bounds candidate placements drawn
     (kept or thinned), so a run can never materialize more than that
-    many points no matter how large the intensity is.
+    many points no matter how large the intensity is. A coupled run
+    (the critical search) draws its candidates at its gamma_max, so
+    there max_generated_points counts draws at gamma_max.
     """
 
     dim: int
@@ -178,8 +212,9 @@ def explore_cluster(
 _CAP_LIMIT = 1 << 61
 
 
-def _kernel_args(params: SimParams, model: ConnectionModel):
-    """The kernel's `rcm_model *` and `rcm_params *` for runs of params under model."""
+def _kernel_args(params: SimParams, model: ConnectionModel, marked: bool = False):
+    """The kernel's `rcm_model *` and `rcm_params *` for runs of params under model;
+    marked runs mark every kept point with params.gamma times a uniform draw."""
     radius = model.radius
     if params.system_size <= radius:
         raise ValueError(
@@ -189,6 +224,7 @@ def _kernel_args(params: SimParams, model: ConnectionModel):
         "dim": params.dim,
         "system_size": params.system_size,
         "ball_mean": params.gamma * ball_volume(params.dim, radius),
+        "mark_max": params.gamma if marked else 0.0,
         "max_steps": min(params.max_steps, _CAP_LIMIT),
         "max_generated": min(params.max_generated_points, _CAP_LIMIT),
         "n_extras": len(params.extra_points),
@@ -243,13 +279,20 @@ def run_trials(
     n: int,
     workers: int = 1,
     stop_at_escape: bool = False,
+    marked: bool = False,
+    levels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(outcomes, joined) of trials 0..n-1; trial t draws from (seed, key, t).
 
     outcomes[t] is trial t's `kernel.OUTCOME` record, joined[t, k] whether
-    extra point k joined its cluster; with stop_at_escape both end at the
-    first escaping trial. The batch is one kernel call, `rcm_run_batch`,
-    in as many threads as the smaller of workers and the machine's
+    extra point k joined its cluster. A marked batch is a coupled one: its
+    points carry marks in [0, params.gamma) and its clusters grow by
+    bottleneck key. With stop_at_escape the trials are cut: trial t pops
+    only keys below the smallest escape key of the trials before it that
+    have finished, and with ascending `levels` only keys up to the largest
+    level below it. Both arrays end at the first trial after which no
+    trial pops: at a fixed intensity the first escaping trial. The batch
+    is one kernel call, `rcm_run_batch`, in as many threads as the smaller of workers and the machine's
     cores: the kernel starts the helper threads, runs a share in this
     one and joins them before it returns. The threads take the trials
     from one shared counter and derive each trial's stream in C.
@@ -257,10 +300,15 @@ def run_trials(
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     entropy = trial_entropy(master_seed, eval_key)
-    m, c_params = _kernel_args(params, model)
+    m, c_params = _kernel_args(params, model, marked)
     outcomes, joined = _batch_arrays(n, len(params.extra_points))
+    if levels is None:
+        c_levels, n_levels = ffi.NULL, 0
+    else:
+        levels = np.ascontiguousarray(levels, dtype=np.float64)
+        c_levels, n_levels = ffi.from_buffer("double[]", levels), len(levels)
     done = lib.rcm_run_batch(entropy, len(entropy), n, min(workers, os.cpu_count() or 1),
-                             stop_at_escape, m, c_params,
+                             stop_at_escape, c_levels, n_levels, m, c_params,
                              ffi.from_buffer("rcm_outcome[]", outcomes),
                              ffi.from_buffer("uint8_t[]", joined))
     if done < 0:

@@ -276,7 +276,8 @@ static int connects(const rcm_model *m, const double *x, const double *y, int di
 #define RCM_REACH (1.0 + 1e-9)
 
 /* A point's places on its cell's chains (16 bytes); with its coordinates
- * and its state a point costs 8d + 17 bytes. */
+ * and its state a point costs 8d + 17 bytes, and 8 more for its mark in
+ * an exploration that marks its points. */
 typedef struct {
     int64_t next;           /* the next id in the same cell, -1 ends */
     int64_t cnext;          /* the next covered id in the same cell, -1 ends */
@@ -299,6 +300,8 @@ typedef struct {
     /* points by id */
     int64_t n, cap;
     double *coords;
+    int marked;             /* whether `mark` holds the points' marks */
+    double *mark;           /* NULL unless marked */
     uint8_t *state;
     chain_link *link;
     int64_t in_state[3];    /* how many points each state holds */
@@ -347,6 +350,7 @@ static int64_t cell_index(double half_c, double r)
 static void grid_free(grid *g)
 {
     free(g->coords);
+    free(g->mark);
     free(g->state);
     free(g->link);
     free(g->slot);
@@ -446,6 +450,7 @@ static int grow_points(grid *g)
 {
     int64_t cap = g->cap ? 2 * g->cap : 64;
     if (resize(&g->coords, (size_t)cap * (size_t)g->dim * sizeof(double)) != RCM_OK
+        || (g->marked && resize(&g->mark, (size_t)cap * sizeof(double)) != RCM_OK)
         || resize(&g->state, (size_t)cap) != RCM_OK
         || resize(&g->link, (size_t)cap * sizeof(chain_link)) != RCM_OK)
         return RCM_NO_MEMORY;
@@ -503,15 +508,18 @@ static int file_point(grid *g, int64_t i)
     return RCM_OK;
 }
 
-/* Stores a point in the given state; returns its id, or -1. The insert
- * that makes the grid filed files every point, later ones their own. */
-static int64_t grid_insert(grid *g, const double *p, uint8_t state)
+/* Stores a point in the given state, and its mark if the grid is marked;
+ * returns its id, or -1. The insert that makes the grid filed files every
+ * point, later ones their own. */
+static int64_t grid_insert(grid *g, const double *p, double mark, uint8_t state)
 {
     int was_filed = filed(g);
     if (g->n == g->cap && grow_points(g) != RCM_OK)
         return -1;
     int64_t i = g->n++;
     memcpy(g->coords + i * g->dim, p, (size_t)g->dim * sizeof(double));
+    if (g->marked)
+        g->mark[i] = mark;
     g->state[i] = state;
     g->in_state[state]++;
     if (filed(g))
@@ -648,18 +656,22 @@ static void ball_point(bitgen_t *bg, int dim, const double *center, double radiu
 
 /*
  * `count` placements in B(center, radius); each one not within the radius
- * of a covered point joins the grid as unattached. A hint >= 0 names a
- * covered point, tested before the grid is scanned: thinning asks whether
- * any covered point is near, so the order of the tests cannot change its
- * answer. center must not point into the grid, which may move as it grows.
+ * of a covered point joins the grid as unattached, and with mark_max > 0
+ * draws its mark, mark_max times a uniform, before the next placement. A
+ * hint >= 0 names a covered point, tested before the grid is scanned:
+ * thinning asks whether any covered point is near, so the order of the
+ * tests cannot change its answer. center must not point into the grid,
+ * which may move as it grows.
  */
-static int place(bitgen_t *bg, grid *g, const double *center, int64_t hint, int64_t count)
+static int place(bitgen_t *bg, grid *g, const double *center, int64_t hint, int64_t count,
+                 double mark_max)
 {
     for (int64_t c = 0; c < count; c++) {
         ball_point(bg, g->dim, center, g->radius, g->gauss, g->point);
         if ((hint >= 0 && within(g, g->point, hint)) || grid_scan(g, g->point, RCM_COVERED, 0))
             continue;
-        if (grid_insert(g, g->point, RCM_UNATTACHED) < 0)
+        double mark = mark_max > 0.0 ? mark_max * next_double(bg) : 0.0;
+        if (grid_insert(g, g->point, mark, RCM_UNATTACHED) < 0)
             return RCM_NO_MEMORY;
     }
     return RCM_OK;
@@ -679,9 +691,9 @@ int64_t rcm_place(bitgen_t *bg, int dim, const double *center, double radius,
         return RCM_NO_MEMORY;
     int64_t kept = RCM_NO_MEMORY;
     for (int64_t c = 0; c < n_covered; c++)
-        if (grid_insert(&g, covered + c * dim, RCM_COVERED) < 0)
+        if (grid_insert(&g, covered + c * dim, 0.0, RCM_COVERED) < 0)
             goto done;
-    if (place(bg, &g, center, -1, count) != RCM_OK)
+    if (place(bg, &g, center, -1, count, 0.0) != RCM_OK)
         goto done;
     kept = g.n - n_covered;
     if (kept > 0)
@@ -711,7 +723,7 @@ int64_t rcm_grid_query(double radius, int dim, const double *points, const uint8
         return RCM_NO_MEMORY;
     int64_t count = RCM_NO_MEMORY;
     for (int64_t i = 0; i < n; i++)
-        if (grid_insert(&g, points + i * dim, states[i]) < 0)
+        if (grid_insert(&g, points + i * dim, 0.0, states[i]) < 0)
             goto done;
     *any = (int)grid_scan(&g, q, (uint8_t)state, 0);
     count = grid_scan(&g, q, (uint8_t)state, 1);
@@ -725,25 +737,35 @@ done:
 /* ------------------------------------------------------------------ */
 /* Exploration: explore_cluster in exploration.py.                     */
 
-/* A frontier entry (24 bytes): point id at distance key from the origin,
- * and `from`, the point that adopted it (-1 for the origin), which
- * thinning tests first. */
+/* A frontier entry (32 bytes): point id with its bottleneck key and its
+ * distance norm from the origin, and `from`, the point that adopted it
+ * (-1 for the origin), which thinning tests first. */
 typedef struct {
-    double key;
+    double key, norm;
     int64_t id, from;
 } heap_entry;
-_Static_assert(sizeof(heap_entry) == 24, "heap_entry must stay 24 bytes");
+_Static_assert(sizeof(heap_entry) == 32, "heap_entry must stay 32 bytes");
+
+/* A trial's view of its batch's cutoff: its bound (see rcm_cutoff) from
+ * the escape keys of the trials before it that have finished, recomputed
+ * when the version moves. */
+typedef struct {
+    rcm_cutoff *shared;     /* NULL: the trial is never cut */
+    int64_t trial, version;
+    double bound;
+} trial_cutoff;
 
 /* An exploration's workspace: set up once, emptied before each trial. */
 typedef struct {
     grid g;
-    /* the frontier: a binary heap, farthest from the origin first, ties by smaller id */
+    /* the frontier: a binary heap, smallest key first, then farthest from
+     * the origin, then smaller id */
     heap_entry *heap;
     int64_t heap_n, heap_cap;
     double *x;              /* dim: the frontier point being processed */
     double system_size;
     double max_norm;
-    int escaped;
+    double escape_key;      /* the smallest key of a point that joined beyond the system size */
 } explorer;
 
 static void explorer_free(explorer *e)
@@ -759,6 +781,7 @@ static int explorer_init(explorer *e, const rcm_model *m, const rcm_params *p)
     memset(e, 0, sizeof *e);
     if (grid_init(&e->g, m->radius, p->dim) != RCM_OK)
         return RCM_NO_MEMORY;
+    e->g.marked = p->mark_max > 0.0;
     e->system_size = p->system_size;
     e->x = malloc((size_t)p->dim * sizeof(double));
     if (!e->x) {
@@ -775,12 +798,14 @@ static void explorer_reset(explorer *e)
     memset(e->x, 0, (size_t)e->g.dim * sizeof(double));
     e->heap_n = 0;
     e->max_norm = 0.0;
-    e->escaped = 0;
+    e->escape_key = INFINITY;
 }
 
 static int heap_before(const heap_entry *a, const heap_entry *b)
 {
-    return a->key > b->key || (a->key == b->key && a->id < b->id);
+    if (a->key != b->key)
+        return a->key < b->key;
+    return a->norm > b->norm || (a->norm == b->norm && a->id < b->id);
 }
 
 static void heap_swap(explorer *e, int64_t a, int64_t b)
@@ -790,9 +815,8 @@ static void heap_swap(explorer *e, int64_t a, int64_t b)
     e->heap[b] = t;
 }
 
-/* Puts point id, at distance key from the origin and adopted by point
- * from (-1 for the origin), on the frontier, whose room doubles from 64. */
-static int heap_push(explorer *e, double key, int64_t id, int64_t from)
+/* Puts entry h on the frontier, whose room doubles from 64. */
+static int heap_push(explorer *e, heap_entry h)
 {
     if (e->heap_n == e->heap_cap) {
         int64_t cap = e->heap_cap ? 2 * e->heap_cap : 64;
@@ -801,7 +825,7 @@ static int heap_push(explorer *e, double key, int64_t id, int64_t from)
         e->heap_cap = cap;
     }
     int64_t c = e->heap_n++;
-    e->heap[c] = (heap_entry){key, id, from};
+    e->heap[c] = h;
     while (c > 0 && heap_before(&e->heap[c], &e->heap[(c - 1) / 2])) {
         heap_swap(e, c, (c - 1) / 2);
         c = (c - 1) / 2;
@@ -809,12 +833,11 @@ static int heap_push(explorer *e, double key, int64_t id, int64_t from)
     return RCM_OK;
 }
 
-/* Takes the first frontier entry off the heap: returns its id and leaves
- * its adopter in *from. */
-static int64_t heap_pop(explorer *e, int64_t *from)
+/* Takes the first frontier entry off the heap. */
+static heap_entry heap_pop(explorer *e)
 {
-    int64_t top = e->heap[0].id, c = 0;
-    *from = e->heap[0].from;
+    heap_entry top = e->heap[0];
+    int64_t c = 0;
     e->heap[0] = e->heap[--e->heap_n];
     for (;;) {
         int64_t l = 2 * c + 1, r = l + 1, best = c;
@@ -829,17 +852,19 @@ static int64_t heap_pop(explorer *e, int64_t *from)
     }
 }
 
-/* Moves point j, adopted by point i, into the cluster and the frontier;
- * escape is checked here. */
-static int adopt(explorer *e, int64_t j, int64_t i)
+/* Moves point j, adopted by the frontier point whose entry is x, into the
+ * cluster and the frontier. Its key is the larger of x's key and its mark,
+ * final in Prim order; escape is recorded here. */
+static int adopt(explorer *e, int64_t j, const heap_entry *x)
 {
     double r = norm_of(e->g.coords + j * e->g.dim, e->g.dim);
+    double key = e->g.marked ? fmax(x->key, e->g.mark[j]) : x->key;
     grid_move(&e->g, j, RCM_CLUSTER);
     if (r > e->max_norm)
         e->max_norm = r;
-    if (r > e->system_size)
-        e->escaped = 1;
-    return heap_push(e, r, j, i);
+    if (r > e->system_size && key < e->escape_key)
+        e->escape_key = key;
+    return heap_push(e, (heap_entry){key, r, j, x->id});
 }
 
 static int log_pair(rcm_pair_log *log, int64_t i, int64_t j)
@@ -856,34 +881,87 @@ static int log_pair(rcm_pair_log *log, int64_t i, int64_t j)
     return RCM_OK;
 }
 
+/* The largest key a trial may pop while the smallest escape key before it
+ * is `key`: the largest level below key, -1 if none, or with no levels the
+ * largest double below key. */
+static double bound_below(const rcm_cutoff *c, double key)
+{
+    if (!c->levels)
+        return nextafter(key, -INFINITY);
+    int64_t lo = 0, hi = c->n_levels;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (c->levels[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo > 0 ? c->levels[lo - 1] : -1.0;
+}
+
+/* A view of trial t's cutoff before any trial has escaped. */
+static trial_cutoff cutoff_of(rcm_cutoff *shared, int64_t t)
+{
+    return (trial_cutoff){shared, t, 0, shared ? bound_below(shared, INFINITY) : INFINITY};
+}
+
+/* The bound of c's trial; a NULL c, or a batch that is not cut, gives +inf. */
+static double pop_bound(trial_cutoff *c)
+{
+    if (!c || !c->shared)
+        return INFINITY;
+    int64_t version = __atomic_load_n(&c->shared->version, __ATOMIC_ACQUIRE);
+    if (version != c->version) {
+        double key = INFINITY;
+        for (int64_t s = 0; s < c->trial; s++) {
+            double k;
+            __atomic_load(c->shared->keys + s, &k, __ATOMIC_RELAXED);
+            if (k < key)
+                key = k;
+        }
+        c->version = version;
+        c->bound = bound_below(c->shared, key);
+    }
+    return c->bound;
+}
+
 /* The one exploration loop: empties e, then explores the origin's
- * cluster, drawing from bg. extras_in (room for n_extras) receives
- * whether each extra point joined, and a non-NULL log every connection
- * test. Returns RCM_OK or RCM_NO_MEMORY. */
+ * cluster in Prim order, drawing from bg. It stops when the escape key is
+ * settled (no key left to pop lies below it), when the next key passes
+ * the trial's bound (NULL cut: none), when the frontier empties or when a
+ * work cap fires. extras_in (room for n_extras) receives whether each
+ * extra point joined, and a non-NULL log every connection test. Returns
+ * RCM_OK or RCM_NO_MEMORY. */
 static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_params *p,
-                   rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log)
+                   trial_cutoff *cut, rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log)
 {
     int dim = p->dim;
     int64_t n_extras = p->n_extras;
-    double ball_mean = p->ball_mean, *x = e->x;
+    double ball_mean = p->ball_mean, cap_key = INFINITY, *x = e->x;
     grid *g = &e->g;
     int capped = 0;
     int64_t steps = 0, generated = 0, candidates = 0;
     explorer_reset(e);
 
     /* x is all zeros here: the origin is point 0, then the extras */
-    if (grid_insert(g, x, RCM_CLUSTER) < 0 || heap_push(e, 0.0, 0, -1) != RCM_OK)
+    if (grid_insert(g, x, 0.0, RCM_CLUSTER) < 0
+        || heap_push(e, (heap_entry){0.0, 0.0, 0, -1}) != RCM_OK)
         return RCM_NO_MEMORY;
     for (int64_t k = 0; k < n_extras; k++)
-        if (grid_insert(g, p->extras + k * dim, RCM_UNATTACHED) < 0)
+        if (grid_insert(g, p->extras + k * dim, 0.0, RCM_UNATTACHED) < 0)
             return RCM_NO_MEMORY;
 
     while (e->heap_n > 0) {
+        double next = e->heap[0].key;
+        if (e->escape_key <= next || next > pop_bound(cut))
+            break;
         if (steps >= p->max_steps) {
             capped = 1;
+            cap_key = next;
             break;
         }
-        int64_t adopter, i = heap_pop(e, &adopter);
+        heap_entry at = heap_pop(e);
+        int64_t i = at.id;
         memcpy(x, g->coords + i * dim, (size_t)dim * sizeof(double));
         steps++;
 
@@ -891,15 +969,15 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
         int64_t found = grid_scan(g, x, RCM_UNATTACHED, 1);
         if (found < 0)
             return RCM_NO_MEMORY;
-        for (int64_t f = 0; f < found && !e->escaped; f++) {
+        for (int64_t f = 0; f < found && e->escape_key > at.key; f++) {
             int64_t j = g->found[f];
             double u = next_double(bg);
             if (log && log_pair(log, i, j) != RCM_OK)
                 return RCM_NO_MEMORY;
-            if (connects(m, x, g->coords + j * dim, dim, u) && adopt(e, j, i) != RCM_OK)
+            if (connects(m, x, g->coords + j * dim, dim, u) && adopt(e, j, &at) != RCM_OK)
                 return RCM_NO_MEMORY;
         }
-        if (e->escaped)
+        if (e->escape_key <= at.key)
             break;
 
         /* (b) the Poisson intake of the ball, clamped to the remaining
@@ -916,10 +994,12 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
                 count = budget;
             }
         }
+        if (capped)
+            cap_key = at.key;
         candidates += count;
         int64_t first = g->n;
         /* the adopter was covered at the end of its own step */
-        if (place(bg, g, x, adopter, count) != RCM_OK)
+        if (place(bg, g, x, at.from, count, p->mark_max) != RCM_OK)
             return RCM_NO_MEMORY;
 
         /* (c) the new points, in generation order */
@@ -929,23 +1009,25 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
             if (log && log_pair(log, i, j) != RCM_OK)
                 return RCM_NO_MEMORY;
             if (connects(m, x, g->coords + j * dim, dim, u)) {
-                if (adopt(e, j, i) != RCM_OK)
+                if (adopt(e, j, &at) != RCM_OK)
                     return RCM_NO_MEMORY;
-                if (e->escaped)
+                if (e->escape_key <= at.key)
                     break;
             }
         }
         grid_cover(g, i);
-        if (e->escaped || capped)
+        if (e->escape_key <= at.key || capped)
             break;
     }
 
-    out->escaped = e->escaped;
+    out->escaped = e->escape_key < INFINITY;
     out->capped = capped;
     out->cluster_size = steps + e->heap_n;
     out->generated_points = generated;
     out->steps = steps;
     out->max_norm = e->max_norm;
+    out->escape_key = e->escape_key;
+    out->cap_key = cap_key;
     for (int64_t k = 0; k < n_extras; k++)
         extras_in[k] = g->state[1 + k] != RCM_UNATTACHED;
     return RCM_OK;
@@ -960,7 +1042,7 @@ int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
     explorer e;
     if (explorer_init(&e, m, p) != RCM_OK)
         return RCM_NO_MEMORY;
-    int status = explore(&e, bg, m, p, out, extras_in, log);
+    int status = explore(&e, bg, m, p, NULL, out, extras_in, log);
     explorer_free(&e);
     return status;
 }
@@ -972,15 +1054,17 @@ int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
  * 2^32 on), and its results go to outs[t] and to extras_in from
  * t * n_extras. Every call of a batch may run at once in its own thread:
  * each takes the next trial from the shared counter *next_trial until the
- * counter passes n_trials. A non-NULL first_escape holds the lowest
- * escaping trial index found so far (n_trials while there is none): a
- * trial above it does not start, and an escaping trial lowers it. The
- * call sets up one explorer, which every trial it runs reuses after
- * emptying it, and frees it before it returns. Returns the number of
- * trials this call ran, or RCM_NO_MEMORY.
+ * counter passes n_trials. With a non-NULL cut, trial t pops only keys at
+ * most its bound, from the escape keys of the trials s < t that have
+ * finished (see rcm_cutoff), re-read at every pop; a finished trial
+ * publishes its escape key in cut->keys[t]. A bound below 0 cuts a trial
+ * before its first pop, so the call stops taking trials at one. The call sets up one
+ * explorer, which every trial it runs reuses after emptying it, and frees
+ * it before it returns. Returns the number of trials this call ran, or
+ * RCM_NO_MEMORY.
  */
 int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
-                       int64_t *next_trial, int64_t *first_escape,
+                       int64_t *next_trial, rcm_cutoff *cut,
                        const rcm_model *m, const rcm_params *p,
                        rcm_outcome *outs, uint8_t *extras_in)
 {
@@ -996,24 +1080,24 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
     int64_t ran = 0;
     for (;;) {
         int64_t t = __atomic_fetch_add(next_trial, 1, __ATOMIC_RELAXED);
-        if (t >= n_trials || (first_escape && t > __atomic_load_n(first_escape, __ATOMIC_RELAXED)))
+        trial_cutoff c = cutoff_of(cut, t);
+        if (t >= n_trials || pop_bound(&c) < 0.0)
             break;
         int64_t n = n_words;
         words[n++] = (uint32_t)t;
         if ((uint64_t)t >> 32)
             words[n++] = (uint32_t)((uint64_t)t >> 32);
         rcm_stream s;
-        if (explore(&e, rcm_stream_seed(&s, words, n), m, p, outs + t,
+        if (explore(&e, rcm_stream_seed(&s, words, n), m, p, &c, outs + t,
                     extras_in + t * p->n_extras, NULL) != RCM_OK) {
             ran = RCM_NO_MEMORY;
             break;
         }
         ran++;
-        if (first_escape && outs[t].escaped) {
-            int64_t seen = __atomic_load_n(first_escape, __ATOMIC_RELAXED);
-            while (t < seen && !__atomic_compare_exchange_n(first_escape, &seen, t, 0,
-                                                            __ATOMIC_RELAXED, __ATOMIC_RELAXED))
-                ;
+        if (cut) {
+            __atomic_store(cut->keys + t, &outs[t].escape_key, __ATOMIC_RELAXED);
+            if (outs[t].escaped)
+                __atomic_fetch_add(&cut->version, 1, __ATOMIC_RELEASE);
         }
     }
     explorer_free(&e);
@@ -1024,8 +1108,8 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
 /* A batch's arguments and the counters its threads share. */
 typedef struct {
     const uint32_t *entropy;
-    int64_t n_words, n_trials, next_trial, first_escape;
-    int stop_at_escape;
+    int64_t n_words, n_trials, next_trial;
+    rcm_cutoff *cut;
     const rcm_model *m;
     const rcm_params *p;
     rcm_outcome *outs;
@@ -1043,8 +1127,7 @@ static void *run_share(void *arg)
 {
     share *sh = arg;
     batch *b = sh->b;
-    sh->ran = rcm_run_trials(b->entropy, b->n_words, b->n_trials, &b->next_trial,
-                             b->stop_at_escape ? &b->first_escape : NULL,
+    sh->ran = rcm_run_trials(b->entropy, b->n_words, b->n_trials, &b->next_trial, b->cut,
                              b->m, b->p, b->outs, b->extras_in);
     return NULL;
 }
@@ -1054,18 +1137,29 @@ static void *run_share(void *arg)
  * threads - 1 of them, runs one share in the calling thread and joins
  * the others before it returns, each making one rcm_run_trials call on
  * the batch's shared counters. A thread that cannot start leaves its
- * share to the others. With stop_at_escape the batch shares its first
- * escape and keeps the rows up to it. Returns the number of rows to
- * keep, the first escaping trial + 1 or n_trials, or RCM_NO_MEMORY.
+ * share to the others. With cut, earlier escapes cut later trials through
+ * the n_levels ascending levels (NULL: none; see rcm_cutoff), and the rows
+ * end at the first trial whose escape key leaves a bound below 0, after
+ * which no trial pops: at one intensity, the first that escaped. Returns
+ * the number of rows to keep, that trial + 1 or n_trials, or RCM_NO_MEMORY.
  */
 int64_t rcm_run_batch(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
-                      int threads, int stop_at_escape, const rcm_model *m,
-                      const rcm_params *p, rcm_outcome *outs, uint8_t *extras_in)
+                      int threads, int cut, const double *levels, int64_t n_levels,
+                      const rcm_model *m, const rcm_params *p, rcm_outcome *outs,
+                      uint8_t *extras_in)
 {
-    batch b = {entropy, n_words, n_trials, 0, n_trials, stop_at_escape, m, p, outs, extras_in};
+    rcm_cutoff shared = {0, NULL, levels, n_levels};
+    batch b = {entropy, n_words, n_trials, 0, cut ? &shared : NULL, m, p, outs, extras_in};
     share *shares = malloc((size_t)(threads > 1 ? threads : 1) * sizeof(share));
-    if (!shares)
+    if (cut)
+        shared.keys = malloc((size_t)(n_trials > 1 ? n_trials : 1) * sizeof(double));
+    if (!shares || (cut && !shared.keys)) {
+        free(shares);
+        free(shared.keys);
         return RCM_NO_MEMORY;
+    }
+    for (int64_t t = 0; cut && t < n_trials; t++)
+        shared.keys[t] = INFINITY;
     int started = 1;
     for (int k = 1; k < threads; k++) {
         shares[started].b = &b;
@@ -1080,9 +1174,14 @@ int64_t rcm_run_batch(const uint32_t *entropy, int64_t n_words, int64_t n_trials
         failed |= shares[k].ran < 0;
     }
     free(shares);
-    if (failed)
-        return RCM_NO_MEMORY;
-    return stop_at_escape && b.first_escape < n_trials ? b.first_escape + 1 : n_trials;
+    int64_t rows = n_trials;
+    for (int64_t t = 0; cut && t < n_trials; t++)
+        if (bound_below(&shared, shared.keys[t]) < 0.0) {
+            rows = t + 1;
+            break;
+        }
+    free(shared.keys);
+    return failed ? RCM_NO_MEMORY : rows;
 }
 
 void rcm_free(void *p)

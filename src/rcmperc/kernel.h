@@ -38,7 +38,10 @@ typedef struct {
     double knots[];       /* tabulated: n_knots radii, then n_knots values */
 } rcm_model;
 
-/* A trial's outcome, declared only here: kernel.OUTCOME and ClusterOutcome read it by name. */
+/* A trial's outcome, declared only here: kernel.OUTCOME and ClusterOutcome read it by name.
+ * escape_key is the smallest key at which a point beyond the system size
+ * joined (+inf if none did), cap_key the key being processed when a work
+ * cap fired (+inf if none did). */
 typedef struct {
     _Bool escaped;
     _Bool capped;
@@ -46,20 +49,37 @@ typedef struct {
     int64_t generated_points;
     int64_t steps;
     double max_norm;
+    double escape_key;
+    double cap_key;
 } rcm_outcome;
 
 /* The parameters of a batch of explorations; ball_mean is gamma times the
  * volume of a connection ball, and the n_extras points in `extras` start
- * every run unattached. */
+ * every run unattached. With mark_max > 0 every kept point is marked with
+ * mark_max times a uniform draw; with 0 no mark is drawn and every key is 0. */
 typedef struct {
     int dim;
     double system_size;
     double ball_mean;
+    double mark_max;
     int64_t max_steps;
     int64_t max_generated;
     int64_t n_extras;
     double extras[];
 } rcm_params;
+
+/* What the trials of a cut batch share: keys[t] is trial t's escape key
+ * once it has finished (+inf before that, and when it did not escape), and
+ * version counts the finished trials that escaped. A trial's bound is the
+ * largest of the n_levels ascending `levels` below every key of the
+ * trials before it (-1 if there is none; with NULL levels, the largest
+ * double below them), and the trial pops only keys at most its bound. */
+typedef struct {
+    int64_t version;
+    double *keys;
+    const double *levels;
+    int64_t n_levels;
+} rcm_cutoff;
 
 /* Connection tests as (frontier id, tested id) pairs, grown by the kernel. */
 typedef struct {
@@ -77,10 +97,11 @@ int64_t rcm_grid_query(double radius, int dim, const double *points, const uint8
 int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
                 rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log);
 int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
-                       int64_t *next_trial, int64_t *first_escape,
+                       int64_t *next_trial, rcm_cutoff *cut,
                        const rcm_model *m, const rcm_params *p,
                        rcm_outcome *outs, uint8_t *extras_in);
 int64_t rcm_run_batch(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
-                      int threads, int stop_at_escape, const rcm_model *m,
-                      const rcm_params *p, rcm_outcome *outs, uint8_t *extras_in);
+                      int threads, int cut, const double *levels, int64_t n_levels,
+                      const rcm_model *m, const rcm_params *p, rcm_outcome *outs,
+                      uint8_t *extras_in);
 void rcm_free(void *p);

@@ -15,11 +15,17 @@ Draw order is part of the interface. The intake of a ball is one
 candidate point in order. A placement consumes one standard-normal
 vector (the direction) followed by one uniform (the radius); a candidate
 is rejected when a covered ball centre lies within the ball radius of
-it, and rejection consumes no randomness. Placement runs in the compiled
-kernel (`rcmperc.kernel`), which draws through the Generator's own bit
-generator with the functions numpy's Generator calls
-(`random_standard_normal_fill`, `next_double`, `random_poisson`), so a
-kernel draw and a numpy draw of the same kind consume the same stream.
+it, and rejection consumes no randomness. In a coupled batch, a kept
+candidate then draws its mark, gamma_max times one uniform, before the
+next placement; a rejected candidate draws no mark, and a run at one
+intensity draws none at all. The critical search's batch index is its
+eval key: coupled batch j, at gamma_max = gamma0 * 2^(j/4) from the
+branching bound gamma0, draws trial t from `trial_stream(seed, j, t)`.
+Placement runs in the compiled kernel (`rcmperc.kernel`), which draws
+through the Generator's own bit generator with the functions numpy's
+Generator calls (`random_standard_normal_fill`, `next_double`,
+`random_poisson`), so a kernel draw and a numpy draw of the same kind
+consume the same stream.
 
 Float contract: the direction's length, like every distance and norm on
 the simulation path, is the square root of the squares summed in
@@ -80,8 +86,8 @@ def trial_stream(master_seed: int, eval_index: int, trial_index: int) -> np.rand
     """The stream assigned to one trial of one evaluation.
 
     Standalone commands use eval_index 0; the critical-intensity search
-    numbers its verdict evaluations 0, 1, 2, ... so every trial anywhere
-    in a run has its own independent stream.
+    uses the index j of its coupled batch at gamma_max = gamma0 * 2^(j/4),
+    so every trial anywhere in a run has its own independent stream.
     """
     return stream(master_seed, eval_index, trial_index)
 

@@ -95,3 +95,55 @@ def brute_force_trial(
     escaped = bool((norms[members] > system_size).any())
     probe_in = bool(members[1]) if probe is not None else None
     return escaped, size, probe_in
+
+
+def brute_force_escape_key(
+    gen: np.random.Generator,
+    model: ConnectionModel,
+    dim: int,
+    gamma_max: float,
+    system_size: float,
+) -> float:
+    """One marked full-window realization; returns its escape key gamma*.
+
+    The points of B(0, system_size + radius) at intensity gamma_max each
+    get a mark uniform in [0, gamma_max); the origin's mark is 0. A path's
+    level is the largest mark on it, so gamma* is the smallest level of a
+    path from the origin to a point with norm above system_size: the
+    points with mark <= gamma form the process at intensity gamma, and
+    its origin cluster escapes exactly when gamma >= gamma*. It is found
+    by union-find over the open edges in order of the larger mark of
+    their ends (Kruskal), stopping when the origin's set first holds such
+    a point; +inf when none is ever reached.
+    """
+    sample_radius = system_size + model.radius
+    volume = math.pi ** (dim / 2.0) * sample_radius**dim / math.gamma(dim / 2.0 + 1.0)
+    n = int(gen.poisson(gamma_max * volume))
+    vertices = np.vstack([np.zeros((1, dim)), sample_ball_points(gen, n, dim, sample_radius)])
+    marks = np.concatenate(([0.0], gamma_max * gen.random(n)))
+    m = n + 1
+
+    diff = vertices[:, None, :] - vertices[None, :, :]
+    phi = phi_reference(model, np.sqrt((diff * diff).sum(axis=2)))
+    u, v = np.nonzero(np.triu(gen.random((m, m)) <= phi, k=1))
+    level = np.maximum(marks[u], marks[v])
+    beyond = np.linalg.norm(vertices, axis=1) > system_size
+
+    parent = list(range(m))
+    outside = beyond.tolist()  # per root: whether its set holds a point beyond
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for k in np.argsort(level, kind="stable"):
+        a, b = root(int(u[k])), root(int(v[k]))
+        if a == b:
+            continue
+        parent[b] = a
+        outside[a] = outside[a] or outside[b]
+        if outside[a] and root(0) == a:
+            return float(level[k])
+    return math.inf

@@ -225,6 +225,15 @@ class TestFlagTable:
         defined = {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
         assert sorted(defined - reads) == []
 
+    def test_parser_is_built_once(self, capsys):
+        # the first call builds the parser and every later call reuses it
+        run_ok(capsys, ["bound"])
+        run_ok(capsys, ["bound", "--dim", "3"])
+        assert run_cli(["bound", "--no-such-flag"]) == 1
+        capsys.readouterr()
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser.cache_info().misses == 1
+
 
 class TestExplore:
     def test_zero_gamma_record(self, capsys):
@@ -403,6 +412,15 @@ class TestCritical:
         a = run_ok(capsys, self.ARGS + ["--threads", "1"]).out
         b = run_ok(capsys, self.ARGS + ["--threads", "2"]).out
         assert a == b
+
+    def test_eight_threads_give_the_same_bytes(self, capsys, monkeypatch):
+        # a window where most trials escape, so later trials are cut while
+        # earlier ones still run; 8 cores, so 8 threads really run
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        argv = ["critical", "--dim", "2", "--system-size", "30", "--runs", "300", "--seed", "5",
+                "--refine", "4"]
+        outs = [run_ok(capsys, argv + ["--threads", t]).out for t in ("1", "2", "8")]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_csv_history(self, capsys):
         out = run_ok(capsys, self.ARGS + ["--output", "csv"])

@@ -28,7 +28,7 @@ from rcmperc import exploration
 from rcmperc.exploration import run_trials
 from rcmperc.sampling import trial_entropy
 
-from brute_force import brute_force_trial
+from brute_force import brute_force_escape_key, brute_force_trial
 from support import CountingKernel, as_outcomes, in_bounded_child, majority_rule, two_sample_pvalue
 
 GILBERT = Gilbert(radius=2.0)
@@ -248,9 +248,9 @@ class TestRunTrials:
         assert as_outcomes(batch) == serial
         assert calls == [(4, 61)]
 
-    def test_shared_first_escape_index(self):
+    def test_shared_cutoff(self):
         # seed 6 at this size first escapes at trial 33, and again at 37;
-        # the kernel entry runs here with preset shared counters
+        # the kernel entry runs here with preset shared counters and keys
         params = SimParams(dim=2, gamma=0.3, system_size=60.0)
         serial = [
             explore_cluster(params, GILBERT, trial_stream(6, 0, t)) for t in range(45)
@@ -262,31 +262,34 @@ class TestRunTrials:
         outs = ffi.from_buffer("rcm_outcome[]", outcomes)
         no_extras = ffi.from_buffer("uint8_t[]", joined)
         next_trial = ffi.new("int64_t *")
-        first_escape = ffi.new("int64_t *")
+        keys = ffi.new("double[]", [math.inf] * 45)
+        cut = ffi.new("rcm_cutoff *", {"version": 0, "keys": keys})
 
-        def run(start: int, index: int) -> int:
+        def run(start: int) -> int:
             next_trial[0] = start
-            first_escape[0] = index
-            return lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, first_escape,
+            return lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, cut,
                                       model, c_params, outs, no_extras)
 
         def matches(start: int, end: int) -> bool:
             return as_outcomes((outcomes[start:end], joined[start:end])) == serial[start:end]
 
-        # no trial above a preset index starts, and its slot stays empty
-        assert run(20, 32) == 13
-        assert matches(20, 33)
-        assert first_escape[0] == 32 and outcomes["steps"][33] == 0
-        # an escaping trial lowers the index; the trials after it do not start
-        assert run(30, 45) == 4
+        # a finished earlier trial that escaped at key 0 cuts every later
+        # one before its first pop, so the call takes no trial
+        keys[19] = 0.0
+        cut.version = 1
+        assert run(20) == 0 and outcomes["steps"][20] == 0
+        keys[19] = math.inf
+        # an escaping trial publishes key 0 and the trials after it do not start
+        assert run(30) == 4
         assert matches(30, 34)
-        assert first_escape[0] == 33 and outcomes["steps"][34] == 0
+        assert list(keys[30:35]) == [math.inf] * 3 + [0.0, math.inf]
+        assert cut.version == 2 and outcomes["steps"][34] == 0
         # earlier trials still run in full, later ones not at all
-        assert run(0, 33) == 34
+        assert run(0) == 34
         assert matches(0, 34)
-        assert run(34, 33) == 0
-        assert first_escape[0] == 33 and outcomes["steps"][34] == 0
-        # without an index every trial runs, escaping or not, until the
+        assert run(34) == 0
+        assert outcomes["steps"][34] == 0
+        # without a cutoff every trial runs, escaping or not, until the
         # counter passes the batch
         next_trial[0] = 45
         assert lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, ffi.NULL,
@@ -295,6 +298,72 @@ class TestRunTrials:
         assert lib.rcm_run_trials(entropy, len(entropy), 45, next_trial, ffi.NULL,
                                   model, c_params, outs, no_extras) == 45
         assert matches(0, 45)
+
+    def test_marked_trial_is_exact_below_its_cutoff(self):
+        # a coupled trial cut at C pops only keys below C: above its escape
+        # key it is the uncut trial, at or below it it stops short with an
+        # escape key of at least C
+        params = SimParams(dim=2, gamma=0.6, system_size=30.0)
+        entropy = trial_entropy(3, 0)
+        ffi, lib = exploration.ffi, exploration.lib
+        model, c_params = exploration._kernel_args(params, GILBERT, marked=True)
+        outcomes, joined = exploration._batch_arrays(6, 0)
+        next_trial = ffi.new("int64_t *")
+        keys = ffi.new("double[]", [math.inf] * 6)
+
+        def trial_5(cutoff: float) -> tuple:
+            next_trial[0] = 5
+            keys[4] = cutoff
+            cut = ffi.new("rcm_cutoff *", {"version": 1, "keys": keys})
+            assert lib.rcm_run_trials(entropy, len(entropy), 6, next_trial, cut, model,
+                                      c_params, ffi.from_buffer("rcm_outcome[]", outcomes),
+                                      ffi.from_buffer("uint8_t[]", joined)) == 1
+            return outcomes[5].item()
+
+        uncut = trial_5(math.inf)
+        names = outcomes.dtype.names
+        escape = uncut[names.index("escape_key")]
+        steps = names.index("steps")
+        assert 0.0 < escape < 0.6 and uncut[steps] > 10
+        for above in (np.nextafter(escape, 1.0), escape * 1.01, 0.6):
+            assert trial_5(above) == uncut
+        for below in (escape, escape * 0.99, escape * 0.5):
+            out = trial_5(below)
+            assert out[names.index("escape_key")] >= below
+            assert out[steps] < uncut[steps]
+            assert out[names.index("cap_key")] == math.inf
+
+    def test_marked_trial_stops_at_the_level_below_its_cutoff(self):
+        # with levels, a trial cut at C pops only keys up to the largest
+        # level below C, as the same trial cut just above that level does
+        # without levels; with no level below C it takes no trial
+        params = SimParams(dim=2, gamma=0.6, system_size=30.0)
+        entropy = trial_entropy(3, 0)
+        ffi, lib = exploration.ffi, exploration.lib
+        model, c_params = exploration._kernel_args(params, GILBERT, marked=True)
+        outcomes, joined = exploration._batch_arrays(6, 0)
+        next_trial = ffi.new("int64_t *")
+        keys = ffi.new("double[]", [math.inf] * 6)
+
+        def trial_5(cutoff: float, levels: list[float] | None) -> tuple | None:
+            next_trial[0] = 5
+            keys[4] = cutoff
+            c_levels = ffi.new("double[]", levels) if levels else ffi.NULL
+            cut = ffi.new("rcm_cutoff *", {"version": 1, "keys": keys, "levels": c_levels,
+                                           "n_levels": len(levels or ())})
+            ran = lib.rcm_run_trials(entropy, len(entropy), 6, next_trial, cut, model,
+                                     c_params, ffi.from_buffer("rcm_outcome[]", outcomes),
+                                     ffi.from_buffer("uint8_t[]", joined))
+            return outcomes[5].item() if ran == 1 else None
+
+        escape = trial_5(math.inf, None)[outcomes.dtype.names.index("escape_key")]
+        assert 0.2 < escape < 0.5
+        levels = [0.1, escape * 0.98, escape * 1.02, 0.5]
+        for cutoff, bound in ((math.inf, 0.5), (0.7, 0.5), (0.5, escape * 1.02),
+                              (escape * 1.02, escape * 0.98), (escape, escape * 0.98),
+                              (escape * 0.98, 0.1)):
+            assert trial_5(cutoff, levels) == trial_5(np.nextafter(bound, 1.0), None)
+        assert trial_5(0.1, levels) is None and trial_5(0.05, levels) is None
 
     def test_serial_batch_starts_no_trial_past_its_first_escape(self, monkeypatch):
         calls: list[tuple[int, int]] = []
@@ -428,6 +497,30 @@ class TestOracleAgreement:
             return two_sample_pvalue(fast, slow) > 0.01
 
         majority_rule(check, primary_seed=31, retry_seeds=(32, 33, 34))
+
+    @pytest.mark.parametrize(
+        "model, gamma_max",
+        [(GILBERT, 0.3), (PenetrableSphere(radius=2.0, prob=0.5), 0.6)],
+        ids=["gilbert", "penetrable"],
+    )
+    def test_escape_key_law_matches_marked_brute_force(self, model, gamma_max):
+        # coupled trials vs the marked full-window oracle at d=2, L=6: the
+        # escape keys, in 20 classes of width gamma_max / 20 with no escape
+        # as its own class, must pass the two-sample test at the 1% level
+        params = SimParams(dim=2, gamma=gamma_max, system_size=6.0)
+
+        def classes(keys) -> list[int]:
+            return [-1 if math.isinf(k) else int(20.0 * k / gamma_max) for k in keys]
+
+        def check(seed: int) -> bool:
+            n = 5_000
+            outcomes, _ = run_trials(params, model, seed, 0, n, marked=True)
+            assert not outcomes["capped"].any()
+            gen = np.random.default_rng(seed + 1)
+            slow = [brute_force_escape_key(gen, model, 2, gamma_max, 6.0) for _ in range(n)]
+            return two_sample_pvalue(classes(outcomes["escape_key"]), classes(slow)) > 0.01
+
+        majority_rule(check, primary_seed=35, retry_seeds=(36, 37, 38))
 
 
 class TestWilsonInterval:

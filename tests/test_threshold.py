@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
 from rcmperc import (
@@ -15,7 +17,7 @@ from rcmperc import (
     threshold,
 )
 
-from support import assert_bracket_invariants
+from support import assert_bracket_invariants, majority_rule
 
 GILBERT = Gilbert(radius=2.0)
 
@@ -95,6 +97,94 @@ class TestPercolationVerdict:
             "gamma": 0.0, "runs": 5, "escapes": 0, "capped_runs": 0,
             "contained": 5, "percolates": False,
         }
+
+
+class TestCoupledBatch:
+    def test_escape_frequencies_match_independent_batches(self):
+        # one full-runs coupled batch at gamma_max 0.32 read at three
+        # intensities vs independent full-runs verdicts there: each pair
+        # of escape counts must agree within binomial error at the 1% level
+        n = 4_000
+        params = params2(20.0)
+
+        def check(seed: int) -> bool:
+            escape, _ = threshold.coupled_batch(params, GILBERT, 0.32, n, seed, full_runs=True)
+            assert len(escape) == n
+            for key, gamma in enumerate((0.24, 0.27, 0.3), start=1):
+                v = percolation_verdict(params, GILBERT, gamma, runs=n, master_seed=seed,
+                                        eval_key=key, full_runs=True)
+                assert v.runs == n and v.capped_runs == 0
+                p1, p2 = float((escape <= gamma).mean()), v.escapes / n
+                pooled = (p1 + p2) / 2.0
+                if abs(p1 - p2) > 2.576 * math.sqrt(2.0 * pooled * (1.0 - pooled) / n):
+                    return False
+            return True
+
+        majority_rule(check, primary_seed=51, retry_seeds=(52, 53, 54))
+
+    def test_verdict_reads_escape_and_cap_keys(self):
+        # a trial escapes at gamma from its escape key on, and is capped
+        # (not contained) from its cap key on; early exit ends at the
+        # first trial that escapes at gamma
+        escape = np.array([math.inf, 0.3, 0.2, math.inf])
+        cap = np.array([0.25, 0.35, math.inf, math.inf])
+        counts = {
+            (gamma, full): (v.runs, v.escapes, v.capped_runs, v.contained, v.percolates)
+            for gamma in (0.1, 0.2, 0.25, 0.3, 0.35) for full in (False, True)
+            for v in [threshold._verdict(escape, cap, gamma, full)]
+        }
+        assert counts == {
+            (0.1, False): (4, 0, 0, 4, False), (0.1, True): (4, 0, 0, 4, False),
+            (0.2, False): (3, 1, 0, 2, True), (0.2, True): (4, 1, 0, 3, True),
+            (0.25, False): (3, 1, 1, 1, True), (0.25, True): (4, 1, 1, 2, True),
+            (0.3, False): (2, 1, 1, 0, True), (0.3, True): (4, 2, 1, 1, True),
+            (0.35, False): (2, 1, 2, 0, True), (0.35, True): (4, 2, 2, 1, True),
+        }
+
+    @pytest.mark.parametrize("levels", [None, np.linspace(0.2, 0.6, 9)])
+    @pytest.mark.parametrize("full_runs", [False, True])
+    def test_keys_identical_for_any_thread_count(self, monkeypatch, full_runs, levels):
+        # at gamma_max 0.6 nearly every trial escapes, so early escapes cut
+        # the later trials at keys that depend on which have finished; the
+        # censored keys must not
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        params = params2(25.0)
+        batches = [threshold.coupled_batch(params, GILBERT, 0.6, 301, 9, workers=w,
+                                           full_runs=full_runs, levels=levels)
+                   for w in (1, 2, 8)]
+        for escape, cap in batches[1:]:
+            assert escape.tobytes() == batches[0][0].tobytes()
+            assert cap.tobytes() == batches[0][1].tobytes()
+        escape = batches[0][0]
+        assert np.isfinite(escape).sum() > (10 if full_runs else 1)
+        if not full_runs:
+            # only keys below the prefix minimum survive: they fall
+            # strictly, rounded up to the levels if there are any
+            finite = escape[np.isfinite(escape)]
+            if levels is not None:
+                finite = levels[np.searchsorted(levels, finite)]
+            assert (np.diff(finite) < 0).all()
+
+    def test_levels_answer_their_verdicts_as_an_uncut_batch(self):
+        # cut at its levels, a batch gives the verdict of a full-runs batch
+        # at every level, as early exit reads it
+        params = params2(25.0)
+        levels = np.linspace(0.2, 0.6, 9)
+        full = threshold.coupled_batch(params, GILBERT, 0.6, 301, 9, full_runs=True)
+        cut = threshold.coupled_batch(params, GILBERT, 0.6, 301, 9, levels=levels)
+        for gamma in levels:
+            assert threshold._verdict(*cut, gamma, False) == threshold._verdict(*full, gamma,
+                                                                                 False)
+
+    def test_point_cap_counts_draws_at_gamma_max(self):
+        # a coupled trial draws its candidates at gamma_max, so the point
+        # cap fires at a key <= gamma in far more trials than in a batch at
+        # gamma: here gamma_max is twice gamma
+        params = params2(25.0, max_generated_points=40)
+        at_gamma = percolation_verdict(params, GILBERT, 0.15, 400, 1, full_runs=True)
+        coupled = threshold._verdict(
+            *threshold.coupled_batch(params, GILBERT, 0.3, 400, 1, full_runs=True), 0.15, True)
+        assert (at_gamma.capped_runs, coupled.capped_runs) == (23, 68)
 
 
 class TestEstimateCritical:
@@ -186,18 +276,28 @@ class TestEstimateCritical:
             max_generated_points=500,
         )
         calls = []
-        verdict = threshold.percolation_verdict
+        batch = threshold.coupled_batch
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return verdict(*args, **kwargs)
+            return batch(*args, **kwargs)
 
-        monkeypatch.setattr(threshold, "percolation_verdict", counted)
+        monkeypatch.setattr(threshold, "coupled_batch", counted)
         with pytest.raises(RuntimeError, match="no percolation after") as exc:
             estimate_critical(params, GILBERT, runs=2, master_seed=18)
         assert calls == []
         for cause in ("after 3 steps", "range 2.0", "system size 6.5"):
             assert cause in str(exc.value)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_levels_change_no_verdict(self, monkeypatch, workers):
+        # the levels only stop trials sooner: without them every verdict,
+        # and so the whole estimate, is the same
+        kw = dict(runs=150, master_seed=21, refinements=4, workers=workers)
+        with_levels = estimate_critical(params2(25.0), GILBERT, **kw)
+        assert len(with_levels.history) > 8
+        monkeypatch.setattr(threshold, "_plan_levels", lambda *args: None)
+        assert estimate_critical(params2(25.0), GILBERT, **kw) == with_levels
 
     def test_worker_count_invisible(self):
         a = estimate_critical(params2(15.0), GILBERT, runs=40, master_seed=19, workers=1)
@@ -267,21 +367,62 @@ class TestBracketPlan:
         assert ramp[-2] <= lower < upper <= ramp[-1]
         assert upper - lower == pytest.approx(width, rel=1e-12)
 
-    def test_every_verdict_goes_through_the_module_global(self, monkeypatch):
-        # tracing wraps threshold.percolation_verdict, so estimate_critical
-        # must look it up at call time for every verdict it runs
+    @pytest.mark.parametrize("ramp_factor,refinements",
+                             [(1.1, 0), (1.1, 2), (1.1, 4), (1.5, 3), (1.03, 5), (3.0, 6)])
+    def test_levels_hold_every_intensity_the_plan_asks(self, ramp_factor, refinements):
+        # whatever the answers, every intensity the plan yields is, to the
+        # bit, a level of its band (gamma0 * 2^((j-1)/4), gamma0 * 2^(j/4)]
+        gamma0 = branching_bound(GILBERT, 2)
+        bands = {}
+        rng = np.random.default_rng(refinements)
+        for ramp_steps in range(40):
+            answers = [False] * ramp_steps + [True] + list(rng.random(refinements) < 0.5)
+            asked, _ = drive_plan(answers, gamma0, ramp_factor, refinements)
+            for gamma, _ in asked:
+                j = next(j for j in range(1000) if gamma <= gamma0 * threshold._SPAN**j)
+                if j not in bands:
+                    high = gamma0 * threshold._SPAN**j
+                    low = gamma0 * threshold._SPAN**(j - 1) if j else -math.inf
+                    bands[j] = threshold._plan_levels(gamma0, ramp_factor, refinements,
+                                                      low, high)
+                levels = bands[j]
+                assert levels[np.searchsorted(levels, gamma)] == gamma
+        for j, levels in bands.items():
+            assert (np.diff(levels) > 0).all()
+            assert levels[-1] <= gamma0 * threshold._SPAN**j
+            assert j == 0 or levels[0] > gamma0 * threshold._SPAN**(j - 1)
+
+    def test_levels_give_way_past_their_limit(self):
+        # eight ramp brackets reach (gamma0, 2 gamma0]: 2^13 levels each fit
+        # in the limit, 2^14 do not, and the search then cuts without levels
+        gamma0 = branching_bound(GILBERT, 2)
+        assert len(threshold._plan_levels(gamma0, 1.1, 13, gamma0, 2 * gamma0)) > 50_000
+        assert threshold._plan_levels(gamma0, 1.1, 14, gamma0, 2 * gamma0) is None
+
+    def test_every_batch_goes_through_the_module_global(self, monkeypatch):
+        # estimate_critical looks coupled_batch up at call time, runs batch
+        # j (key j, gamma_max = gamma0 * 2^(j/4)) once, the first time a verdict
+        # needs it, and answers each gamma from the smallest j covering it
         calls = []
 
-        def scripted(params, model, gamma, runs, master_seed, eval_key=0, workers=1,
-                     full_runs=False):
-            calls.append((gamma, eval_key))
-            return threshold.PercolationVerdict(
-                gamma=gamma, runs=runs, escapes=int(gamma > 0.5), capped_runs=0,
-                contained=runs - int(gamma > 0.5), percolates=gamma > 0.5)
+        def scripted(params, model, gamma_max, runs, master_seed, eval_key=0, workers=1,
+                     full_runs=False, levels=None):
+            calls.append((gamma_max, eval_key))
+            escape = np.full(runs, np.inf)
+            escape[3] = 0.5
+            return escape, np.full(runs, np.inf)
 
-        monkeypatch.setattr(threshold, "percolation_verdict", scripted)
+        monkeypatch.setattr(threshold, "coupled_batch", scripted)
         est = estimate_critical(params2(20.0), GILBERT, runs=7, master_seed=1, refinements=3)
-        assert calls == [(v.gamma, e) for e, v in enumerate(est.history)]
-        assert len(calls) == len(est.history) > 3
-        assert est.lower <= 0.5 < est.upper
+        gamma0 = branching_bound(GILBERT, 2)
+        used = []
+        for v in est.history:
+            j = next(j for j in range(64) if v.gamma <= gamma0 * threshold._SPAN**j)
+            if j not in used:
+                used.append(j)
+            assert (v.runs, v.escapes, v.percolates) == ((4, 1, True) if v.gamma >= 0.5
+                                                         else (7, 0, False))
+        assert calls == [(gamma0 * threshold._SPAN**j, j) for j in used]
+        assert used == list(range(len(used))) and len(calls) < len(est.history)
+        assert est.lower < 0.5 <= est.upper
         assert_bracket_invariants(est)
