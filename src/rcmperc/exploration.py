@@ -49,7 +49,7 @@ first), so keys never fall from pop to pop, and the first key a point
 gets is final: no later adopter could give it a smaller one. The
 cluster at intensity gamma is then the set of points with key <= gamma.
 
-A run ends in one of four ways. Containment: the frontier empties.
+A run ends in one of five ways. Containment: the frontier empties.
 Escape: a point with norm greater than the system size joins; the
 smallest key of such a point is the run's escape key gamma*, the least
 intensity at which its cluster escapes. It is settled, and the run
@@ -60,17 +60,25 @@ the point joins. Cut: the next key to pop passes the trial's bound
 is hit first; the cap key is the key being processed (or, for the step
 cap, the next to pop) when it fired, and the run counts as contained
 only at intensities below it. Capped runs are flagged and must not be
-read as containment. A coupled run counts its work at gamma_max: the
-points it processes up to a key gamma are the cluster at gamma, so the
-step cap means what it means at gamma, but its candidates are drawn at
-gamma_max, up to gamma_max / gamma times as many as a run at gamma draws
-for the same cluster, so max_generated_points is reached sooner.
+read as containment. Probe stop: in a batch run with `stop_joined`
+(`estimate_pair_connectedness`), a run with extra points ends right
+after step (a) of the step in which the last of them joins, since
+nothing after that can change whether they joined; extras join only in
+step (a), and a run without extras never stops this way. Its
+cluster_size and steps are then partial, and it reports an escape or a
+cap only if one came first. A coupled run counts its work at gamma_max:
+the points it processes up to a key gamma are the cluster at gamma, so
+the step cap means what it means at gamma, but its candidates are drawn
+at gamma_max, up to gamma_max / gamma times as many as a run at gamma
+draws for the same cluster, so max_generated_points is reached sooner.
 
 Batches of trials go through `run_trials`, which returns the kernel's
 own arrays. Results never depend on the worker count: the kernel
 derives trial t's stream, the keyed stream (seed, key, t) of
-`trial_stream`, and writes trial t's record and flags to row t. A batch
-is one kernel call, `rcm_run_batch`, which starts its helper threads in
+`trial_stream`, and writes trial t's record and flags to row t. Each
+thread hashes the entropy words its trials share into the SeedSequence
+once, and finishes each trial's seed with the words of t. A batch is
+one kernel call, `rcm_run_batch`, which starts its helper threads in
 C and joins them before it returns; every thread, the calling one
 included, takes trials one at a time from a counter shared by the
 batch. Each thread sets up one workspace (the grid, the frontier and
@@ -171,8 +179,10 @@ class ClusterOutcome:
 
     cluster_size counts every point known to belong to the cluster when
     the run ended (saturated plus still-unprocessed frontier), so it is a
-    partial count for escaped or capped runs. generated_points counts
-    points kept after thinning; steps counts processed frontier points.
+    partial count for escaped or capped runs, and for runs ended by the
+    probe stop once their extras joined. generated_points counts points
+    kept after thinning; steps counts processed frontier points, and is
+    partial where cluster_size is.
     extras_in_cluster flags, per SimParams.extra_points entry, whether
     that point had joined the cluster by the end of the run. The kernel
     reports the other fields in one `rcm_outcome` record (kernel.h).
@@ -212,9 +222,11 @@ def explore_cluster(
 _CAP_LIMIT = 1 << 61
 
 
-def _kernel_args(params: SimParams, model: ConnectionModel, marked: bool = False):
+def _kernel_args(params: SimParams, model: ConnectionModel, marked: bool = False,
+                 stop_joined: bool = False):
     """The kernel's `rcm_model *` and `rcm_params *` for runs of params under model;
-    marked runs mark every kept point with params.gamma times a uniform draw."""
+    marked runs mark every kept point with params.gamma times a uniform draw,
+    and with stop_joined a run with extra points ends once they have all joined."""
     radius = model.radius
     if params.system_size <= radius:
         raise ValueError(
@@ -222,6 +234,7 @@ def _kernel_args(params: SimParams, model: ConnectionModel, marked: bool = False
         )
     c_params = ffi.new("rcm_params *", {
         "dim": params.dim,
+        "stop_joined": stop_joined,
         "system_size": params.system_size,
         "ball_mean": params.gamma * ball_volume(params.dim, radius),
         "mark_max": params.gamma if marked else 0.0,
@@ -281,6 +294,7 @@ def run_trials(
     stop_at_escape: bool = False,
     marked: bool = False,
     levels: np.ndarray | None = None,
+    stop_joined: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(outcomes, joined) of trials 0..n-1; trial t draws from (seed, key, t).
 
@@ -291,16 +305,22 @@ def run_trials(
     only keys below the smallest escape key of the trials before it that
     have finished, and with ascending `levels` only keys up to the largest
     level below it. Both arrays end at the first trial after which no
-    trial pops: at a fixed intensity the first escaping trial. The batch
-    is one kernel call, `rcm_run_batch`, in as many threads as the smaller of workers and the machine's
-    cores: the kernel starts the helper threads, runs a share in this
-    one and joins them before it returns. The threads take the trials
-    from one shared counter and derive each trial's stream in C.
+    trial pops: at a fixed intensity the first escaping trial. With
+    stop_joined a trial with extra points ends once every one of them has
+    joined (the probe stop in this module's docstring): its joined flags
+    are those of a full run, but its record stops there, so cluster_size
+    and steps are partial, and it escaped or capped only if that came
+    first. A trial with an extra still out runs as it would without it.
+    The batch is one kernel call, `rcm_run_batch`, in as many threads as
+    the smaller of workers and the machine's cores: the kernel starts the
+    helper threads, runs a share in this one and joins them before it
+    returns. The threads take the trials from one shared counter and
+    derive each trial's stream in C.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     entropy = trial_entropy(master_seed, eval_key)
-    m, c_params = _kernel_args(params, model, marked)
+    m, c_params = _kernel_args(params, model, marked, stop_joined)
     outcomes, joined = _batch_arrays(n, len(params.extra_points))
     if levels is None:
         c_levels, n_levels = ffi.NULL, 0
@@ -367,9 +387,12 @@ def estimate_pair_connectedness(
     """Estimate the probability that the origin connects to a point at distance r.
 
     The probe starts in the unattached pool like any generated point and
-    is resolved the moment it joins the cluster; a trial whose exploration
-    ends (escape or cap) with the probe still unattached cannot decide it
-    and is excluded from the denominator.
+    is resolved the moment it joins the cluster; the trial then ends
+    (`run_trials(..., stop_joined=True)`), so its cluster_size and steps
+    are partial, but whatever it would have done next, it counts as a
+    positive. A trial whose exploration ends (escape or cap) with the
+    probe still unattached cannot decide it and is excluded from the
+    denominator.
     """
     if not (0.0 < r < 2.0 * params.system_size):
         raise ValueError(
@@ -379,7 +402,8 @@ def estimate_pair_connectedness(
         raise ValueError(f"trial count must be positive, got {trials}")
     probe = (r,) + (0.0,) * (params.dim - 1)
     outcomes, joined = run_trials(
-        replace(params, extra_points=(probe,)), model, master_seed, eval_key, trials, workers
+        replace(params, extra_points=(probe,)), model, master_seed, eval_key, trials, workers,
+        stop_joined=True,
     )
     # a joined probe is positive even in a capped or escaped trial
     positive = joined[:, 0]

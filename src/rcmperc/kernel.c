@@ -9,9 +9,15 @@
  * exactly the result of the rules as stated there. A batch's trial
  * streams are derived here, with numpy's SeedSequence and PCG64 seeding
  * ported below, so trial t draws what sampling.trial_stream's Generator
- * would. Distances and norms
- * are the square root of the squares summed in coordinate order; the
- * file must be compiled without floating-point contraction
+ * would. The SeedSequence comes in two halves: what the entropy words
+ * every trial of a batch shares (sampling.trial_entropy, 3 to 5 of them)
+ * fix of its pool is worked out once per rcm_run_trials call, and each
+ * trial finishes it with the one or two words of t, completing the pool
+ * and its cross-mix when fewer than four words were shared.
+ * rcm_seed_sequence is the same two halves with nothing to finish, so
+ * numpy's reference vectors check the one implementation. Distances and
+ * norms are the square root of the squares summed in coordinate order;
+ * the file must be compiled without floating-point contraction
  * (-ffp-contract=off) and without -ffast-math.
  *
  * kernel.h declares the interface: states, kinds, status codes, records
@@ -131,40 +137,94 @@ static uint32_t mix(uint32_t x, uint32_t y)
     return r ^ (r >> 16);
 }
 
+/* What a SeedSequence's words up to some point fix of its pool. numpy
+ * fills the pool with the first SS_POOL words, cross-mixes it (every
+ * word mixed into every other, by rows of source words), then mixes each
+ * later word into every pool word. The hash constant steps the same way
+ * whatever the words are, so with only `filled` words known the rows of
+ * the cross-mix from those words are done here too: mixes into the known
+ * words in full, mixes into the others as the values mixed[src][dst] that
+ * they take in. h is the hash constant from there on, h_fill the one for
+ * the next pool word. */
+typedef struct {
+    uint32_t pool[SS_POOL], h, h_fill;
+    int filled;
+    uint32_t mixed[SS_POOL][SS_POOL];
+} seed_prefix;
+
+/* The part of a SeedSequence whose entropy starts with the n words that
+ * does not depend on the words after them. */
+static seed_prefix seed_prefix_of(const uint32_t *words, int64_t n)
+{
+    seed_prefix p = {.h = SS_INIT_A, .filled = n < SS_POOL ? (int)n : SS_POOL};
+    for (int i = 0; i < p.filled; i++)
+        p.pool[i] = hashmix(words[i], &p.h);
+    p.h_fill = p.h;
+    for (int i = p.filled; i < SS_POOL; i++)
+        p.h *= SS_MULT_A;
+    for (int src = 0; src < p.filled; src++)
+        for (int dst = 0; dst < SS_POOL; dst++) {
+            if (dst == src)
+                continue;
+            uint32_t k = hashmix(p.pool[src], &p.h);
+            if (dst < p.filled)
+                p.pool[dst] = mix(p.pool[dst], k);
+            else
+                p.mixed[src][dst] = k;
+        }
+    for (int64_t i = SS_POOL; i < n; i++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            p.pool[dst] = mix(p.pool[dst], hashmix(words[i], &p.h));
+    return p;
+}
+
+/* generate_state(4, np.uint64) of the SeedSequence whose entropy is p's
+ * words followed by the m words in `more`, into state. A pool short of
+ * SS_POOL words is completed with zeros, as numpy pads short entropy. */
+static void seed_finish(const seed_prefix *p, const uint32_t *more, int64_t m, uint64_t *state)
+{
+    uint32_t pool[SS_POOL], h = p->h, h_fill = p->h_fill;
+    int64_t i = 0;
+    memcpy(pool, p->pool, sizeof pool);
+    for (int dst = p->filled; dst < SS_POOL; dst++) {
+        pool[dst] = hashmix(i < m ? more[i++] : 0, &h_fill);
+        for (int src = 0; src < p->filled; src++)
+            pool[dst] = mix(pool[dst], p->mixed[src][dst]);
+    }
+    /* the rows of the cross-mix from the words filled here */
+    for (int src = p->filled; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (dst != src)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+    for (; i < m; i++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(more[i], &h));
+    /* eight 32-bit words cycling over the pool, paired low word first */
+    h = SS_INIT_B;
+    for (int k = 0; k < 8; k++) {
+        uint32_t v = pool[k % SS_POOL] ^ h;
+        h *= SS_MULT_B;
+        v *= h;
+        v ^= v >> 16;
+        if (k % 2 == 0)
+            state[k / 2] = v;
+        else
+            state[k / 2] |= (uint64_t)v << 32;
+    }
+}
+
 /* SeedSequence(entropy).generate_state(4, np.uint64) into state, for the
  * n_words 32-bit entropy words as numpy coerces them. */
 void rcm_seed_sequence(const uint32_t *entropy, int64_t n_words, uint64_t *state)
 {
-    uint32_t pool[SS_POOL], h = SS_INIT_A;
-    for (int i = 0; i < SS_POOL; i++)
-        pool[i] = hashmix(i < n_words ? entropy[i] : 0, &h);
-    for (int src = 0; src < SS_POOL; src++)
-        for (int dst = 0; dst < SS_POOL; dst++)
-            if (src != dst)
-                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
-    for (int64_t src = SS_POOL; src < n_words; src++)
-        for (int dst = 0; dst < SS_POOL; dst++)
-            pool[dst] = mix(pool[dst], hashmix(entropy[src], &h));
-    /* eight 32-bit words cycling over the pool, paired low word first */
-    h = SS_INIT_B;
-    for (int i = 0; i < 8; i++) {
-        uint32_t v = pool[i % SS_POOL] ^ h;
-        h *= SS_MULT_B;
-        v *= h;
-        v ^= v >> 16;
-        if (i % 2 == 0)
-            state[i / 2] = v;
-        else
-            state[i / 2] |= (uint64_t)v << 32;
-    }
+    seed_prefix p = seed_prefix_of(entropy, n_words);
+    seed_finish(&p, NULL, 0, state);
 }
 
-/* Seeds s as np.random.PCG64(np.random.SeedSequence(entropy)) and returns
- * its bit generator, valid while s lives. */
-bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_words)
+/* Seeds s as np.random.PCG64 seeded with the four words w of a
+ * SeedSequence's state, and returns its bit generator, valid while s lives. */
+static bitgen_t *stream_seed_state(rcm_stream *s, const uint64_t *w)
 {
-    uint64_t w[4];
-    rcm_seed_sequence(entropy, n_words, w);
     pcg64 *g = &s->pcg;
     /* srandom: the first two words make the state, high word first, and
      * the last two the stream, whose increment is 2 * seq + 1 */
@@ -177,6 +237,15 @@ bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_word
     g->uinteger = 0;
     s->bitgen = (bitgen_t){g, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
     return &s->bitgen;
+}
+
+/* Seeds s as np.random.PCG64(np.random.SeedSequence(entropy)) and returns
+ * its bit generator, valid while s lives. */
+bitgen_t *rcm_stream_seed(rcm_stream *s, const uint32_t *entropy, int64_t n_words)
+{
+    uint64_t w[4];
+    rcm_seed_sequence(entropy, n_words, w);
+    return stream_seed_state(s, w);
 }
 
 /* ------------------------------------------------------------------ */
@@ -766,6 +835,8 @@ typedef struct {
     double system_size;
     double max_norm;
     double escape_key;      /* the smallest key of a point that joined beyond the system size */
+    int64_t n_extras;       /* points 1..n_extras are the extras */
+    int64_t extras_out;     /* the extras not yet joined */
 } explorer;
 
 static void explorer_free(explorer *e)
@@ -783,6 +854,7 @@ static int explorer_init(explorer *e, const rcm_model *m, const rcm_params *p)
         return RCM_NO_MEMORY;
     e->g.marked = p->mark_max > 0.0;
     e->system_size = p->system_size;
+    e->n_extras = p->n_extras;
     e->x = malloc((size_t)p->dim * sizeof(double));
     if (!e->x) {
         explorer_free(e);
@@ -799,6 +871,7 @@ static void explorer_reset(explorer *e)
     e->heap_n = 0;
     e->max_norm = 0.0;
     e->escape_key = INFINITY;
+    e->extras_out = e->n_extras;
 }
 
 static int heap_before(const heap_entry *a, const heap_entry *b)
@@ -854,12 +927,14 @@ static heap_entry heap_pop(explorer *e)
 
 /* Moves point j, adopted by the frontier point whose entry is x, into the
  * cluster and the frontier. Its key is the larger of x's key and its mark,
- * final in Prim order; escape is recorded here. */
+ * final in Prim order; escape and joined extras are recorded here. */
 static int adopt(explorer *e, int64_t j, const heap_entry *x)
 {
     double r = norm_of(e->g.coords + j * e->g.dim, e->g.dim);
     double key = e->g.marked ? fmax(x->key, e->g.mark[j]) : x->key;
     grid_move(&e->g, j, RCM_CLUSTER);
+    if (j <= e->n_extras)
+        e->extras_out--;
     if (r > e->max_norm)
         e->max_norm = r;
     if (r > e->system_size && key < e->escape_key)
@@ -928,9 +1003,11 @@ static double pop_bound(trial_cutoff *c)
 /* The one exploration loop: empties e, then explores the origin's
  * cluster in Prim order, drawing from bg. It stops when the escape key is
  * settled (no key left to pop lies below it), when the next key passes
- * the trial's bound (NULL cut: none), when the frontier empties or when a
- * work cap fires. extras_in (room for n_extras) receives whether each
- * extra point joined, and a non-NULL log every connection test. Returns
+ * the trial's bound (NULL cut: none), when the frontier empties, when a
+ * work cap fires or, with p->stop_joined, after step (a) of the step in
+ * which the last extra point joined. extras_in (room for n_extras)
+ * receives whether each extra point joined, and a non-NULL log every
+ * connection test. Returns
  * RCM_OK or RCM_NO_MEMORY. */
 static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_params *p,
                    trial_cutoff *cut, rcm_outcome *out, uint8_t *extras_in, rcm_pair_log *log)
@@ -978,6 +1055,9 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
                 return RCM_NO_MEMORY;
         }
         if (e->escape_key <= at.key)
+            break;
+        /* extras join only here, in step (a), never as new points */
+        if (p->stop_joined && e->n_extras > 0 && e->extras_out == 0)
             break;
 
         /* (b) the Poisson intake of the ball, clamped to the remaining
@@ -1051,10 +1131,12 @@ int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
  * One thread's share of a batch of n_trials explorations; rcm_run_batch
  * makes one such call per thread. Trial t draws from the stream seeded by
  * the n_words entropy words followed by the words of t (one, or two from
- * 2^32 on), and its results go to outs[t] and to extras_in from
- * t * n_extras. Every call of a batch may run at once in its own thread:
- * each takes the next trial from the shared counter *next_trial until the
- * counter passes n_trials. With a non-NULL cut, trial t pops only keys at
+ * 2^32 on); the call works out the entropy words' part of the seed once
+ * and finishes each trial's seed with the words of t. Its results go to
+ * outs[t] and to extras_in from t * n_extras. Every call of a batch may
+ * run at once in its own thread: each takes the next trial from the
+ * shared counter *next_trial until the counter passes n_trials. With a
+ * non-NULL cut, trial t pops only keys at
  * most its bound, from the escape keys of the trials s < t that have
  * finished (see rcm_cutoff), re-read at every pop; a finished trial
  * publishes its escape key in cut->keys[t]. A bound below 0 cuts a trial
@@ -1068,27 +1150,22 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
                        const rcm_model *m, const rcm_params *p,
                        rcm_outcome *outs, uint8_t *extras_in)
 {
-    uint32_t *words = malloc(((size_t)n_words + 2) * sizeof(uint32_t));
-    if (!words)
-        return RCM_NO_MEMORY;
     explorer e;
-    if (explorer_init(&e, m, p) != RCM_OK) {
-        free(words);
+    if (explorer_init(&e, m, p) != RCM_OK)
         return RCM_NO_MEMORY;
-    }
-    memcpy(words, entropy, (size_t)n_words * sizeof(uint32_t));
+    /* what the words every trial shares fix of its seed, worked out once */
+    seed_prefix prefix = seed_prefix_of(entropy, n_words);
     int64_t ran = 0;
     for (;;) {
         int64_t t = __atomic_fetch_add(next_trial, 1, __ATOMIC_RELAXED);
         trial_cutoff c = cutoff_of(cut, t);
         if (t >= n_trials || pop_bound(&c) < 0.0)
             break;
-        int64_t n = n_words;
-        words[n++] = (uint32_t)t;
-        if ((uint64_t)t >> 32)
-            words[n++] = (uint32_t)((uint64_t)t >> 32);
+        uint32_t words[2] = {(uint32_t)t, (uint32_t)((uint64_t)t >> 32)};
+        uint64_t w[4];
+        seed_finish(&prefix, words, words[1] ? 2 : 1, w);
         rcm_stream s;
-        if (explore(&e, rcm_stream_seed(&s, words, n), m, p, &c, outs + t,
+        if (explore(&e, stream_seed_state(&s, w), m, p, &c, outs + t,
                     extras_in + t * p->n_extras, NULL) != RCM_OK) {
             ran = RCM_NO_MEMORY;
             break;
@@ -1101,7 +1178,6 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
         }
     }
     explorer_free(&e);
-    free(words);
     return ran;
 }
 

@@ -55,10 +55,14 @@ typedef struct {
 
 /* The parameters of a batch of explorations; ball_mean is gamma times the
  * volume of a connection ball, and the n_extras points in `extras` start
- * every run unattached. With mark_max > 0 every kept point is marked with
- * mark_max times a uniform draw; with 0 no mark is drawn and every key is 0. */
+ * every run unattached. With stop_joined nonzero and at least one extra, a
+ * run also ends right after step (a) of the step in which its last extra
+ * joins, so its cluster size and steps are partial. With mark_max > 0
+ * every kept point is marked with mark_max times a uniform draw; with 0
+ * no mark is drawn and every key is 0. */
 typedef struct {
     int dim;
+    int stop_joined;
     double system_size;
     double ball_mean;
     double mark_max;

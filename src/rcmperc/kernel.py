@@ -20,7 +20,8 @@ The kernel draws through a numpy `bitgen_t` with the functions of
 numpy's `distributions.h`, linked in from `libnpyrandom.a`, so it
 consumes a stream exactly as numpy's Generator methods do: a
 Generator's own, or in a batch a trial's PCG64 that the kernel seeds
-itself (`rcm_stream_seed`). Calls into `lib` release the interpreter lock.
+itself, as `rcm_stream_seed` does for one stream. Calls into `lib`
+release the interpreter lock.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from rcmperc import (
     Gilbert,
     PenetrableSphere,
     SimParams,
+    SoftSphere,
     ball_volume,
     branching_bound,
     constant_g_certificate,
@@ -426,6 +427,19 @@ class TestWorkspaceReuse:
         assert max(o.steps for o in tiny) <= 3
 
 
+def _assert_stops_only_when_every_extra_joined(full, stopped) -> None:
+    """stopped (stop_joined) equals full in every joined flag and in every
+    record of a trial with an extra still out, and took fewer steps in some
+    trial whose extras all joined."""
+    assert np.array_equal(stopped[1], full[1])
+    done = full[1].all(axis=1)
+    assert done.any() and not done.all()
+    assert as_outcomes((stopped[0][~done], stopped[1][~done])) == as_outcomes(
+        (full[0][~done], full[1][~done]))
+    assert (stopped[0]["steps"] <= full[0]["steps"]).all()
+    assert (stopped[0]["steps"][done] < full[0]["steps"][done]).any()
+
+
 def _most_retests(params: SimParams, model, rng) -> int:
     """The most unattached points one frontier point tested in step (a)."""
     log: list[tuple[int, int]] = []
@@ -642,6 +656,42 @@ class TestPairConnectedness:
             kinds[False, True, False],
         ) == (51, 98, 87)
         assert all(type(c) is int for c in counts)
+
+    # the capped-and-escaping case is the one above, in all eight kinds
+    @pytest.mark.parametrize(
+        "model, params, r",
+        [
+            pytest.param(GILBERT, SimParams(2, 0.3, 25.0), 3.0, id="gilbert"),
+            pytest.param(PenetrableSphere(2.0, 0.6), SimParams(2, 0.5, 25.0), 3.0,
+                         id="penetrable"),
+            pytest.param(SoftSphere(2.0, 6), SimParams(2, 0.05, 30.0), 2.5, id="soft-sphere"),
+            pytest.param(GILBERT, SimParams(2, 0.3, 12.0, max_generated_points=60), 6.0,
+                         id="capped-and-escaping"),
+        ],
+    )
+    def test_probe_trials_stop_once_the_probe_joins(self, model, params, r, monkeypatch):
+        # a trial that stops after its probe joins reports the same flags,
+        # and an unjoined trial the same record, so the estimate is the
+        # estimate of trials that run on to the end
+        probed = replace(params, extra_points=((r, 0.0),))
+        full = run_trials(probed, model, 1729, 0, 300)
+        stopped = run_trials(probed, model, 1729, 0, 300, stop_joined=True)
+        _assert_stops_only_when_every_extra_joined(full, stopped)
+        est = estimate_pair_connectedness(params, model, r, 300, 1729)
+        monkeypatch.setattr(exploration, "run_trials",
+                            lambda *a, stop_joined, **kw: run_trials(*a, **kw))
+        assert est == estimate_pair_connectedness(params, model, r, 300, 1729)
+
+    def test_probe_trials_stop_only_once_every_extra_joined(self):
+        # with two extras a trial goes on while either is out, whichever
+        # joined first
+        params = SimParams(2, 0.3, 25.0, extra_points=((3.0, 0.0), (-2.0, 3.0)))
+        full = run_trials(params, GILBERT, 1729, 0, 300)
+        stopped = run_trials(params, GILBERT, 1729, 0, 300, stop_joined=True)
+        assert set(map(tuple, full[1].tolist())) == {
+            (False, False), (True, False), (False, True), (True, True)
+        }
+        _assert_stops_only_when_every_extra_joined(full, stopped)
 
     def test_r_validation(self):
         params = SimParams(dim=2, gamma=0.1, system_size=10.0)

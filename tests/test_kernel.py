@@ -21,6 +21,7 @@ from rcmperc import (
     Gilbert, PenetrableSphere, SimParams, SoftSphere, TabulatedRadial, derive_seed,
     explore_cluster, trial_stream,
 )
+from rcmperc import exploration
 from rcmperc.exploration import run_trials
 from rcmperc.kernel import OUTCOME, SOURCE, ffi, lib, model_struct
 from rcmperc.sampling import trial_entropy
@@ -119,6 +120,17 @@ class TestTrialStreams:
             halves = [w >> s & MASK32 for w in state for s in (0, 32)]
             assert halves[: len(expected)] == expected
 
+    def test_seed_sequence_matches_numpy_at_every_length(self):
+        # numpy's reference inputs are all four words long; a shorter one
+        # leaves part of the cross-mix to the finish, a longer one mixes
+        # its later words in after it
+        state = ffi.new("uint64_t[4]")
+        words = np.random.default_rng(5).integers(0, 2**32, 9).tolist()
+        for n in range(10):
+            lib.rcm_seed_sequence(words[:n], n, state)
+            expected = np.random.SeedSequence(words[:n]).generate_state(4, np.uint64)
+            assert list(state) == expected.tolist(), n
+
     def test_pcg64_reference_draws(self):
         rows = [line.split(",") for line in _numpy_reference(PCG64_TESTSET).splitlines()]
         assert rows[0][0] == "seed" and len(rows) == 1001
@@ -163,6 +175,31 @@ class TestTrialStreams:
                           for t in range(20)]
                 batch = run_trials(params, model, seed, key, 20)
                 assert as_outcomes(batch) == serial
+
+    @pytest.mark.parametrize(
+        "seed, key, n_words",
+        [(5, 3, 3), (2**40 + 3, 3, 4), (5, 2**32 + 1, 4), (2**40 + 3, 2**33 + 7, 5)],
+    )
+    def test_batch_streams_across_two_word_trials(self, seed, key, n_words):
+        # a batch absorbs its constant words once and finishes each trial's
+        # seed with the words of t, one below 2^32 and two from there on;
+        # the kernel's counter is preset so that it runs trials 2^32 - 2 to
+        # 2^32 + 1, whose records land in a four-row array
+        params = SimParams(dim=2, gamma=0.3, system_size=25.0)
+        model = Gilbert(2.0)
+        entropy = trial_entropy(seed, key)
+        assert len(entropy) == n_words
+        first = 2**32 - 2
+        outcomes, joined = exploration._batch_arrays(4, 0)
+        outs = ffi.cast("rcm_outcome *", (outcomes.ctypes.data - first * OUTCOME.itemsize) % 2**64)
+        m, c_params = exploration._kernel_args(params, model)
+        next_trial = ffi.new("int64_t *", first)
+        assert lib.rcm_run_trials(entropy, n_words, first + 4, next_trial, ffi.NULL, m, c_params,
+                                  outs, ffi.from_buffer("uint8_t[]", joined)) == 4
+        serial = [explore_cluster(params, model, trial_stream(seed, key, t))
+                  for t in range(first, first + 4)]
+        assert as_outcomes((outcomes, joined)) == serial
+        assert len({o.generated_points for o in serial}) > 1
 
 
 def _run_in_fresh_interpreter(
