@@ -94,11 +94,13 @@ asks only whether a key lies at or below it. A trial's results up to
 its bound are those of an uncut run. The serial bound depends only on
 the serial prefix minimum rounded up to a level, and a parallel run's
 bound can only be larger, so every escape key the serial bound covers is
-exact whatever the thread timing; `threshold` censors the rest. At one intensity an escape
-has key 0: every later trial stops at its next pop and none starts, so
-the arrays end at the first escaping trial as a serial run does, and
-counts taken from them match a serial run exactly. The kernel call
-releases the interpreter lock for the whole batch.
+exact whatever the thread timing; the kernel censors the rest, in one
+serial pass after its threads are joined (the rule is stated once, in
+`kernel.h`). At one intensity an escape has key 0: every later trial
+stops at its next pop and none starts, so the arrays end at the first
+escaping trial as a serial run does, and counts taken from them match a
+serial run exactly. The kernel call releases the interpreter lock for
+the whole batch.
 """
 
 from __future__ import annotations
@@ -185,7 +187,9 @@ class ClusterOutcome:
     partial where cluster_size is.
     extras_in_cluster flags, per SimParams.extra_points entry, whether
     that point had joined the cluster by the end of the run. The kernel
-    reports the other fields in one `rcm_outcome` record (kernel.h).
+    reports the other fields in one `rcm_outcome` record (kernel.h):
+    escaped and capped are read from its keys, as escape_key < inf and
+    cap_key < inf.
     """
 
     escaped: bool
@@ -201,6 +205,8 @@ class ClusterOutcome:
         """The outcome in a `kernel.OUTCOME` record; joined[k] says whether extra point k joined."""
         names = record.dtype.names
         return cls(**{f.name: record[f.name].item() for f in fields(cls) if f.name in names},
+                   escaped=bool(record["escape_key"] < math.inf),
+                   capped=bool(record["cap_key"] < math.inf),
                    extras_in_cluster=tuple(bool(b) for b in joined))
 
 
@@ -304,13 +310,15 @@ def run_trials(
     bottleneck key. With stop_at_escape the trials are cut: trial t pops
     only keys below the smallest escape key of the trials before it that
     have finished, and with ascending `levels` only keys up to the largest
-    level below it. Both arrays end at the first trial after which no
-    trial pops: at a fixed intensity the first escaping trial. With
-    stop_joined a trial with extra points ends once every one of them has
-    joined (the probe stop in this module's docstring): its joined flags
-    are those of a full run, but its record stops there, so cluster_size
-    and steps are partial, and it escaped or capped only if that came
-    first. A trial with an extra still out runs as it would without it.
+    level below it. A cut batch's escape and cap keys above that bound,
+    taken serially, read +inf (the rule in kernel.h). Both arrays end at
+    the first trial after which no trial pops: at a fixed intensity the
+    first escaping trial. With stop_joined a trial with extra points ends
+    once every one of them has joined (the probe stop in this module's
+    docstring): its joined flags are those of a full run, but its record
+    stops there, so cluster_size and steps are partial, and it escaped or
+    capped only if that came first. A trial with an extra still out runs
+    as it would without it.
     The batch is one kernel call, `rcm_run_batch`, in as many threads as
     the smaller of workers and the machine's cores: the kernel starts the
     helper threads, runs a share in this one and joins them before it
@@ -407,8 +415,8 @@ def estimate_pair_connectedness(
     )
     # a joined probe is positive even in a capped or escaped trial
     positive = joined[:, 0]
-    capped = outcomes["capped"] & ~positive
-    escaped = outcomes["escaped"] & ~(positive | capped)
+    capped = (outcomes["cap_key"] < math.inf) & ~positive
+    escaped = (outcomes["escape_key"] < math.inf) & ~(positive | capped)
     positives = int(positive.sum())
     excluded_capped = int(capped.sum())
     excluded_escaped = int(escaped.sum())

@@ -956,9 +956,8 @@ static int log_pair(rcm_pair_log *log, int64_t i, int64_t j)
     return RCM_OK;
 }
 
-/* The largest key a trial may pop while the smallest escape key before it
- * is `key`: the largest level below key, -1 if none, or with no levels the
- * largest double below key. */
+/* The bound below `key` (see rcm_cutoff): the largest level below key, -1
+ * if none, or with no levels the largest double below key. */
 static double bound_below(const rcm_cutoff *c, double key)
 {
     if (!c->levels)
@@ -1100,8 +1099,6 @@ static int explore(explorer *e, bitgen_t *bg, const rcm_model *m, const rcm_para
             break;
     }
 
-    out->escaped = e->escape_key < INFINITY;
-    out->capped = capped;
     out->cluster_size = steps + e->heap_n;
     out->generated_points = generated;
     out->steps = steps;
@@ -1136,14 +1133,13 @@ int rcm_explore(bitgen_t *bg, const rcm_model *m, const rcm_params *p,
  * outs[t] and to extras_in from t * n_extras. Every call of a batch may
  * run at once in its own thread: each takes the next trial from the
  * shared counter *next_trial until the counter passes n_trials. With a
- * non-NULL cut, trial t pops only keys at
- * most its bound, from the escape keys of the trials s < t that have
- * finished (see rcm_cutoff), re-read at every pop; a finished trial
- * publishes its escape key in cut->keys[t]. A bound below 0 cuts a trial
- * before its first pop, so the call stops taking trials at one. The call sets up one
- * explorer, which every trial it runs reuses after emptying it, and frees
- * it before it returns. Returns the number of trials this call ran, or
- * RCM_NO_MEMORY.
+ * non-NULL cut, trial t pops only keys at most its bound, from the escape
+ * keys of the trials s < t that have finished (see rcm_cutoff), re-read at
+ * every pop; a finished trial publishes its escape key in cut->keys[t],
+ * uncensored. A bound below 0 cuts a trial before its first pop, so the
+ * call stops taking trials at one. The call sets up one explorer, which
+ * every trial it runs reuses after emptying it, and frees it before it
+ * returns. Returns the number of trials this call ran, or RCM_NO_MEMORY.
  */
 int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
                        int64_t *next_trial, rcm_cutoff *cut,
@@ -1173,7 +1169,7 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
         ran++;
         if (cut) {
             __atomic_store(cut->keys + t, &outs[t].escape_key, __ATOMIC_RELAXED);
-            if (outs[t].escaped)
+            if (outs[t].escape_key < INFINITY)
                 __atomic_fetch_add(&cut->version, 1, __ATOMIC_RELEASE);
         }
     }
@@ -1214,10 +1210,13 @@ static void *run_share(void *arg)
  * the others before it returns, each making one rcm_run_trials call on
  * the batch's shared counters. A thread that cannot start leaves its
  * share to the others. With cut, earlier escapes cut later trials through
- * the n_levels ascending levels (NULL: none; see rcm_cutoff), and the rows
- * end at the first trial whose escape key leaves a bound below 0, after
- * which no trial pops: at one intensity, the first that escaped. Returns
- * the number of rows to keep, that trial + 1 or n_trials, or RCM_NO_MEMORY.
+ * the n_levels ascending levels (NULL: none; see rcm_cutoff), and once
+ * the threads are joined one serial pass walks the published escape keys
+ * in trial order: it censors every escape or cap key above its trial's
+ * serial bound to +inf, and ends the rows at the first trial whose serial
+ * bound is below 0, which pops nothing: at one intensity, the trial after
+ * the first that escaped. Returns the number of rows to keep, that trial
+ * or n_trials, or RCM_NO_MEMORY.
  */
 int64_t rcm_run_batch(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
                       int threads, int cut, const double *levels, int64_t n_levels,
@@ -1250,12 +1249,21 @@ int64_t rcm_run_batch(const uint32_t *entropy, int64_t n_words, int64_t n_trials
         failed |= shares[k].ran < 0;
     }
     free(shares);
+    /* the serial pass: trial t's serial bound from the escape keys before it */
     int64_t rows = n_trials;
-    for (int64_t t = 0; cut && t < n_trials; t++)
-        if (bound_below(&shared, shared.keys[t]) < 0.0) {
-            rows = t + 1;
+    double least = INFINITY;
+    for (int64_t t = 0; cut && !failed && t < n_trials; t++) {
+        double bound = bound_below(&shared, least);
+        if (bound < 0.0) {
+            rows = t;
             break;
         }
+        if (outs[t].escape_key > bound)
+            outs[t].escape_key = INFINITY;
+        if (outs[t].cap_key > bound)
+            outs[t].cap_key = INFINITY;
+        least = fmin(least, shared.keys[t]);
+    }
     free(shared.keys);
     return failed ? RCM_NO_MEMORY : rows;
 }

@@ -38,13 +38,16 @@ typedef struct {
     double knots[];       /* tabulated: n_knots radii, then n_knots values */
 } rcm_model;
 
-/* A trial's outcome, declared only here: kernel.OUTCOME and ClusterOutcome read it by name.
- * escape_key is the smallest key at which a point beyond the system size
- * joined (+inf if none did), cap_key the key being processed when a work
- * cap fired (+inf if none did). */
+/* A trial's outcome, declared only here: kernel.OUTCOME and ClusterOutcome
+ * read it by name. Its six fields: cluster_size, the points known to be in
+ * the cluster when the trial ended; generated_points, the points kept
+ * after thinning; steps, the frontier points processed; max_norm, the
+ * largest norm of a cluster point; escape_key, the smallest key at which a
+ * point beyond the system size joined (+inf if none did); and cap_key, the
+ * key being processed when a work cap fired (+inf if none did). The trial
+ * escaped exactly when escape_key < +inf, and was capped exactly when
+ * cap_key < +inf. A cut batch censors both keys (see rcm_cutoff). */
 typedef struct {
-    _Bool escaped;
-    _Bool capped;
     int64_t cluster_size;
     int64_t generated_points;
     int64_t steps;
@@ -74,10 +77,15 @@ typedef struct {
 
 /* What the trials of a cut batch share: keys[t] is trial t's escape key
  * once it has finished (+inf before that, and when it did not escape), and
- * version counts the finished trials that escaped. A trial's bound is the
- * largest of the n_levels ascending `levels` below every key of the
- * trials before it (-1 if there is none; with NULL levels, the largest
- * double below them), and the trial pops only keys at most its bound. */
+ * version counts the finished trials that escaped. The bound below a key m
+ * is the largest of the n_levels ascending `levels` below m (-1 if there
+ * is none; with NULL levels, the largest double below m), and trial t's
+ * serial bound is the bound below the smallest escape key of the trials
+ * s < t. The rule of a cut batch: a key counts only up to its trial's
+ * serial bound. Trial t pops keys up to the bound below the smallest key
+ * of the trials s < t finished so far, which is never less, so up to its
+ * serial bound it runs as an uncut trial whatever the thread timing, and
+ * rcm_run_batch censors each escape or cap key above it to +inf. */
 typedef struct {
     int64_t version;
     double *keys;
@@ -104,6 +112,9 @@ int64_t rcm_run_trials(const uint32_t *entropy, int64_t n_words, int64_t n_trial
                        int64_t *next_trial, rcm_cutoff *cut,
                        const rcm_model *m, const rcm_params *p,
                        rcm_outcome *outs, uint8_t *extras_in);
+/* A batch's rows, cut or not; a cut batch returns only keys that the rule
+ * of rcm_cutoff counts, and its rows end at the first trial whose serial
+ * bound is below 0. */
 int64_t rcm_run_batch(const uint32_t *entropy, int64_t n_words, int64_t n_trials,
                       int threads, int cut, const double *levels, int64_t n_levels,
                       const rcm_model *m, const rcm_params *p, rcm_outcome *outs,

@@ -138,7 +138,7 @@ ffi, lib = _load()
 
 # kernel.h's rcm_outcome as a numpy record: its field names, types and
 # offsets, and its size, as the compiler laid it out.
-_NUMPY_TYPES = {"_Bool": np.bool_, "int64_t": np.int64, "double": np.float64}
+_NUMPY_TYPES = {"int64_t": np.int64, "double": np.float64}
 _OUTCOME_FIELDS = ffi.typeof("rcm_outcome").fields
 OUTCOME = np.dtype({
     "names": [name for name, _ in _OUTCOME_FIELDS],

@@ -21,14 +21,14 @@ a trial explores only up to the largest level below the escape keys
 before it, so after the first escapes it stops where a contained verdict
 at that level would, and the search costs about what one batch per
 intensity cost. The keys that bound covers do not depend on thread
-timing, and `coupled_batch` censors every other one, so verdicts are
-identical for any worker count.
+timing, and the kernel censors every other one (the rule in
+`kernel.h`), so verdicts are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
+from collections.abc import Generator, Iterator
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -153,33 +153,28 @@ def coupled_batch(
 
     Trial t draws from (master_seed, eval_key, t). With full_runs every
     trial runs until its escape key is settled. Otherwise earlier escapes
-    cut later trials. Without levels each key is censored at the serial
-    prefix minimum m_t of the escape keys of trials s < t: a key >= m_t
-    reads +inf. With ascending levels the batch answers verdicts only at
-    those intensities: every key is first rounded up to a level (+inf
-    above the last), m_t is the prefix minimum of the rounded escape keys,
-    and a key whose rounding is >= m_t reads +inf. A verdict at gamma (a
-    level, if there are levels) never reads a trial past the first with
-    escape key <= gamma, so censoring changes no verdict, and it leaves
-    only keys that do not depend on thread timing.
+    cut later trials, and the kernel returns the keys censored by the
+    rule in kernel.h: a key counts only up to its trial's serial bound,
+    which with levels is a level, so the batch answers verdicts only at
+    its levels. A verdict at gamma (a level, if there are levels) never
+    reads a trial past the first with escape key <= gamma, so censoring
+    changes no verdict, and it leaves only keys that do not depend on
+    thread timing. levels, if given, must be a non-empty, strictly
+    ascending array of finite values; an uncut batch does not use them.
     """
     if runs < 1:
         raise ValueError(f"run count must be positive, got {runs}")
+    if levels is not None:
+        levels = np.asarray(levels, dtype=np.float64)
+        if not (levels.ndim == 1 and len(levels) and np.isfinite(levels).all()
+                and (np.diff(levels) > 0).all()):
+            raise ValueError("levels must be a non-empty, strictly ascending array of "
+                             "finite values")
     outcomes, _ = run_trials(
         replace(params, gamma=gamma_max), model, master_seed, eval_key, runs, workers,
-        stop_at_escape=not full_runs, marked=True, levels=None if full_runs else levels,
+        stop_at_escape=not full_runs, marked=True, levels=levels,
     )
-    escape, cap = outcomes["escape_key"], outcomes["cap_key"]
-    if full_runs:
-        return escape, cap
-    rounded_escape, rounded_cap = escape, cap
-    if levels is not None:
-        top = np.append(levels, np.inf)
-        rounded_escape = top[np.searchsorted(levels, escape)]
-        rounded_cap = top[np.searchsorted(levels, cap)]
-    prefix = np.minimum.accumulate(np.concatenate(([np.inf], rounded_escape[:-1])))
-    return (np.where(rounded_escape < prefix, escape, np.inf),
-            np.where(rounded_cap < prefix, cap, np.inf))
+    return outcomes["escape_key"], outcomes["cap_key"]
 
 
 @dataclass(frozen=True)
@@ -213,6 +208,17 @@ class CriticalEstimate:
         return asdict(self, dict_factory=_given)
 
 
+def _ramp(gamma0: float, ramp_factor: float) -> Iterator[tuple[float, float]]:
+    """The ramp's brackets (lower, upper), at most _MAX_RAMP_STEPS of them:
+    (gamma0 / ramp_factor, gamma0) first, then each from the last upper to
+    ramp_factor times it. `_bracket` tests their uppers, and the levels of
+    `_plan_levels` must match them to the bit."""
+    lower, upper = gamma0 / ramp_factor, gamma0
+    for _ in range(_MAX_RAMP_STEPS):
+        yield lower, upper
+        lower, upper = upper, upper * ramp_factor
+
+
 def _bracket(gamma0: float, ramp_factor: float, refinements: int
              ) -> Generator[tuple[float, str], bool, tuple[float, float, float, list[str]]]:
     """The search plan: yields each (gamma, step_kind) to test, is sent whether
@@ -223,12 +229,10 @@ def _bracket(gamma0: float, ramp_factor: float, refinements: int
     """
     warnings = ["first tested intensity (the branching bound) already percolated; "
                 "lower bracket endpoint was not tested"]
-    lower, upper = gamma0 / ramp_factor, gamma0
-    for _ in range(_MAX_RAMP_STEPS):
+    for lower, upper in _ramp(gamma0, ramp_factor):
         if (yield upper, "ramp"):
             break
         warnings = []
-        lower, upper = upper, upper * ramp_factor
     else:
         raise RuntimeError(
             f"no percolation after {_MAX_RAMP_STEPS} ramp steps from {gamma0!r}; "
@@ -255,13 +259,11 @@ def _plan_levels(gamma0: float, ramp_factor: float, refinements: int, low: float
     midpoints that `refinements` halvings can reach.
     """
     brackets = []
-    lower, upper = gamma0 / ramp_factor, gamma0
-    for _ in range(_MAX_RAMP_STEPS):
+    for lower, upper in _ramp(gamma0, ramp_factor):
         if lower >= high:
             break
         if upper > low:
             brackets.append((lower, upper))
-        lower, upper = upper, upper * ramp_factor
     if len(brackets) << refinements > _MAX_LEVELS:
         return None
     lo, hi = np.array(brackets).reshape(-1, 2).T

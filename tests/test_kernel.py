@@ -65,7 +65,10 @@ def test_phi_matches_phi_at_bit_for_bit(name):
 
 def test_outcome_dtype_matches_the_c_record():
     assert OUTCOME.itemsize == ffi.sizeof("rcm_outcome")
-    assert OUTCOME["escaped"] == OUTCOME["capped"] == np.dtype(bool)
+    assert OUTCOME.names == ("cluster_size", "generated_points", "steps", "max_norm",
+                             "escape_key", "cap_key")
+    assert OUTCOME["escape_key"] == OUTCOME["cap_key"] == np.dtype(np.float64)
+    assert OUTCOME.itemsize == 48
 
 
 # numpy's reference vectors for SeedSequence and PCG64, shipped with numpy

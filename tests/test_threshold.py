@@ -165,6 +165,52 @@ class TestCoupledBatch:
                 finite = levels[np.searchsorted(levels, finite)]
             assert (np.diff(finite) < 0).all()
 
+    @pytest.mark.parametrize("max_points", [None, 300])
+    @pytest.mark.parametrize("levels", [None, np.linspace(0.2, 0.6, 9)])
+    def test_cut_keys_are_the_full_keys_censored(self, monkeypatch, levels, max_points):
+        # the rule of a cut batch, stated in numpy on a full-runs batch:
+        # round each key up to a level (+inf above the last; without levels
+        # a key is its own rounding), take the prefix minimum m_t of the
+        # rounded escape keys of trials s < t, and keep a key only if its
+        # rounding is below m_t. The rows end at the first t whose m_t
+        # leaves no level below it (without levels, m_t = 0). A cut batch
+        # must give these bytes at any thread count. One thread never pops
+        # past a trial's serial bound, so its cap keys need no censoring;
+        # parallel trials can run past it, and do so only by thread timing,
+        # so each parallel batch runs ten times
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        params = params2(25.0) if max_points is None else params2(
+            25.0, max_generated_points=max_points)
+        escape, cap = threshold.coupled_batch(params, GILBERT, 0.6, 301, 9, full_runs=True)
+        rounded_escape, rounded_cap = escape, cap
+        if levels is not None:
+            top = np.append(levels, np.inf)
+            rounded_escape = top[np.searchsorted(levels, escape)]
+            rounded_cap = top[np.searchsorted(levels, cap)]
+        prefix = np.minimum.accumulate(np.concatenate(([np.inf], rounded_escape[:-1])))
+        expected = (np.where(rounded_escape < prefix, escape, np.inf),
+                    np.where(rounded_cap < prefix, cap, np.inf))
+        stop = prefix <= (0.0 if levels is None else levels[0])
+        rows = int(stop.argmax()) if stop.any() else len(escape)
+        for workers in [1] + [2, 8] * 10:
+            cut = threshold.coupled_batch(params, GILBERT, 0.6, 301, 9, workers=workers,
+                                          levels=levels)
+            for got, want in zip(cut, expected):
+                assert got.tobytes() == want[:rows].tobytes()
+        if max_points is not None:
+            # the cap keys are censored too, not only the escape keys
+            assert 0 < np.isfinite(expected[1]).sum() < np.isfinite(cap).sum()
+
+    @pytest.mark.parametrize("levels", [np.linspace(0.2, 0.6, 9)[::-1], [0.2, np.nan, 0.6],
+                                        [0.2, 0.2, 0.6], []],
+                             ids=["descending", "nan", "repeated", "empty"])
+    def test_levels_must_be_finite_and_strictly_ascending(self, levels):
+        # the kernel binary-searches the levels, so bad ones would give
+        # wrong verdicts without any error
+        with pytest.raises(ValueError, match="strictly ascending array of finite values"):
+            threshold.coupled_batch(SimParams(2, 0.0, 25.0), GILBERT, 0.6, 301, 9,
+                                    levels=levels)
+
     def test_levels_answer_their_verdicts_as_an_uncut_batch(self):
         # cut at its levels, a batch gives the verdict of a full-runs batch
         # at every level, as early exit reads it

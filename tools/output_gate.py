@@ -13,9 +13,10 @@ lies past trial 30, `--full-runs` verdicts with seeds of two and three
 2, a d=3 `--full-runs` verdict whose point cap stops large trials
 between tiny ones in the same kernel call, a `tau` estimate whose
 trials escape or hit the point cap with the probe joined or not, in all
-eight combinations, and exits 2,
-`percolate` and `critical` reading `tools/gate.conf` through `--config`
-and `--config=`, with a flag overriding a file value, and `bound`
+eight combinations, and exits 2, a `critical` search refined so finely
+that some of its batches are cut without levels, `percolate` and
+`critical` reading `tools/gate.conf` through `--config` and
+`--config=`, with a flag overriding a file value, and `bound`
 without `--gamma` for the soft-sphere and tabulated models), one
 `--output-file` case, and every argv of
 `tests/test_cli.py::TestUsageErrors::test_exit_one`, each named by its
@@ -60,6 +61,9 @@ MATRIX: dict[str, list[str]] = {
     "percolate-full": ["percolate", "--gamma", "0.3", "--system-size", "25", "--runs", "61",
                        "--seed", "6", "--full-runs"],
     "critical": ["critical", "--system-size", "15", "--runs", "40", "--seed", "13"],
+    # batches 2-5 hold more intensities than a batch's level limit and are cut without levels
+    "critical-fine": ["critical", "--system-size", "15", "--runs", "40", "--seed", "13",
+                      "--refine", "15"],
     "bound": ["bound", "--dim", "3", "--gamma", "0.05"],
     "bound-table": ["bound", "--table"],
     "tau": ["tau", "--gamma", "0.1", "--r", "2.5", "--trials", "300", "--system-size", "12"],
